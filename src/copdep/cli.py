@@ -3,15 +3,13 @@
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
 Exit codes: 0 success, 2 invalid input, 3 numerical or validation failure,
 4 property-suite failure.  Every command is deterministic given its flags
-and seed.  The COPDEP_THREADS environment variable caps worker parallelism;
-all current computations are sequential, so any positive cap is honored.
+and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -91,20 +89,6 @@ def _note(message: str) -> None:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
-
-
-def thread_cap() -> int:
-    """Worker cap from COPDEP_THREADS (>= 1); unset means 1."""
-    raw = os.environ.get("COPDEP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"COPDEP_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InvalidArgumentError(f"COPDEP_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _parse_columns(spec: str | None) -> list | None:
@@ -488,7 +472,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.handler(args)
     except _INPUT_ERRORS as exc:
         _note(f"error: {exc}")

@@ -110,11 +110,17 @@ def pseudo_observations(data) -> PseudoObservations:
     ties = []
     for j in range(d):
         col = arr[:, j]
-        order = np.argsort(col, kind="stable")
+        # Without ties the sorting permutation is unique, so the fast default
+        # sort gives the same ranks; ties need the stable sort's row order.
+        order = np.argsort(col)
+        ordered = col[order]
+        tied = int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+        if tied:
+            order = np.argsort(col, kind="stable")
         ranks = np.empty(n, dtype=np.float64)
         ranks[order] = np.arange(n, dtype=np.float64)
         out[:, j] = (ranks + 0.5) / n
-        ties.append(n - np.unique(col).size)
+        ties.append(tied)
     total_ties = sum(ties)
     if total_ties:
         warnings.warn(
@@ -233,40 +239,91 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _header(row: list[str]) -> list[str] | None:
+    """The row's stripped tokens when any of them is not a number, else None."""
+    if any(not _is_number(tok) for tok in row):
+        return [tok.strip() for tok in row]
+    return None
+
+
+def _select_columns(columns, header, width: int) -> list[int]:
+    """0-based indices of the requested columns (all of them when None)."""
+    if columns is None:
+        return list(range(width))
+    sel = []
+    for c in columns:
+        if isinstance(c, int) or (isinstance(c, str) and c.strip().lstrip("-").isdigit()):
+            j = int(c)
+        elif header is not None and c in header:
+            j = header.index(c)
+        else:
+            raise InvalidArgumentError(f"unknown column {c!r} (header: {header})")
+        if not 0 <= j < width:
+            raise InvalidArgumentError(f"column index {j} out of range 0..{width - 1}")
+        sel.append(j)
+    return sel
+
+
+def _column_names(header, width: int, sel: list[int]) -> list[str]:
+    """Names of the selected columns; the header must be as wide as the data."""
+    if header is None:
+        return [str(j) for j in sel]
+    if len(header) != width:
+        raise InvalidDataError(
+            f"header has {len(header)} fields but data rows have {width}"
+        )
+    return [header[j] for j in sel]
+
+
 def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     """Read a numeric CSV, optionally selecting columns by name or 0-based index.
 
     The first row is treated as a header when any of its tokens is not a
     number.  Returns the selected matrix and the resolved column names.
+
+    Plain files are parsed by ``np.loadtxt``.  Anything it refuses (quoted
+    fields, tokens only ``float`` accepts, ragged or non-numeric rows, a
+    leading blank line) goes through a row-by-row reader, which either
+    accepts the file or raises the typed error naming the row and column.
     """
     path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        first = next(csv.reader(fh), [])
+    if first:
+        header = _header(first)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    path,
+                    delimiter=",",
+                    skiprows=1 if header is not None else 0,
+                    comments=None,
+                    ndmin=2,
+                    encoding="utf-8",
+                )
+        except ValueError:  # also UnicodeDecodeError; the row-by-row reader reports it
+            data = None
+        if data is not None and data.size:
+            width = data.shape[1]
+            sel = _select_columns(columns, header, width)
+            return data.take(sel, axis=1), _column_names(header, width, sel)
+    return _read_csv_rows(path, columns)
+
+
+def _read_csv_rows(path: Path, columns) -> tuple[np.ndarray, list[str]]:
+    """Row-by-row reader behind ``read_csv``; it names the row and column of a bad cell."""
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise InsufficientDataError(f"{path} is empty")
-    header = None
-    if any(not _is_number(tok) for tok in rows[0]):
-        header = [tok.strip() for tok in rows[0]]
+    header = _header(rows[0])
+    if header is not None:
         rows = rows[1:]
     if not rows:
         raise InsufficientDataError(f"{path} has a header but no data rows")
     width = len(rows[0])
-    names = header if header is not None else [str(j) for j in range(width)]
-
-    sel = list(range(width))
-    if columns is not None:
-        sel = []
-        for c in columns:
-            if isinstance(c, int) or (isinstance(c, str) and c.strip().lstrip("-").isdigit()):
-                j = int(c)
-            elif header is not None and c in header:
-                j = header.index(c)
-            else:
-                raise InvalidArgumentError(f"unknown column {c!r} (header: {header})")
-            if not 0 <= j < width:
-                raise InvalidArgumentError(f"column index {j} out of range 0..{width - 1}")
-            sel.append(j)
-
+    sel = _select_columns(columns, header, width)
     data = np.empty((len(rows), len(sel)), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -275,8 +332,9 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
             try:
                 data[i, k] = float(row[j])
             except ValueError as exc:
+                name = header[j] if header is not None and j < len(header) else str(j)
                 raise InvalidDataError(
-                    f"non-numeric value {row[j]!r} at row {i}, column {names[j]}",
-                    column=names[j],
+                    f"non-numeric value {row[j]!r} at row {i}, column {name}",
+                    column=name,
                 ) from exc
-    return data, [names[j] for j in sel]
+    return data, _column_names(header, width, sel)

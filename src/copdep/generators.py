@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .estimation import rebalance_marginals
@@ -112,6 +111,8 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
     if model.tag == "gaussian":
         chol = np.linalg.cholesky(np.asarray(model.correlation, dtype=np.float64))
         z = rng.standard_normal((n_rows, d)) @ chol.T
+        from scipy.special import ndtr
+
         return ndtr(z)
     if model.tag == "square_law":
         x = rng.uniform(-1.0, 1.0, n_rows)

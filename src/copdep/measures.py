@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
-from scipy.special import roots_legendre
 
 from .errors import (
     DegenerateBoundError,
@@ -262,6 +260,8 @@ def _unit_gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
     if order < 1:
         raise InvalidArgumentError(f"quadrature order must be positive, got {order}")
+    from scipy.special import roots_legendre
+
     x, wt = roots_legendre(order)
     nodes = (x + 1.0) / 2.0
     weights = wt / 2.0
@@ -337,6 +337,8 @@ def _ratio_cell_terms(w: np.ndarray, mat: np.ndarray, transform: str, alpha: flo
       * otherwise: smooth integrand on [v0, v1] with v0 > 0, handled by
         adaptive quadrature.
     """
+    from scipy.integrate import quad
+
     m = mat.shape[1]
     profile = _edge_profiles(w, mat)
     rows = []
@@ -374,7 +376,7 @@ def _ratio_cell_terms(w: np.ndarray, mat: np.ndarray, transform: str, alpha: flo
                     def integrand(v):
                         r_ = (intercept + slope * v) / v
                         return r_ * math.log(r_) if r_ > 0.0 else 0.0
-                val, _ = _adaptive_quad(
+                val, _ = quad(
                     integrand, v0, v1, epsabs=1e-12, epsrel=1e-12, limit=200
                 )
             terms.append(val)

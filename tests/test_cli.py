@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import copdep
 from copdep import load_copula
 from copdep.cli import main
 
@@ -83,6 +88,16 @@ class TestEstimate:
             capsys, "estimate", "--input", str(path), "--output", str(tmp_path / "o.json")
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2,3\n4,5,6\n", "a,b,c\n1,2\n3,4\n"])
+    def test_header_width_mismatch_exits_invalid_input(self, capsys, tmp_path, text):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "estimate", "--input", str(path), "--output", str(tmp_path / "o.json")
+        )
+        assert code == 2
+        assert "header has" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(
@@ -210,23 +225,24 @@ class TestVerify:
         assert out1 == out2
 
 
-class TestThreadCap:
-    def test_env_var_validated(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("COPDEP_THREADS", "0")
-        csv_path = tmp_path / "d.csv"
-        csv_path.write_text("a,b\n1,2\n3,4\n5,6\n")
-        code, _, _ = run(
-            capsys, "estimate", "--input", str(csv_path), "--output", str(tmp_path / "o.json"),
-            "--resolution", "2",
-        )
-        assert code == 2
-
-    def test_valid_cap_accepted(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("COPDEP_THREADS", "4")
-        csv_path = tmp_path / "d.csv"
-        csv_path.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n")
-        code, _, _ = run(
-            capsys, "estimate", "--input", str(csv_path), "--output", str(tmp_path / "o.json"),
-            "--resolution", "2",
-        )
-        assert code == 0
+def test_import_and_tau_measure_leave_scipy_unloaded(tmp_path):
+    csv_path = tmp_path / "d.csv"
+    rng = np.random.Generator(np.random.Philox(key=9))
+    np.savetxt(csv_path, rng.random((200, 3)), delimiter=",", header="a,b,c", comments="")
+    script = (
+        "import sys\n"
+        "import copdep\n"
+        "assert 'scipy' not in sys.modules, 'import copdep loaded scipy'\n"
+        "from copdep.cli import main\n"
+        f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'tau_quadratic',"
+        " '--resolution', '4'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'measure --kind tau_quadratic loaded scipy'\n"
+    )
+    src = str(Path(copdep.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

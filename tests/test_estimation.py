@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copdep import (
     CheckerboardCopula,
@@ -35,6 +41,22 @@ class TestPseudoObservations:
             obs = pseudo_observations(np.array([[1.0], [1.0], [2.0]]))
         assert np.allclose(obs.values[:, 0], [1 / 6, 3 / 6, 5 / 6])
         assert obs.tie_counts == (1,)
+
+    def test_ties_above_insertion_sort_size_match_stable_reference(self, rng):
+        n = 10_000
+        tied = rng.integers(1, 51, size=n).astype(np.float64)
+        tied[[17, 6421]] = [0.0, -0.0]
+        distinct = rng.random(n)
+        with pytest.warns(RuntimeWarning):
+            obs = pseudo_observations(np.column_stack([tied, distinct]))
+        for j, col in enumerate((tied, distinct)):
+            order = np.argsort(col, kind="stable")
+            ranks = np.empty(n)
+            ranks[order] = np.arange(n, dtype=np.float64)
+            expected = (ranks + 0.5) / n
+            assert obs.values[:, j].tobytes() == expected.tobytes()
+            assert obs.tie_counts[j] == n - np.unique(col).size
+        assert obs.tie_counts[0] == n - 51
 
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientDataError):
@@ -202,3 +224,161 @@ class TestReadCsv:
         with pytest.raises(InvalidDataError) as err:
             pseudo_observations(data)
         assert err.value.column == 1
+
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1,2,3\n4,5,6\n", "a,b,c\n1,2\n3,4\n", 'a,b\n"1",2,3\n']
+    )
+    def test_header_width_mismatch(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidDataError) as err:
+            read_csv(path)
+        header, data = (len(line.split(",")) for line in text.splitlines()[:2])
+        assert str(err.value) == f"header has {header} fields but data rows have {data}"
+
+
+def reference_read_csv(path, columns=None):
+    """Row-by-row reader that ``read_csv`` replaced; the fast path must agree with it."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise InsufficientDataError(f"{path} is empty")
+    header = None
+    if any(not _is_float(tok) for tok in rows[0]):
+        header = [tok.strip() for tok in rows[0]]
+        rows = rows[1:]
+    if not rows:
+        raise InsufficientDataError(f"{path} has a header but no data rows")
+    width = len(rows[0])
+    names = header if header is not None else [str(j) for j in range(width)]
+
+    sel = list(range(width))
+    if columns is not None:
+        sel = []
+        for c in columns:
+            if isinstance(c, int) or (isinstance(c, str) and c.strip().lstrip("-").isdigit()):
+                j = int(c)
+            elif header is not None and c in header:
+                j = header.index(c)
+            else:
+                raise InvalidArgumentError(f"unknown column {c!r} (header: {header})")
+            if not 0 <= j < width:
+                raise InvalidArgumentError(f"column index {j} out of range 0..{width - 1}")
+            sel.append(j)
+
+    data = np.empty((len(rows), len(sel)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise InvalidDataError(f"row {i} has {len(row)} fields, expected {width}")
+        for k, j in enumerate(sel):
+            try:
+                data[i, k] = float(row[j])
+            except ValueError as exc:
+                raise InvalidDataError(
+                    f"non-numeric value {row[j]!r} at row {i}, column {names[j]}",
+                    column=names[j],
+                ) from exc
+    return data, [names[j] for j in sel]
+
+
+def _is_float(token):
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def _outcome(reader, path, columns):
+    try:
+        data, names = reader(path, columns)
+    except Exception as exc:  # the outcome under comparison includes the error
+        return type(exc), str(exc)
+    return data.shape, data.dtype, data.flags.c_contiguous, data.tobytes(), names
+
+
+def assert_same_as_reference(path, columns=None):
+    assert _outcome(read_csv, path, columns) == _outcome(reference_read_csv, path, columns)
+
+
+DIFFERENTIAL_INPUTS = {
+    "plain": ("a,b\n1,2\n3,4\n", None),
+    "headerless": ("1,2\n3,4\n", None),
+    "leading blank line": ("\na,b\n1,2\n3,4\n", None),
+    "blank line mid-file": ("a,b\n1,2\n\n3,4\n", None),
+    "whitespace-only line": ("a,b\n1,2\n   \n3,4\n", None),
+    "whitespace-only line, one column": ("a\n1\n \n3\n", None),
+    "quoted fields": ('"a","b"\n"1",2\n3,"4"\n', None),
+    "underscore digits": ("a,b\n1_000,2\n3,4\n", None),
+    "full-width digit": ("a,b\n\uff11,2\n3,4\n", None),
+    "hash line": ("a,b\n# note\n1,2\n3,4\n", None),
+    "hash header": ("# a,b\n1,2\n3,4\n", None),
+    "trailing comma": ("a,b,\n1,2,\n3,4,\n", None),
+    "ragged row": ("a,b\n1,2\n3\n", None),
+    "CRLF": ("a,b\r\n1,2\r\n3,4\r\n", None),
+    "CR only": ("a,b\r1,2\r3,4\r", None),
+    "BOM header": ("\ufeffa,b\n1,2\n3,4\n", None),
+    "BOM numeric first row": ("\ufeff1,2\n3,4\n5,6\n", None),
+    "nan and infinities": ("a,b,c\nnan,-nan,Infinity\n-inf,+NaN,1e400\n", None),
+    "single column": ("a\n1\n2\n3\n", None),
+    "single row": ("1,2,3\n", None),
+    "header only": ("a,b\n", None),
+    "blank lines only": ("\n\n", None),
+    "empty": ("", None),
+    "spaces around values": ("a , b\n 1, 2 \n3 ,4\n", None),
+    "non-numeric cell": ("a,b\n1,2\n3,oops\n", None),
+    "non-numeric unselected column": ("a,b\nx,1\ny,2\n", ["b"]),
+    "select by name and index": ("a,b,c\n1,2,3\n4,5,6\n", ["c", "0"]),
+    "unknown column": ("a,b\n1,2\n", ["missing"]),
+    "index out of range": ("a,b\n1,2\n", ["5"]),
+    "invalid utf-8": (b"a,b\n1,\xff\n", None),
+    "invalid utf-8 past the first block": (b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
+def test_read_csv_matches_row_by_row_reference(tmp_path, name):
+    text, columns = DIFFERENTIAL_INPUTS[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert_same_as_reference(path, columns)
+
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.floats(allow_nan=False, width=32),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([float("nan"), -0.0, 5e-324, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 4))
+    fmt = draw(st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, "{:f}".format]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.booleans())
+
+    def cell(token):
+        if quoting and draw(st.booleans()):
+            token = f'"{token}"'
+        return draw(_SPACES) + token + draw(_SPACES)
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(cell(f"c{j}") for j in range(cols)))
+    for _ in range(rows):
+        lines.append(",".join(cell(fmt(draw(_NUMBERS))) for _ in range(cols)))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_text())
+def test_read_csv_fuzz_matches_row_by_row_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_as_reference(path)

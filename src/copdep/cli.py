@@ -153,13 +153,10 @@ def _load_measure_input(args) -> tuple[CheckerboardCopula, GroupSplit | None, in
 
 
 def _policy_from_args(args) -> ResolutionPolicy:
-    auto = getattr(args, "auto_resolution", False)
-    fixed = getattr(args, "resolution", None)
-    if auto and fixed is not None:
-        raise InvalidArgumentError("--resolution and --auto-resolution are mutually exclusive")
-    if fixed is None:
+    if args.resolution is None:
         return ResolutionPolicy(mode="automatic")
-    return ResolutionPolicy(mode="fixed", fixed_m=int(fixed), max_m=max(128, int(fixed)))
+    m = int(args.resolution)
+    return ResolutionPolicy(mode="fixed", fixed_m=m, max_m=max(128, m))
 
 
 # ----------------------------------------------------------------------
@@ -191,12 +188,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    tag = args.kind
-    if args.normalize and tag == "group_tau":
-        tag = "group_tau_normalized"
-    kind = MeasureKind(tag, args.alpha)
+    kind = MeasureKind(args.kind, args.alpha)
     copula, split, sample_size = _load_measure_input(args)
-    report = compute_measure(copula, split, kind, quad_order=args.quad_order)
+    report = compute_measure(copula, split, kind)
     if sample_size is not None:
         report = replace(report, sample_size=sample_size)
     payload = report.to_json_dict()
@@ -245,9 +239,7 @@ def cmd_synth(args) -> int:
     )
     data = generate(model, args.rows)
     header = ",".join(f"x{j}" for j in range(data.shape[1] - 1)) + ",y"
-    lines = [header]
-    lines += [",".join(repr(float(x)) for x in row) for row in data]
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.savetxt(args.output, data, fmt="%.17g", delimiter=",", header=header, comments="")
     _note(f"wrote {args.rows} rows of {args.model} to {args.output}")
     _emit({"output": str(args.output), "rows": args.rows, "model": args.model, "seed": args.seed})
     return EXIT_OK
@@ -408,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True)
     est.add_argument("--output", required=True)
     est.add_argument("--columns", help="comma-separated names or 0-based indices")
-    est.add_argument("--resolution", type=int)
-    est.add_argument("--auto-resolution", action="store_true")
+    est.add_argument("--resolution", type=int, help="default: from the sample size")
     est.set_defaults(handler=cmd_estimate)
 
     mea = sub.add_parser("measure", help="compute a dependence measure")
@@ -432,10 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     mea.add_argument("--alpha", type=float)
-    mea.add_argument("--resolution", type=int)
-    mea.add_argument("--auto-resolution", action="store_true")
-    mea.add_argument("--quad-order", type=int, default=16)
-    mea.add_argument("--normalize", action="store_true")
+    mea.add_argument("--resolution", type=int, help="CSV only; default: from the sample size")
     mea.set_defaults(handler=cmd_measure)
 
     stp = sub.add_parser("star", help="compose two copula files through a middle block")

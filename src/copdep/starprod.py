@@ -143,7 +143,6 @@ def dpi_report(
     b: CheckerboardCopula,
     n: int,
     kind: MeasureKind,
-    quad_order: int = 16,
 ) -> DpiReport:
     """Check that composing through the middle block cannot raise the measure.
 
@@ -159,8 +158,8 @@ def dpi_report(
     chained = star(a, b, n)
     split_chain = GroupSplit(tuple(range(n)), tuple(range(n, chained.dims)))
     split_direct = GroupSplit(tuple(range(n)), tuple(range(n, b.dims)))
-    tau_chain = compute_measure(chained, split_chain, kind, quad_order=quad_order).value
-    tau_direct = compute_measure(b, split_direct, kind, quad_order=quad_order).value
+    tau_chain = compute_measure(chained, split_chain, kind).value
+    tau_direct = compute_measure(b, split_direct, kind).value
     return DpiReport(
         kind=kind,
         tau_chain=tau_chain,
@@ -232,7 +231,6 @@ def equitability_suite(
     transforms,
     kind: MeasureKind = MeasureKind("tau_quadratic"),
     resolutions=None,
-    quad_order: int = 16,
 ) -> InvarianceReport:
     """Recompute a measure under rank-preserving transformations.
 
@@ -248,7 +246,7 @@ def equitability_suite(
         base_cop = fit_checkerboard(pseudo_observations(data), resolutions)
     else:
         base_cop = copula
-    baseline = compute_measure(base_cop, split, kind, quad_order=quad_order).value
+    baseline = compute_measure(base_cop, split, kind).value
 
     results = []
     for case in transforms:
@@ -263,7 +261,7 @@ def equitability_suite(
             mapped[:, col] = case.mapping(data[:, col])
             direction = _monotone_direction(data[:, col], mapped[:, col])
             refit = fit_checkerboard(pseudo_observations(mapped), resolutions)
-            value = compute_measure(refit, split, kind, quad_order=quad_order).value
+            value = compute_measure(refit, split, kind).value
             is_target = col in split.v_axes
             tol = 1e-12 if (is_target and direction < 0) else 0.0
         elif case.kind == "permute_conditioning":
@@ -277,17 +275,13 @@ def equitability_suite(
             full = list(range(base_cop.dims))
             for pos, src in enumerate(perm):
                 full[split.u_axes[pos]] = split.u_axes[src]
-            value = compute_measure(
-                base_cop.permute_axes(full), split, kind, quad_order=quad_order
-            ).value
+            value = compute_measure(base_cop.permute_axes(full), split, kind).value
             tol = 0.0
         elif case.kind == "reverse_axis":
             if case.axis is None:
                 raise InvalidArgumentError("reverse_axis needs an axis")
             axis = int(case.axis)
-            value = compute_measure(
-                base_cop.reverse_axis(axis), split, kind, quad_order=quad_order
-            ).value
+            value = compute_measure(base_cop.reverse_axis(axis), split, kind).value
             tol = 1e-12 if axis in split.v_axes else 0.0
         else:
             raise InvalidArgumentError(f"unsupported transform kind {case.kind!r}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import copdep
-from copdep import load_copula
+from copdep import SynthModel, generate, load_copula, read_csv
 from copdep.cli import main
 
 
@@ -44,6 +44,14 @@ class TestSynth:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,y"
         assert len(lines) == 2001
+
+    def test_read_back_bit_for_bit(self, capsys, tmp_path):
+        path = write_synth(capsys, tmp_path, model="gaussian", theta="0.3", rows="500")
+        data, names = read_csv(path)
+        correlation = ((1.0, 0.3), (0.3, 1.0))
+        model = SynthModel(tag="gaussian", dimension=2, correlation=correlation, seed=4)
+        assert names == ["x0", "y"]
+        assert np.array_equal(data, generate(model, 500))
 
     def test_deterministic(self, capsys, tmp_path):
         p1 = write_synth(capsys, tmp_path)
@@ -157,13 +165,16 @@ class TestMeasure:
         )
         assert code == 2
 
-    def test_conflicting_resolution_flags_exit_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize("alpha, expected", [("nan", 2), ("inf", 2), ("1e308", 3)])
+    def test_non_finite_alpha_or_value_exits_without_json(self, capsys, tmp_path, alpha, expected):
         csv_path = write_synth(capsys, tmp_path)
-        code, _, _ = run(
-            capsys, "measure", "--input", str(csv_path), "--resolution", "8",
-            "--auto-resolution",
+        code, out, err = run(
+            capsys, "measure", "--input", str(csv_path), "--kind", "tau_alpha",
+            "--alpha", alpha, "--resolution", "8",
         )
-        assert code == 2
+        assert code == expected
+        assert out == ""
+        assert "error:" in err
 
 
 class TestStarCommand:
@@ -238,6 +249,10 @@ def test_import_and_tau_measure_leave_scipy_unloaded(tmp_path):
         " '--resolution', '4'])\n"
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'measure --kind tau_quadratic loaded scipy'\n"
+        f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'renyi_limit',"
+        " '--resolution', '4'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.integrate' not in sys.modules, 'renyi_limit loaded scipy.integrate'\n"
     )
     src = str(Path(copdep.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]

@@ -204,6 +204,16 @@ class TestTauAlpha:
         with pytest.raises(InvalidArgumentError):
             tau_alpha(independence_copula((4, 4)), PAIR, 0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidArgumentError):
+            tau_alpha(independence_copula((4, 4)), PAIR, alpha)
+
+    def test_huge_alpha_gives_typed_error_not_nan(self, rng):
+        # the normalizer overflows to inf while every |F - v|^alpha is 0
+        with pytest.raises(EvaluationError):
+            tau_alpha(random_copula((4, 4), rng), PAIR, 1e308)
+
     def test_dominated_by_unit_bound(self, rng):
         for _ in range(100):
             cop = random_copula((4, 4), rng)
@@ -439,6 +449,12 @@ class TestMeasureKindValidation:
     def test_alpha_forbidden(self):
         with pytest.raises(InvalidArgumentError):
             MeasureKind("tau_quadratic", 2.0)
+
+    @pytest.mark.parametrize("tag", ["tau_alpha", "renyi_alpha"])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, tag, alpha):
+        with pytest.raises(InvalidArgumentError):
+            MeasureKind(tag, alpha)
 
     def test_report_json_schema(self, rng):
         cop = random_copula((4, 4), rng)

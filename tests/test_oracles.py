@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from copdep import (
+    CheckerboardCopula,
     GroupSplit,
     comonotone_copula,
     group_tau,
     kendall_cdf,
     max_bound,
+    mixture_copula,
     mutual_information,
     random_copula,
+    rebalance_marginals,
     renyi_alpha,
     renyi_limit,
     tau_alpha,
@@ -114,6 +117,17 @@ class TestConditionalOracle:
                 slow = brute_conditional(cop, split, cell, point)
                 assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_out_of_order_split_matches_brute_force(self, rng):
+        from copdep import conditional_cdf
+
+        cop = random_copula((3, 4, 5), rng)
+        split = GroupSplit((2, 0), (1,))
+        for cell in ((0, 0), (4, 1), (2, 2)):
+            for v in (0.0, 0.3, 0.62, 1.0):
+                fast = conditional_cdf(cop, split, cell, v)
+                slow = brute_conditional(cop, split, cell, (v,))
+                assert fast == pytest.approx(slow, abs=1e-12)
+
 
 def riemann_ratio_integral(copula, phi, n_points=200_000):
     """Midpoint Riemann sum of phi(conditional CDF / v) over v, weighted."""
@@ -177,6 +191,142 @@ class TestEntropyOracles:
         slow *= 2.5 * 3.5 / 2.0
         fast = tau_alpha(cop, PAIR, 1.5).value
         assert fast == pytest.approx(slow, abs=1e-4)
+
+
+def _edge_profiles(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Conditional CDF at the target cell edges, one row per active cell."""
+    edges = np.empty((mat.shape[0], mat.shape[1] + 1))
+    edges[:, 0] = 0.0
+    np.cumsum(mat, axis=1, out=edges[:, 1:])
+    edges[:, 1:] /= w[:, None]
+    return edges
+
+
+def _ratio_cell_terms(w: np.ndarray, mat: np.ndarray, transform: str, alpha: float = 0.0):
+    """Per conditioning cell: integral over v of phi(conditional CDF / v).
+
+    ``transform`` selects phi: "power" for r**alpha, "xlogx" for r*log(r)
+    (with 0 log 0 = 0).  Within a target cell the conditional CDF is linear,
+    F(v) = c + B v; three cases arise:
+
+      * c == 0: the ratio F/v equals the slope B on the whole cell, so the
+        integral is phi(B) times the cell width.  This is always the case on
+        the first cell, which removes the v -> 0 endpoint from quadrature.
+      * B == 0: F is a positive constant and the integral has a closed form.
+      * otherwise: smooth integrand on [v0, v1] with v0 > 0, handled by
+        adaptive quadrature.
+    """
+    from scipy.integrate import quad
+
+    m = mat.shape[1]
+    profile = _edge_profiles(w, mat)
+    rows = []
+    for r in range(mat.shape[0]):
+        terms = []
+        for l in range(m):
+            v0, v1 = l / m, (l + 1) / m
+            f0, f1 = float(profile[r, l]), float(profile[r, l + 1])
+            if f1 == 0.0:
+                continue  # F identically zero on the cell
+            slope = (f1 - f0) * m
+            intercept = f0 - slope * v0
+            if intercept == 0.0:
+                ratio = slope
+                if transform == "power":
+                    val = ratio**alpha * (v1 - v0)
+                else:
+                    val = 0.0 if ratio == 0.0 else ratio * math.log(ratio) * (v1 - v0)
+            elif slope == 0.0:
+                if transform == "power":
+                    val = f0**alpha * (v1 ** (1.0 - alpha) - v0 ** (1.0 - alpha)) / (1.0 - alpha)
+                else:
+                    val = f0 * (
+                        math.log(f0) * (math.log(v1) - math.log(v0))
+                        - (math.log(v1) ** 2 - math.log(v0) ** 2) / 2.0
+                    )
+            else:
+                # the ratio is nonnegative up to rounding; clamp so a tiny
+                # negative excursion cannot produce a complex power
+                if transform == "power":
+                    def integrand(v):
+                        r_ = (intercept + slope * v) / v
+                        return r_**alpha if r_ > 0.0 else 0.0
+                else:
+                    def integrand(v):
+                        r_ = (intercept + slope * v) / v
+                        return r_ * math.log(r_) if r_ > 0.0 else 0.0
+                val, _ = quad(
+                    integrand, v0, v1, epsabs=1e-12, epsrel=1e-12, limit=200
+                )
+            terms.append(val)
+        rows.append(math.fsum(terms))
+    return np.asarray(rows)
+
+
+def adaptive_ratio_total(copula, split, transform, alpha=0.0):
+    """Weighted total of phi(F/v) by adaptive quadrature per target cell."""
+    nu = int(np.prod([copula.resolutions[a] for a in split.u_axes]))
+    mat = np.transpose(copula.grid, split.u_axes + split.v_axes).reshape(nu, -1)
+    w = mat.sum(axis=1)
+    live = w > 0.0
+    terms = _ratio_cell_terms(w[live], mat[live], transform, alpha)
+    return math.fsum((w[live] * terms).tolist())
+
+
+def _runs_copula(m, rng):
+    """Rebalanced grid whose row i carries mass only on target cells i to
+    i + m/2 - 1 (mod m): F(v0) = 0 at v0 > 0, and flat runs of F."""
+    i, j = np.indices((m, m))
+    raw = rng.gamma(2.0, 1.0, size=(m, m)) * ((j - i) % m < m // 2)
+    return rebalance_marginals(CheckerboardCopula((m, m), raw.ravel() / raw.sum()))
+
+
+def _near_boundary_copula(rng):
+    """Rows whose cell 2 has 3 f0 just below f1 (closed form) and just above
+    it (Gauss-Legendre), with an intercept c < 0 in both."""
+    rows = []
+    for ratio in (3.0 + 1e-9, 3.0 - 1e-9, 3.0 + 1e-6, 3.0 - 1e-6):
+        row = rng.gamma(2.0, 1.0, size=8)
+        row[2] = (ratio - 1.0) * (row[0] + row[1])
+        rows.append(row)
+    raw = np.asarray(rows)
+    return CheckerboardCopula(raw.shape, raw.ravel() / raw.sum())
+
+
+def entropy_cases(rng):
+    for res in ((6, 6), (13, 9), (32, 32)):
+        yield f"random {res}", random_copula(res, rng), PAIR
+    yield "random (4, 5, 6)", random_copula((4, 5, 6), rng), GroupSplit((1, 0), (2,))
+    yield "mixture 64", mixture_copula(0.5, 64), PAIR
+    yield "comonotone 64", comonotone_copula(2, 64), PAIR
+    yield "empty target runs", _runs_copula(16, rng), PAIR
+    yield "3 f0 near f1", _near_boundary_copula(rng), PAIR
+
+
+class TestEntropyKernelOracle:
+    """The closed-form and fixed-rule entropy kernel against per-cell
+    adaptive quadrature, on the total over conditioning cells."""
+
+    def test_near_boundary_rows_straddle_the_switch(self, rng):
+        mass = _near_boundary_copula(rng).grid
+        edges = np.cumsum(mass, axis=1) / mass.sum(axis=1, keepdims=True)
+        f0, f1 = edges[:, 1], edges[:, 2]
+        assert list(3.0 * f0 < f1) == [True, False, True, False]
+        assert np.all(np.abs(f1 / (3.0 * f0) - 1.0) < 1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.5, 1.9])
+    def test_renyi_alpha_total(self, rng, alpha):
+        for label, cop, split in entropy_cases(rng):
+            value = renyi_alpha(cop, split, alpha).value
+            total = math.exp(value * (alpha - 1.0))
+            oracle = adaptive_ratio_total(cop, split, "power", alpha)
+            assert abs(total - oracle) <= 1e-12 * abs(oracle), label
+
+    def test_renyi_limit_total(self, rng):
+        for label, cop, split in entropy_cases(rng):
+            value = renyi_limit(cop, split).value
+            oracle = adaptive_ratio_total(cop, split, "xlogx")
+            assert abs(value - oracle) <= 1e-12 * abs(oracle), label
 
 
 class TestMutualInformationOracle:

@@ -24,11 +24,11 @@ from .errors import (
     InvalidDataError,
     RebalanceError,
 )
-from .grid import CheckerboardCopula, require_valid
+from .grid import CheckerboardCopula, _check_resolutions, require_valid
 
 #: Worst marginal deviation tolerated after rebalancing.
 IPF_TOL = 1e-10
-IPF_MAX_SWEEPS = 50
+IPF_MAX_SWEEPS = 1000
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -153,7 +153,9 @@ def fit_checkerboard(
 
     Cell masses start as bin counts divided by N; a point exactly on an
     interior cell boundary belongs to the upper cell (this cannot happen
-    with the (i - 0.5)/N ranks when the resolution divides N).
+    with the (i - 0.5)/N ranks when the resolution divides N).  Only the
+    occupied cells are stored, so the grid size is limited by the int64
+    flat index alone (fewer than 2**63 cells).
     """
     res = tuple(int(m) for m in resolutions)
     if len(res) != pseudo.n_cols:
@@ -166,13 +168,14 @@ def fit_checkerboard(
         raise InvalidArgumentError(
             f"resolution {max(res)} exceeds the maximum {max_resolution}"
         )
+    _check_resolutions(res)
     n = pseudo.n_rows
     idx = np.zeros(n, dtype=np.int64)
     for j, m in enumerate(res):
         cells = np.minimum(np.floor(pseudo.values[:, j] * m).astype(np.int64), m - 1)
         idx = idx * m + cells
-    counts = np.bincount(idx, minlength=int(np.prod(res))).astype(np.float64)
-    raw = CheckerboardCopula(res, counts / n)
+    occupied, counts = np.unique(idx, return_counts=True)
+    raw = CheckerboardCopula._from_cells(res, occupied, counts / n)
     return require_valid(rebalance_marginals(raw), "fit_checkerboard")
 
 
@@ -184,43 +187,44 @@ def rebalance_marginals(
     """Iterative proportional fitting toward uniform marginals.
 
     Each sweep rescales every axis once so that all slab sums hit 1/m.
-    Rescaling preserves nonnegativity; a zero-mass slab cannot be rescaled
-    and raises DegenerateMarginalError.  Returns the input object unchanged
+    Rescaling preserves nonnegativity and keeps empty cells empty, so only
+    the stored cells are touched; a zero-mass slab cannot be rescaled and
+    raises DegenerateMarginalError.  Returns the input object unchanged
     when the marginals are already within tolerance.
     """
-    if float(copula.mass.min()) < 0.0:
+    mass = copula.cell_mass
+    if mass.size and float(mass.min()) < 0.0:
         raise InvalidArgumentError("rebalancing requires nonnegative masses")
-    if abs(float(copula.mass.sum()) - 1.0) > 1e-6:
+    if abs(float(mass.sum()) - 1.0) > 1e-6:
         raise InvalidArgumentError("rebalancing requires total mass 1")
 
-    grid = np.array(copula.grid, copy=True)
-    dims = grid.ndim
+    res = copula.resolutions
+    coords = [copula._key((axis,)) for axis in range(len(res))]
 
-    def worst_error(g):
-        err = 0.0
-        for axis, m in enumerate(copula.resolutions):
-            others = tuple(a for a in range(dims) if a != axis)
-            slabs = g.sum(axis=others) if others else g
-            err = max(err, float(np.abs(slabs - 1.0 / m).max()))
-        return err
+    def slab_sums(axis, values):
+        return np.bincount(coords[axis], weights=values, minlength=res[axis])
 
-    if worst_error(grid) < tol:
+    def worst_error(values):
+        return max(
+            float(np.abs(slab_sums(axis, values) - 1.0 / m).max())
+            for axis, m in enumerate(res)
+        )
+
+    if worst_error(mass) < tol:
         return copula
+    mass = mass.copy()
     for _ in range(max_sweeps):
-        for axis, m in enumerate(copula.resolutions):
-            others = tuple(a for a in range(dims) if a != axis)
-            slabs = grid.sum(axis=others) if others else grid
+        for axis, m in enumerate(res):
+            slabs = slab_sums(axis, mass)
             if np.any(slabs <= 0.0):
                 j = int(np.argwhere(slabs <= 0.0).ravel()[0])
                 raise DegenerateMarginalError(
                     f"axis {axis} slab {j} has zero mass; cannot rescale"
                 )
-            shape = [1] * dims
-            shape[axis] = m
-            grid *= (1.0 / m) / slabs.reshape(shape)
-        if worst_error(grid) < tol:
-            return CheckerboardCopula(copula.resolutions, grid)
-    residual = worst_error(grid)
+            mass *= ((1.0 / m) / slabs)[coords[axis]]
+        if worst_error(mass) < tol:
+            return CheckerboardCopula._from_cells(res, copula.cell_index, mass)
+    residual = worst_error(mass)
     raise RebalanceError(
         f"marginals still off by {residual:.3e} after {max_sweeps} sweeps", residual
     )

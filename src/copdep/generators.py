@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .estimation import rebalance_marginals
-from .grid import CheckerboardCopula, comonotone_copula, independence_copula, require_valid
+from .grid import (
+    CheckerboardCopula,
+    _prod,
+    comonotone_copula,
+    independence_copula,
+    require_valid,
+)
 
 _TAGS = ("independent", "comonotone", "mixture", "functional", "gaussian", "square_law")
 
@@ -131,9 +137,11 @@ def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:
         raise InvalidArgumentError(f"theta must be in [0, 1], got {t}")
     diag = comonotone_copula(2, resolution)
     flat = independence_copula((resolution, resolution))
-    mass = t * diag.mass + (1.0 - t) * flat.mass
+    mass = (1.0 - t) * flat.cell_mass  # the independence copula stores every cell
+    mass[diag.cell_index] += t * diag.cell_mass
     return require_valid(
-        CheckerboardCopula((resolution, resolution), mass), "mixture_copula"
+        CheckerboardCopula._from_cells(flat.resolutions, flat.cell_index, mass),
+        "mixture_copula",
     )
 
 
@@ -149,7 +157,7 @@ def random_copula(
     res = tuple(int(m) for m in resolutions)
     if any(m < 1 for m in res):
         raise InvalidArgumentError(f"resolutions must be positive, got {res}")
-    raw = rng.gamma(float(concentration), 1.0, size=int(np.prod(res)))
+    raw = rng.gamma(float(concentration), 1.0, size=_prod(res))
     raw /= raw.sum()
     balanced = rebalance_marginals(CheckerboardCopula(res, raw))
     return require_valid(balanced, "random_copula")
@@ -171,10 +179,12 @@ def assignment_copula(
     if n_cells % m != 0:
         raise InvalidArgumentError("conditioning cells must split evenly over targets")
     targets = rng.permutation(np.repeat(np.arange(m), n_cells // m))
-    mat = np.zeros((n_cells, m))
-    mat[np.arange(n_cells), targets] = 1.0 / n_cells
+    cells = np.arange(n_cells, dtype=np.int64) * m + targets
     return require_valid(
-        CheckerboardCopula((m,) * n_cond + (m,), mat.ravel()), "assignment_copula"
+        CheckerboardCopula._from_cells(
+            (m,) * n_cond + (m,), cells, np.full(n_cells, 1.0 / n_cells)
+        ),
+        "assignment_copula",
     )
 
 

@@ -9,8 +9,12 @@ Frechet-Hoeffding envelopes.  Every copula handled by this package is
 represented this way; singular copulas (such as the comonotone one) appear
 as grid approximations whose measures converge as the resolution grows.
 
-Mass arrays are stored flat in row-major order (last axis fastest) and are
-frozen after construction, so values are safe to share across threads.
+Only the cells with nonzero mass are stored: their sorted int64 flat indices
+(row-major, last axis fastest) and their masses.  A copula fitted from N
+samples therefore costs O(N) memory whatever the grid size; the dense mass
+array is built only on request (``mass``, ``grid``, JSON output).  Both
+arrays are frozen after construction, so values are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -36,31 +40,98 @@ def _prod(values) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+def _check_resolutions(resolutions) -> tuple[int, ...]:
+    """Resolutions as a tuple of ints; rejects empty, nonpositive and too-large grids."""
+    res = tuple(int(m) for m in resolutions)
+    if not res or any(m < 1 for m in res):
+        raise InvalidArgumentError(f"resolutions must be positive, got {res}")
+    if _prod(res) >= 2**63:
+        raise InvalidArgumentError(
+            f"grid {res} has {_prod(res)} cells; a flat cell index needs fewer than 2**63"
+        )
+    return res
+
+
+def _strides(res) -> list[int]:
+    """Flat-index step of each axis (row-major, last axis fastest)."""
+    out = [1] * len(res)
+    for k in range(len(res) - 2, -1, -1):
+        out[k] = out[k + 1] * res[k + 1]
+    return out
+
+
+def _compress(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``keys`` (all in [0, bound)) in ascending order, and
+    the position of every key among them.
+
+    Marks and counts when the key range is at most twice the number of keys,
+    else sorts; both give the same arrays.
+    """
+    if bound > 2 * keys.size:
+        return np.unique(keys, return_inverse=True)
+    present = np.zeros(bound, dtype=bool)
+    present[keys] = True
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present), rank[keys]
+
+
+def _scatter(index: np.ndarray, mass: np.ndarray, size: int) -> np.ndarray:
+    """Dense array of ``size`` cells holding ``mass`` at ``index``, zero elsewhere."""
+    out = np.zeros(size)
+    out[index] = mass
+    return out
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class CheckerboardCopula:
-    """Immutable mass grid over the unit cube.
+    """Immutable mass grid over the unit cube, stored as its nonzero cells.
+
+    ``CheckerboardCopula(resolutions, mass)`` takes a dense mass array of
+    length prod(resolutions), row-major with the last axis fastest.
 
     Attributes:
         resolutions: cells per axis, one positive integer per dimension.
-        mass: flat nonnegative array of length prod(resolutions), row-major
-            with the last axis fastest.
+        cell_index: sorted flat indices (int64) of the cells whose mass is
+            nonzero.  Negative cells are kept, so ``validate`` sees them.
+        cell_mass: the mass of each of those cells (float64).
     """
 
     resolutions: tuple[int, ...]
-    mass: np.ndarray
+    cell_index: np.ndarray
+    cell_mass: np.ndarray
 
-    def __post_init__(self):
-        res = tuple(int(m) for m in self.resolutions)
-        if not res or any(m < 1 for m in res):
-            raise InvalidArgumentError(f"resolutions must be positive, got {res}")
-        mass = np.array(self.mass, dtype=np.float64, copy=True).ravel()
-        if mass.size != _prod(res):
+    def __init__(self, resolutions, mass):
+        res = _check_resolutions(resolutions)
+        dense = np.asarray(mass, dtype=np.float64).ravel()
+        if dense.size != _prod(res):
             raise InvalidArgumentError(
-                f"mass length {mass.size} does not match grid size {_prod(res)}"
+                f"mass length {dense.size} does not match grid size {_prod(res)}"
             )
+        index = np.flatnonzero(dense)
+        self._freeze(res, index, dense[index])
+
+    @classmethod
+    def _from_cells(cls, resolutions, index, mass) -> CheckerboardCopula:
+        """Copula from sorted, distinct flat indices and their masses.
+
+        Cells whose mass is zero are dropped.
+        """
+        copula = object.__new__(cls)
+        mass = np.asarray(mass, dtype=np.float64)
+        keep = mass != 0.0
+        if not keep.all():
+            index, mass = index[keep], mass[keep]
+        copula._freeze(_check_resolutions(resolutions), index, mass)
+        return copula
+
+    def _freeze(self, res, index, mass) -> None:
+        index = np.ascontiguousarray(index, dtype=np.int64)
+        mass = np.ascontiguousarray(mass, dtype=np.float64)
+        index.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "resolutions", res)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "cell_index", index)
+        object.__setattr__(self, "cell_mass", mass)
 
     def __repr__(self) -> str:
         return f"CheckerboardCopula(resolutions={self.resolutions})"
@@ -70,9 +141,37 @@ class CheckerboardCopula:
         return len(self.resolutions)
 
     @property
+    def mass(self) -> np.ndarray:
+        """Dense flat mass array, row-major; a new read-only copy on each access."""
+        out = _scatter(self.cell_index, self.cell_mass, _prod(self.resolutions))
+        out.setflags(write=False)
+        return out
+
+    @property
     def grid(self) -> np.ndarray:
-        """Read-only view of the mass array shaped as the grid."""
+        """Dense mass array shaped as the grid; a new read-only copy on each access."""
         return self.mass.reshape(self.resolutions)
+
+    def _key(self, axes) -> np.ndarray:
+        """Row-major flat index of every stored cell over ``axes`` alone, in
+        the given order; for one axis, the cell's coordinate along it."""
+        axes = tuple(axes)
+        first, last = axes[0], axes[-1]
+        if axes != tuple(range(first, last + 1)):
+            key = np.zeros_like(self.cell_index)
+            for a in axes:
+                key *= self.resolutions[a]
+                key += self._key((a,))
+            return key
+        # Consecutive axes in order are one digit range of the flat index:
+        # index // stride mod size, written with floor division only, which
+        # numpy runs several times faster than % for a scalar divisor.
+        stride = _strides(self.resolutions)[last]
+        key = self.cell_index // stride if stride > 1 else self.cell_index
+        if first == 0:
+            return key
+        size = _prod(self.resolutions[first : last + 1])
+        return key - (key // size) * size
 
     # ------------------------------------------------------------------
     # pointwise evaluation
@@ -95,13 +194,10 @@ class CheckerboardCopula:
         weighted by the fraction of each cell lying below the point.
         """
         p = self._check_point(point)
-        acc = self.grid
-        # Contract the last remaining axis with its overlap fractions.
-        for axis in range(self.dims - 1, -1, -1):
-            m = self.resolutions[axis]
-            w = np.clip(p[axis] * m - np.arange(m), 0.0, 1.0)
-            acc = acc @ w
-        return float(acc)
+        below = np.ones(self.cell_index.size)
+        for axis, m in enumerate(self.resolutions):
+            below *= np.clip(p[axis] * m - self._key((axis,)), 0.0, 1.0)
+        return float(self.cell_mass @ below)
 
     def box_mass(self, box: GridBox) -> float:
         """Probability mass of an axis-aligned box.
@@ -152,9 +248,9 @@ class CheckerboardCopula:
     def marginal(self, axes) -> CheckerboardCopula:
         """Marginal copula over ``axes``, kept in the given order.
 
-        Masses over the removed axes are summed per kept cell, each kept
-        cell reducing a contiguous block so the result does not depend on
-        how the removed axes happen to be laid out.
+        Masses over the removed axes are summed per kept cell in the order
+        of the removed axes' own flat index, so the result does not depend
+        on where the kept axes sit.
         """
         kept = tuple(int(a) for a in axes)
         if not kept:
@@ -163,12 +259,20 @@ class CheckerboardCopula:
             raise InvalidArgumentError(f"duplicate axes in {kept}")
         if any(a < 0 or a >= self.dims for a in kept):
             raise InvalidArgumentError(f"axes {kept} out of range for {self.dims} dims")
-        removed = tuple(a for a in range(self.dims) if a not in kept)
-        order = kept + removed
-        block = np.ascontiguousarray(np.transpose(self.grid, order))
-        n_kept = _prod(self.resolutions[a] for a in kept)
-        sums = block.reshape(n_kept, -1).sum(axis=1)
-        return CheckerboardCopula(tuple(self.resolutions[a] for a in kept), sums)
+        keys, group = _compress(
+            self._key(kept), _prod(self.resolutions[a] for a in kept)
+        )
+        # bincount adds in stored-cell order, which within a kept cell is
+        # the order of the removed axes' own flat index.
+        sums = np.bincount(group, weights=self.cell_mass, minlength=keys.size)
+        return CheckerboardCopula._from_cells(
+            tuple(self.resolutions[a] for a in kept), keys, sums
+        )
+
+    def _rekeyed(self, index: np.ndarray, res) -> CheckerboardCopula:
+        """The same cell masses moved to flat indices ``index`` of grid ``res``."""
+        order = np.argsort(index)
+        return CheckerboardCopula._from_cells(res, index[order], self.cell_mass[order])
 
     def permute_axes(self, permutation) -> CheckerboardCopula:
         """Relabel axes: new axis ``i`` is old axis ``permutation[i]``."""
@@ -177,35 +281,38 @@ class CheckerboardCopula:
             raise InvalidArgumentError(
                 f"{perm} is not a permutation of 0..{self.dims - 1}"
             )
-        moved = np.ascontiguousarray(np.transpose(self.grid, perm))
-        return CheckerboardCopula(tuple(self.resolutions[a] for a in perm), moved)
+        return self._rekeyed(self._key(perm), tuple(self.resolutions[a] for a in perm))
 
     def reverse_axis(self, axis: int) -> CheckerboardCopula:
         """Flip the cell order along one axis (a strictly decreasing remap)."""
         if not 0 <= axis < self.dims:
             raise InvalidArgumentError(f"axis {axis} out of range")
-        return CheckerboardCopula(self.resolutions, np.flip(self.grid, axis))
+        m, stride = self.resolutions[axis], _strides(self.resolutions)[axis]
+        shift = (m - 1 - 2 * self._key((axis,))) * stride
+        return self._rekeyed(self.cell_index + shift, self.resolutions)
 
     def validate(self) -> ValidationReport:
         """Diagnostics for nonnegativity, total mass, and marginal uniformity.
 
         Never raises; inspect ``passed`` or use :func:`require_valid`.
         """
-        g = self.grid
-        min_mass = float(self.mass.min())
+        mass = self.cell_mass
+        min_mass = float(mass.min()) if mass.size else 0.0
         max_negative = max(0.0, -min_mass)
         negative_cell = None
         if min_mass < 0.0:
             negative_cell = tuple(
-                int(i) for i in np.unravel_index(int(self.mass.argmin()), self.resolutions)
+                int(i)
+                for i in np.unravel_index(
+                    int(self.cell_index[mass.argmin()]), self.resolutions
+                )
             )
-        total_error = abs(float(self.mass.sum()) - 1.0)
+        total_error = abs(float(mass.sum()) - 1.0)
         worst_err = 0.0
         worst_axis = None
         worst_slab = None
         for axis, m in enumerate(self.resolutions):
-            others = tuple(a for a in range(self.dims) if a != axis)
-            slabs = g.sum(axis=others) if others else np.array(g, copy=True)
+            slabs = np.bincount(self._key((axis,)), weights=mass, minlength=m)
             errs = np.abs(slabs - 1.0 / m)
             j = int(errs.argmax())
             if errs[j] > worst_err:
@@ -324,12 +431,11 @@ class GroupSplit:
 
 def independence_copula(resolutions) -> CheckerboardCopula:
     """Product copula: every cell carries the product of the axis widths."""
-    res = tuple(int(m) for m in resolutions)
-    if not res or any(m < 1 for m in res):
-        raise InvalidArgumentError(f"resolutions must be positive, got {res}")
+    res = _check_resolutions(resolutions)
     n = _prod(res)
     return require_valid(
-        CheckerboardCopula(res, np.full(n, 1.0 / n)), "independence_copula"
+        CheckerboardCopula._from_cells(res, np.arange(n), np.full(n, 1.0 / n)),
+        "independence_copula",
     )
 
 
@@ -345,10 +451,13 @@ def comonotone_copula(dims: int, resolution: int) -> CheckerboardCopula:
     m = int(resolution)
     if m < 1:
         raise InvalidArgumentError(f"resolution must be positive, got {m}")
-    mass = np.zeros(m**dims)
-    stride = (m**dims - 1) // (m - 1) if m > 1 else 1  # sum of m^k for k < dims
-    mass[np.arange(m) * stride] = 1.0 / m
-    return require_valid(CheckerboardCopula((m,) * dims, mass), "comonotone_copula")
+    res = _check_resolutions((m,) * dims)
+    stride = sum(_strides(res))  # one step along every axis at once
+    diagonal = np.arange(m, dtype=np.int64) * stride
+    return require_valid(
+        CheckerboardCopula._from_cells(res, diagonal, np.full(m, 1.0 / m)),
+        "comonotone_copula",
+    )
 
 
 def frechet_lower(point) -> float:

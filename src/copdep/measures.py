@@ -5,6 +5,9 @@ a conditioning cell.  On a checkerboard grid the conditional given any point
 inside a conditioning cell is constant on that cell, equal to the cell's
 mass profile along the target axes divided by the cell's weight, so every
 integral over the conditioning block becomes an exact finite sum over cells.
+Only conditioning cells that carry mass enter: their rows are scattered from
+the copula's stored cells, so the work scales with the occupied conditioning
+cells times the target cells, not with the whole grid.
 
 The quadratic measure integrates (conditional CDF - reference)^2 in closed
 form per target cell (the integrand is piecewise quadratic).  Every other
@@ -14,7 +17,8 @@ replaces that rule by closed forms on the cells where it would not be exact
 to rounding: cells where the integrand is constant, and cells whose
 conditional CDF vanishes within half a cell below them, which are integrated
 exactly in the ratio variable (Gauss-Jacobi for the power kind, a dilogarithm
-for x log x).  The group measure evaluates at target cell centers against
+for x log x); the rule skips the target cells outside the span that a
+block of conditioning rows needs it for.  The group measure evaluates at target cell centers against
 the target-marginal weights.
 
 Conventions that matter for reproducibility:
@@ -39,7 +43,7 @@ from .errors import (
     EvaluationError,
     InvalidArgumentError,
 )
-from .grid import CheckerboardCopula, GroupSplit, _prod
+from .grid import CheckerboardCopula, GroupSplit, _compress, _prod, _strides
 
 #: Slack allowed above the theoretical unit bound before warning.
 UNIT_SLACK = 1e-9
@@ -47,9 +51,10 @@ UNIT_SLACK = 1e-9
 #: Points of the Gauss-Legendre rule applied to every target cell.
 _GAUSS_ORDER = 16
 
-#: Conditioning rows evaluated at once.  Small blocks bound the temporaries;
-#: on dense 64^3 grids 64 rows ran the 16-node pass twice as fast as 256.
-_BLOCK_ROWS = 64
+#: (row, target cell) pairs evaluated at once.  Small blocks bound the
+#: temporaries; on dense 64^3 grids blocks of 64 rows (4096 cells) ran the
+#: 16-node pass twice as fast as 256 rows.
+_BLOCK_CELLS = 4096
 
 _PARAMETRIC_TAGS = {"tau_alpha", "renyi_alpha"}
 _KNOWN_TAGS = {
@@ -170,11 +175,24 @@ def _active_rows(
     copula: CheckerboardCopula, split: GroupSplit
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights and mass rows (over the target cells) of the conditioning
-    cells that carry mass."""
+    cells that carry mass, in conditioning-key order.
+
+    Each row holds exactly the cell masses of the dense row, zeros
+    included, so it sums to the same bits as the dense row.
+    """
     split.check_covers(copula.dims)
-    order = split.u_axes + split.v_axes
-    t = np.ascontiguousarray(np.transpose(copula.grid, order))
-    mat = t.reshape(_prod(copula.resolutions[a] for a in split.u_axes), -1)
+    res = copula.resolutions
+    n_u = _prod(res[a] for a in split.u_axes)
+    n_v = _prod(res[a] for a in split.v_axes)
+    if copula.cell_index.size == n_u * n_v and split.u_axes + split.v_axes == tuple(
+        range(copula.dims)
+    ):
+        # Every cell is stored, in split order: the masses are the matrix.
+        mat = copula.cell_mass.reshape(n_u, n_v)
+    else:
+        rows, row_of = _compress(copula._key(split.u_axes), n_u)
+        mat = np.zeros((rows.size, n_v))
+        mat.reshape(-1)[row_of * n_v + copula._key(split.v_axes)] = copula.cell_mass
     w = mat.sum(axis=1)
     live = np.flatnonzero(w > 0.0)
     if live.size == w.size:
@@ -182,21 +200,32 @@ def _active_rows(
     return w[live], mat[live]
 
 
-def _conditional_edges(
-    copula: CheckerboardCopula, split: GroupSplit
+def _row_sums(
+    copula: CheckerboardCopula, split: GroupSplit, cells
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of the conditioning cells that carry mass, and their
-    conditional CDF at the target cell edges (one row per cell)."""
+    """Weights of the conditioning cells that carry mass, and for each of
+    them the sum over target cells of ``cells(f0, f1)``.
+
+    f0 and f1 hold the conditioning cell's conditional CDF at the left and
+    right edge of every target cell, one row per conditioning cell.  They
+    are built and reduced a block of rows at a time, so no array spans all
+    rows but the mass matrix itself.
+    """
     if len(split.v_axes) != 1:
         raise InvalidArgumentError(
             "this measure takes exactly one target axis; use group_tau for groups"
         )
     w, mat = _active_rows(copula, split)
-    edges = np.empty((mat.shape[0], mat.shape[1] + 1))
-    edges[:, 0] = 0.0
-    np.cumsum(mat, axis=1, out=edges[:, 1:])
-    edges[:, 1:] /= w[:, None]
-    return w, edges
+    sums = np.empty(w.size)
+    step = max(1, _BLOCK_CELLS // mat.shape[1])
+    for lo in range(0, w.size, step):
+        rows = slice(lo, lo + step)
+        block = mat[rows]
+        edges = np.zeros((block.shape[0], block.shape[1] + 1))
+        np.cumsum(block, axis=1, out=edges[:, 1:])
+        edges[:, 1:] /= w[rows, None]
+        sums[rows] = cells(edges[:, :-1], edges[:, 1:]).sum(axis=1)
+    return w, sums
 
 
 @lru_cache(maxsize=16)
@@ -215,31 +244,31 @@ def _unit_nodes(power: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _cell_values(edges: np.ndarray, fn) -> np.ndarray:
-    """fn(left, right) of the edge values of every target cell, one value per
-    (row, cell), evaluated a block of rows at a time."""
-    out = np.empty((edges.shape[0], edges.shape[1] - 1))
-    for lo in range(0, edges.shape[0], _BLOCK_ROWS):
-        block = edges[lo : lo + _BLOCK_ROWS]
-        out[lo : lo + _BLOCK_ROWS] = fn(block[:, :-1], block[:, 1:])
+@lru_cache(maxsize=64)
+def _node_positions(m: int) -> np.ndarray:
+    """v at the Gauss-Legendre nodes of every target cell, shape (m, nodes)."""
+    out = (np.arange(m)[:, None] + _unit_nodes(0.0)[0][None, :]) / m
+    out.setflags(write=False)
     return out
 
 
-def _cell_integrals(edges: np.ndarray, g) -> np.ndarray:
-    """Integral of g(F, v) over every target cell, one value per (row, cell).
+def _gauss_rule(f0: np.ndarray, f1: np.ndarray, g, m: int, first: int = 0) -> np.ndarray:
+    """Integral of g(F, v) over target cells ``first``, ``first + 1``, ... of
+    width 1/m, one value per (row, cell), by the 16-point Gauss-Legendre rule.
 
-    F is the conditional CDF, linear on each cell between its edge values.
+    F is linear on each cell from ``f0`` to ``f1``, shape (rows, cells).
     ``g`` takes F at the nodes, shape (rows, cells, nodes), and v at the
     nodes, shape (cells, nodes), and must return an array of the first shape.
     """
     nodes, weights = _unit_nodes(0.0)
-    m = edges.shape[1] - 1
-    v_at = (np.arange(m)[:, None] + nodes[None, :]) / m
+    v_at = _node_positions(m)[first : first + f0.shape[1]]
+    return g(f0[..., None] + (f1 - f0)[..., None] * nodes, v_at) @ weights / m
 
-    def rule(fa, fb):
-        return g(fa[..., None] + (fb - fa)[..., None] * nodes, v_at) @ weights / m
 
-    return _cell_values(edges, rule)
+def _gauss_cells(g):
+    """``cells`` function for :func:`_row_sums`: g(F, v) integrated over every
+    target cell by the Gauss-Legendre rule."""
+    return lambda f0, f1: _gauss_rule(f0, f1, g, f0.shape[1])
 
 
 def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) -> float:
@@ -264,8 +293,19 @@ def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) ->
     if np.any(vs < 0.0) or np.any(vs > 1.0) or not np.all(np.isfinite(vs)):
         raise InvalidArgumentError(f"target point {vs.tolist()} outside [0, 1]")
 
-    view = np.transpose(copula.grid, split.u_axes + split.v_axes)
-    acc = np.ascontiguousarray(view[cell])
+    index = copula.cell_index
+    if not index.size:
+        return 0.0
+    # Flat indices of the conditioning cell's target cells, row-major over
+    # the target axes in split order, looked up among the stored cells.
+    res, strides = copula.resolutions, _strides(copula.resolutions)
+    wanted = np.int64(sum(i * strides[a] for i, a in zip(cell, split.u_axes)))
+    for a in split.v_axes:
+        wanted = np.add.outer(wanted, np.arange(res[a], dtype=np.int64) * strides[a])
+    wanted = wanted.ravel()
+    pos = np.minimum(np.searchsorted(index, wanted), index.size - 1)
+    acc = np.where(index[pos] == wanted, copula.cell_mass[pos], 0.0)
+    acc = acc.reshape([res[a] for a in split.v_axes])
     weight = float(acc.sum())
     if weight <= 0.0:
         return 0.0
@@ -288,11 +328,14 @@ def tau_quadratic(copula: CheckerboardCopula, split: GroupSplit) -> MeasureRepor
     0 for independence; at resolution m the complete-dependence maximum is
     1 - 1/m, approaching 1 as the grid refines.
     """
-    w, gap = _conditional_edges(copula, split)
-    m = gap.shape[1] - 1
-    gap -= np.arange(m + 1) / m  # F - v at the cell edges
-    cells = _cell_values(gap, lambda ga, gb: (ga * ga + ga * gb + gb * gb) / (3.0 * m))
-    value = 6.0 * _fsum(w * cells.sum(axis=1))
+    def cells(f0, f1):
+        m = f0.shape[1]
+        v = np.arange(m + 1) / m
+        ga, gb = f0 - v[:-1], f1 - v[1:]  # F - v at the cell edges
+        return (ga * ga + ga * gb + gb * gb) / (3.0 * m)
+
+    w, per_row = _row_sums(copula, split, cells)
+    value = 6.0 * _fsum(w * per_row)
     _warn_above_unit(value, "tau_quadratic")
     return MeasureReport(
         kind=MeasureKind("tau_quadratic"),
@@ -321,8 +364,7 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
     if a == 2.0:
         return replace(tau_quadratic(copula, split), kind=MeasureKind("tau_alpha", 2.0))
     normalizer = (a + 1.0) * (a + 2.0) / 2.0
-    w, profile = _conditional_edges(copula, split)
-    per_row = _cell_integrals(profile, lambda f, v: np.abs(f - v) ** a).sum(axis=1)
+    w, per_row = _row_sums(copula, split, _gauss_cells(lambda f, v: np.abs(f - v) ** a))
     value = normalizer * _fsum(w * per_row)
     _warn_above_unit(value, "tau_alpha")
     return MeasureReport(
@@ -334,8 +376,9 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
     )
 
 
-def _ratio_integrals(profile: np.ndarray, alpha: float | None) -> np.ndarray:
-    """Per (row, cell): integral over the cell of phi(conditional CDF / v).
+def _ratio_cells(alpha: float | None):
+    """``cells`` function for :func:`_row_sums`: per (row, target cell), the
+    integral over the cell of phi(conditional CDF / v).
 
     phi is r**alpha, or r*log(r) (with 0 log 0 = 0) when ``alpha`` is None.
     On a cell [v0, v1] the conditional CDF is F(v) = c + B v, with edge
@@ -354,32 +397,17 @@ def _ratio_integrals(profile: np.ndarray, alpha: float | None) -> np.ndarray:
         half-widths from the cell center, where the Gauss-Legendre rule is
         exact to rounding.  That includes B == 0, where the only singularity
         is v = 0, at least three half-widths away.
+
+    The rule runs only on the span of target cells from the first to the
+    last one that some row of the block needs it for; every cell outside
+    that span takes one of the closed forms.
     """
     from scipy.special import spence, xlogy
 
     if alpha is None:
         def phi(r):
             return r * np.log(np.where(r > 0.0, r, 1.0))
-    else:
-        def phi(r):
-            return r**alpha
 
-    m = profile.shape[1] - 1
-    f0, f1 = profile[:, :-1], profile[:, 1:]
-    v0 = np.broadcast_to(np.arange(m) / m, f0.shape)
-    v1 = np.broadcast_to(np.arange(1, m + 1) / m, f0.shape)
-    slope = (f1 - f0) * m
-    intercept = f0 - slope * v0
-    out = _cell_integrals(profile, lambda f, v: phi(np.maximum(f / v, 0.0)))
-
-    flat = intercept == 0.0
-    out[flat] = phi(slope[flat]) * (v1 - v0)[flat]
-    near = (intercept < 0.0) & (3.0 * f0 < f1)
-    b = slope[near]
-    root = -intercept[near] / b
-    s0 = f0[near] / (b * v0[near])
-    s1 = f1[near] / (b * v1[near])
-    if alpha is None:
         def p(s):
             return s / (1.0 - s) + np.log1p(-s)
 
@@ -387,15 +415,44 @@ def _ratio_integrals(profile: np.ndarray, alpha: float | None) -> np.ndarray:
             l1 = np.log1p(-s)
             return xlogy(s, s) / (1.0 - s) + xlogy(l1, s) + l1 + spence(1.0 - s)
 
-        out[near] = b * root * (np.log(b) * (p(s1) - p(s0)) + k(s1) - k(s0))
+        def near_integral(b, root, s0, s1):
+            return b * root * (np.log(b) * (p(s1) - p(s0)) + k(s1) - k(s0))
     else:
         t, wt = _unit_nodes(alpha)
+
+        def phi(r):
+            return r**alpha
 
         def j(s):
             return s ** (alpha + 1.0) * ((1.0 - s[:, None] * t) ** -2 @ wt)
 
-        out[near] = b**alpha * root * (j(s1) - j(s0))
-    return out
+        def near_integral(b, root, s0, s1):
+            return b**alpha * root * (j(s1) - j(s0))
+
+    def integrand(f, v):
+        return phi(np.maximum(f / v, 0.0))
+
+    def cells(f0, f1):
+        m = f0.shape[1]
+        v0 = np.broadcast_to(np.arange(m) / m, f0.shape)
+        v1 = np.broadcast_to(np.arange(1, m + 1) / m, f0.shape)
+        slope = (f1 - f0) * m
+        intercept = f0 - slope * v0
+        flat = intercept == 0.0
+        near = (intercept < 0.0) & (3.0 * f0 < f1)
+        out = np.empty(f0.shape)
+        needed = np.flatnonzero(~(flat | near).all(axis=0))
+        if needed.size:
+            span = slice(needed[0], needed[-1] + 1)
+            out[:, span] = _gauss_rule(f0[:, span], f1[:, span], integrand, m, span.start)
+        out[flat] = phi(slope[flat]) * (v1 - v0)[flat]
+        b = slope[near]
+        out[near] = near_integral(
+            b, -intercept[near] / b, f0[near] / (b * v0[near]), f1[near] / (b * v1[near])
+        )
+        return out
+
+    return cells
 
 
 def renyi_alpha(
@@ -412,8 +469,8 @@ def renyi_alpha(
     a = float(alpha)
     if not (0.0 < a < 2.0) or a == 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 2) excluding 1, got {a}")
-    w, profile = _conditional_edges(copula, split)
-    total = _fsum(w * _ratio_integrals(profile, a).sum(axis=1))
+    w, per_row = _row_sums(copula, split, _ratio_cells(a))
+    total = _fsum(w * per_row)
     if total <= 0.0:
         raise EvaluationError(f"nonpositive integral {total} in renyi_alpha")
     value = math.log(total) / (a - 1.0)
@@ -431,8 +488,8 @@ def renyi_limit(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     The alpha -> 1 limit of the entropy family.  0 for independence, 1 in
     the continuous complete-dependence limit, unbounded in general.
     """
-    w, profile = _conditional_edges(copula, split)
-    value = _fsum(w * _ratio_integrals(profile, None).sum(axis=1))
+    w, per_row = _row_sums(copula, split, _ratio_cells(None))
+    value = _fsum(w * per_row)
     return MeasureReport(
         kind=MeasureKind("renyi_limit"),
         value=value,
@@ -449,17 +506,13 @@ def mutual_information(copula: CheckerboardCopula) -> MeasureReport:
     the value grows without bound as the resolution increases, unlike the
     tau family, which stays in [0, 1].
     """
-    slabs = []
-    g = copula.grid
-    for axis in range(copula.dims):
-        others = tuple(a for a in range(copula.dims) if a != axis)
-        slabs.append(g.sum(axis=others) if others else np.array(g, copy=True))
-    live = np.flatnonzero(copula.mass > 0.0)
-    p = copula.mass[live]
-    indices = np.unravel_index(live, copula.resolutions)
-    denom = slabs[0][indices[0]].copy()
-    for axis in range(1, copula.dims):
-        denom *= slabs[axis][indices[axis]]
+    live = copula.cell_mass > 0.0
+    p = copula.cell_mass[live]
+    denom = np.ones(p.size)
+    for axis, m in enumerate(copula.resolutions):
+        coords = copula._key((axis,))
+        slabs = np.bincount(coords, weights=copula.cell_mass, minlength=m)
+        denom *= slabs[coords[live]]
     value = _fsum(p * np.log(p / denom))
     return MeasureReport(
         kind=MeasureKind("mutual_information"),
@@ -479,16 +532,15 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
     convexity is the caller's responsibility, phi(0) = 0 is recommended.
     """
     if len(split.v_axes) == 1:
-        w, profile = _conditional_edges(copula, split)
-        vals = _cell_integrals(
-            profile, lambda f, v: np.asarray(phi(f - v), dtype=np.float64)
+        w, per_row = _row_sums(
+            copula, split, _gauss_cells(lambda f, v: np.asarray(phi(f - v), dtype=np.float64))
         )
     else:
-        w, gaps, target_w = _center_gaps(copula, split)
-        vals = np.asarray(phi(gaps), dtype=np.float64) * target_w
-    if not np.all(np.isfinite(vals)):
+        w, gaps, target_w, _ = _center_gaps(copula, split)
+        per_row = (np.asarray(phi(gaps), dtype=np.float64) * target_w).sum(axis=1)
+    if not np.all(np.isfinite(per_row)):
         raise EvaluationError("phi produced a non-finite value")
-    value = _fsum(w * vals.sum(axis=1))
+    value = _fsum(w * per_row)
     return MeasureReport(
         kind=MeasureKind("custom_phi"),
         value=value,
@@ -505,12 +557,14 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
 def _target_marginal_masses(copula: CheckerboardCopula, v_axes) -> np.ndarray:
     """Target-block cell masses, each cell summed exactly over the rest."""
     v_axes = tuple(v_axes)
-    others = tuple(a for a in range(copula.dims) if a not in v_axes)
-    order = v_axes + others
-    block = np.ascontiguousarray(np.transpose(copula.grid, order))
-    nv = _prod(copula.resolutions[a] for a in v_axes)
-    block = block.reshape(nv, -1)
-    return np.asarray([math.fsum(row.tolist()) for row in block])
+    keys = copula._key(v_axes)
+    order = np.argsort(keys, kind="stable")  # keys come in ascending runs
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    groups = np.split(copula.cell_mass[order], starts[1:])
+    out = np.zeros(_prod(copula.resolutions[a] for a in v_axes))
+    out[keys[starts]] = [math.fsum(group.tolist()) for group in groups]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -544,16 +598,16 @@ def _center_reference(target_w: np.ndarray, v_res) -> np.ndarray:
 
 def _center_gaps(
     copula: CheckerboardCopula, split: GroupSplit
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights of the conditioning cells that carry mass, the gap between
     their conditional CDF and the target-marginal CDF at every target cell
-    center, and the target-marginal cell masses."""
+    center, the target-marginal cell masses, and that marginal CDF."""
     w, mat = _active_rows(copula, split)
     v_res = tuple(copula.resolutions[a] for a in split.v_axes)
     target_w = _target_marginal_masses(copula, split.v_axes)
     reference = _center_reference(target_w, v_res)
     gaps = _center_profiles(w, mat, v_res) - reference[None, :]
-    return w, gaps, target_w
+    return w, gaps, target_w, reference
 
 
 def kendall_cdf(copula: CheckerboardCopula, v_axes) -> KendallCdf:
@@ -574,9 +628,13 @@ def kendall_cdf(copula: CheckerboardCopula, v_axes) -> KendallCdf:
         raise InvalidArgumentError(f"bad target axes {v_axes}")
     if len(v_axes) == 1:
         return KendallCdf(((0.0, 0.0), (1.0, 1.0)), kind="linear")
-    v_res = tuple(copula.resolutions[a] for a in v_axes)
     masses = _target_marginal_masses(copula, v_axes)
-    ts = _center_reference(masses, v_res)
+    v_res = tuple(copula.resolutions[a] for a in v_axes)
+    return _kendall_steps(masses, _center_reference(masses, v_res))
+
+
+def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> KendallCdf:
+    """Step CDF placing each target cell's mass at its center value ``ts``."""
     order = np.argsort(ts, kind="stable")
     knots = []
     cum = 0.0
@@ -629,10 +687,10 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     """
     if len(split.v_axes) < 2:
         raise InvalidArgumentError("group_tau needs a target group; use tau_quadratic")
-    w, gaps, target_w = _center_gaps(copula, split)
+    w, gaps, target_w, reference = _center_gaps(copula, split)
     per_row = (gaps * gaps) @ target_w
     value = 6.0 * _fsum(w * per_row)
-    bound = max_bound(kendall_cdf(copula, split.v_axes))
+    bound = max_bound(_kendall_steps(target_w, reference))
     _warn_above_unit(value / bound if bound > 0 else value, "group_tau / bound")
     return MeasureReport(
         kind=MeasureKind("group_tau"),

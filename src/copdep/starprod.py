@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import IncompatibleOperandsError, InvalidArgumentError
 from .estimation import fit_checkerboard, pseudo_observations
-from .grid import CheckerboardCopula, GroupSplit, _prod, require_valid
+from .grid import CheckerboardCopula, GroupSplit, _prod, _scatter, require_valid
 from .measures import MeasureKind, compute_measure
 
 #: Slack for the data-processing inequality check.
@@ -67,8 +67,10 @@ def compatibility_check(
 ) -> StarCompatibility:
     """Compare the middle-block marginals of the two operands cellwise."""
     _check_star_shapes(a, b, n)
-    da = a.marginal(tuple(range(n, 2 * n))).mass
-    db = b.marginal(tuple(range(n))).mass
+    n_s = _prod(a.resolutions[n:])
+    n_v = _prod(b.resolutions[n:])
+    da = np.bincount(a.cell_index % n_s, weights=a.cell_mass, minlength=n_s)
+    db = np.bincount(b.cell_index // n_v, weights=b.cell_mass, minlength=n_s)
     disc = float(np.abs(da - db).max())
     return StarCompatibility(passed=disc < COUPLING_TOL, max_discrepancy=disc)
 
@@ -89,8 +91,8 @@ def star(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> CheckerboardCo
     n_u = _prod(a.resolutions[:n])
     n_s = _prod(a.resolutions[n:])
     n_v = _prod(b.resolutions[n:])
-    a2 = a.grid.reshape(n_u, n_s)
-    b2 = b.grid.reshape(n_s, n_v)
+    a2 = _scatter(a.cell_index, a.cell_mass, n_u * n_s).reshape(n_u, n_s)
+    b2 = _scatter(b.cell_index, b.cell_mass, n_s * n_v).reshape(n_s, n_v)
     weights = b2.sum(axis=1)
     cond_b = np.divide(
         b2,
@@ -114,10 +116,10 @@ def identity_coupling(n: int, m: int) -> CheckerboardCopula:
     if n < 1 or m < 1:
         raise InvalidArgumentError(f"need n >= 1 and m >= 1, got {n}, {m}")
     n_s = m**n
-    mat = np.zeros((n_s, n_s))
-    np.fill_diagonal(mat, 1.0 / n_s)
+    diagonal = np.arange(n_s, dtype=np.int64) * (n_s + 1)
     return require_valid(
-        CheckerboardCopula((m,) * (2 * n), mat), "identity_coupling"
+        CheckerboardCopula._from_cells((m,) * (2 * n), diagonal, np.full(n_s, 1.0 / n_s)),
+        "identity_coupling",
     )
 
 

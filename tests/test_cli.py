@@ -176,6 +176,26 @@ class TestMeasure:
         assert out == ""
         assert "error:" in err
 
+    def test_grid_beyond_an_int64_flat_index_exits_two(self, capsys, tmp_path):
+        csv_path = tmp_path / "wide.csv"
+        np.savetxt(csv_path, np.random.default_rng(5).random((300, 9)), delimiter=",")
+        code, out, err = run(
+            capsys, "measure", "--input", str(csv_path), "--resolution", "128",
+        )
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
+
+    def test_infeasible_rebalancing_exits_three(self, capsys, tmp_path):
+        csv_path = tmp_path / "short.csv"
+        np.savetxt(csv_path, np.random.default_rng(0).random((97, 3)), delimiter=",")
+        code, out, err = run(
+            capsys, "measure", "--input", str(csv_path), "--resolution", "50",
+        )
+        assert code == 3
+        assert out == ""
+        assert "sweeps" in err
+
 
 class TestStarCommand:
     def test_compose_and_reuse(self, capsys, tmp_path):

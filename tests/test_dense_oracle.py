@@ -1,0 +1,361 @@
+"""The cell-list copula against the dense-array implementation it replaced.
+
+``Dense`` below keeps the previous code path: every layout-dependent step
+(binning, validation, marginals, rebalancing, the conditioning matrix, the
+conditional CDF, slab sums and target marginals) works on the full
+``m_1 x ... x m_d`` mass array, and the measure reductions on top of it are
+the ones that array fed.  On small random grids, most cells empty, every
+measure kind must agree with it to 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_jacobi, spence, xlogy
+
+from copdep import (
+    CheckerboardCopula,
+    CopdepError,
+    GroupSplit,
+    KendallCdf,
+    averaged_dependence,
+    conditional_cdf,
+    fit_checkerboard,
+    group_tau,
+    group_tau_normalized,
+    max_bound,
+    mutual_information,
+    pseudo_observations,
+    rebalance_marginals,
+    renyi_alpha,
+    renyi_limit,
+    tau_alpha,
+    tau_quadratic,
+)
+
+TOL = 1e-12
+
+# Random grids with nonuniform marginals can exceed the unit bound.
+pytestmark = pytest.mark.filterwarnings("ignore:.*exceeds the unit bound")
+
+
+def unit_nodes(power):
+    x, wt = roots_jacobi(16, 0.0, power)
+    return (x + 1.0) / 2.0, wt / 2.0 ** (power + 1.0)
+
+
+class Dense:
+    """Measures computed from the dense mass array of a copula."""
+
+    def __init__(self, resolutions, grid):
+        self.res = tuple(resolutions)
+        self.grid = np.asarray(grid, dtype=np.float64).reshape(self.res)
+
+    # -- layout-dependent steps ------------------------------------------
+
+    def active_rows(self, split):
+        t = np.ascontiguousarray(np.transpose(self.grid, split.u_axes + split.v_axes))
+        mat = t.reshape(int(np.prod([self.res[a] for a in split.u_axes])), -1)
+        w = mat.sum(axis=1)
+        live = np.flatnonzero(w > 0.0)
+        return w[live], mat[live]
+
+    def edges(self, split):
+        w, mat = self.active_rows(split)
+        edges = np.zeros((mat.shape[0], mat.shape[1] + 1))
+        np.cumsum(mat, axis=1, out=edges[:, 1:])
+        edges[:, 1:] /= w[:, None]
+        return w, edges
+
+    def slabs(self, axis):
+        others = tuple(a for a in range(self.grid.ndim) if a != axis)
+        return self.grid.sum(axis=others) if others else self.grid.copy()
+
+    def target_masses(self, v_axes):
+        others = tuple(a for a in range(self.grid.ndim) if a not in v_axes)
+        block = np.ascontiguousarray(np.transpose(self.grid, tuple(v_axes) + others))
+        block = block.reshape(int(np.prod([self.res[a] for a in v_axes])), -1)
+        return np.asarray([math.fsum(row.tolist()) for row in block])
+
+    def marginal(self, axes):
+        removed = tuple(a for a in range(self.grid.ndim) if a not in axes)
+        block = np.ascontiguousarray(np.transpose(self.grid, tuple(axes) + removed))
+        n_kept = int(np.prod([self.res[a] for a in axes]))
+        return Dense([self.res[a] for a in axes], block.reshape(n_kept, -1).sum(axis=1))
+
+    def conditional_cdf(self, split, cell, v):
+        acc = np.ascontiguousarray(np.transpose(self.grid, split.u_axes + split.v_axes)[cell])
+        weight = float(acc.sum())
+        if weight <= 0.0:
+            return 0.0
+        for coord, m in zip(np.atleast_1d(v), acc.shape):
+            acc = np.tensordot(acc, np.clip(coord * m - np.arange(m), 0.0, 1.0), axes=([0], [0]))
+        return float(acc) / weight
+
+    def validate(self):
+        flat = self.grid.ravel()
+        worst = max(float(np.abs(self.slabs(a) - 1.0 / m).max()) for a, m in enumerate(self.res))
+        return max(0.0, -float(flat.min())), abs(float(flat.sum()) - 1.0), worst
+
+    def rebalance(self, sweeps=1000, tol=1e-10):
+        grid = self.grid.copy()
+        for _ in range(sweeps):
+            for axis, m in enumerate(self.res):
+                shape = [1] * grid.ndim
+                shape[axis] = m
+                grid *= (1.0 / m) / Dense(self.res, grid).slabs(axis).reshape(shape)
+            if Dense(self.res, grid).validate()[2] < tol:
+                return grid
+        raise AssertionError("dense rebalancing did not converge")
+
+    # -- measures --------------------------------------------------------
+
+    @staticmethod
+    def gauss(edges, g):
+        nodes, weights = unit_nodes(0.0)
+        m = edges.shape[1] - 1
+        v_at = (np.arange(m)[:, None] + nodes[None, :]) / m
+        fa, fb = edges[:, :-1], edges[:, 1:]
+        return g(fa[..., None] + (fb - fa)[..., None] * nodes, v_at) @ weights / m
+
+    def tau_quadratic(self, split):
+        w, gap = self.edges(split)
+        m = gap.shape[1] - 1
+        gap -= np.arange(m + 1) / m
+        ga, gb = gap[:, :-1], gap[:, 1:]
+        cells = (ga * ga + ga * gb + gb * gb) / (3.0 * m)
+        return 6.0 * math.fsum((w * cells.sum(axis=1)).tolist())
+
+    def tau_alpha(self, split, a):
+        w, edges = self.edges(split)
+        cells = self.gauss(edges, lambda f, v: np.abs(f - v) ** a)
+        return (a + 1.0) * (a + 2.0) / 2.0 * math.fsum((w * cells.sum(axis=1)).tolist())
+
+    def ratio_total(self, split, alpha):
+        """Previous entropy kernel: the rule on every cell, then closed forms."""
+        if alpha is None:
+            def phi(r):
+                return r * np.log(np.where(r > 0.0, r, 1.0))
+        else:
+            def phi(r):
+                return r**alpha
+        w, profile = self.edges(split)
+        m = profile.shape[1] - 1
+        f0, f1 = profile[:, :-1], profile[:, 1:]
+        v0 = np.broadcast_to(np.arange(m) / m, f0.shape)
+        v1 = np.broadcast_to(np.arange(1, m + 1) / m, f0.shape)
+        slope = (f1 - f0) * m
+        intercept = f0 - slope * v0
+        out = self.gauss(profile, lambda f, v: phi(np.maximum(f / v, 0.0)))
+        flat = intercept == 0.0
+        out[flat] = phi(slope[flat]) * (v1 - v0)[flat]
+        near = (intercept < 0.0) & (3.0 * f0 < f1)
+        b = slope[near]
+        root = -intercept[near] / b
+        s0 = f0[near] / (b * v0[near])
+        s1 = f1[near] / (b * v1[near])
+        if alpha is None:
+            def p(s):
+                return s / (1.0 - s) + np.log1p(-s)
+
+            def k(s):
+                l1 = np.log1p(-s)
+                return xlogy(s, s) / (1.0 - s) + xlogy(l1, s) + l1 + spence(1.0 - s)
+
+            out[near] = b * root * (np.log(b) * (p(s1) - p(s0)) + k(s1) - k(s0))
+        else:
+            t, wt = unit_nodes(alpha)
+
+            def j(s):
+                return s ** (alpha + 1.0) * ((1.0 - s[:, None] * t) ** -2 @ wt)
+
+            out[near] = b**alpha * root * (j(s1) - j(s0))
+        return math.fsum((w * out.sum(axis=1)).tolist())
+
+    def renyi_alpha(self, split, a):
+        total = self.ratio_total(split, a)
+        if total <= 0.0:
+            raise CopdepError("nonpositive integral")
+        return math.log(total) / (a - 1.0)
+
+    def renyi_limit(self, split):
+        return self.ratio_total(split, None)
+
+    def mutual_information(self):
+        flat = self.grid.ravel()
+        live = np.flatnonzero(flat > 0.0)
+        idx = np.unravel_index(live, self.res)
+        denom = np.ones(live.size)
+        for axis in range(len(self.res)):
+            denom *= self.slabs(axis)[idx[axis]]
+        p = flat[live]
+        return math.fsum((p * np.log(p / denom)).tolist())
+
+    def center_gaps(self, split):
+        w, mat = self.active_rows(split)
+        v_res = tuple(self.res[a] for a in split.v_axes)
+
+        def contract(block):
+            for m in v_res:
+                ramp = np.clip((np.arange(m)[None, :] + 0.5) - np.arange(m)[:, None], 0.0, 1.0)
+                block = np.tensordot(block, ramp, axes=([1], [0]))
+            return block
+
+        target_w = self.target_masses(split.v_axes)
+        reference = contract(target_w.reshape((1,) + v_res)).reshape(-1)
+        profiles = contract(mat.reshape((mat.shape[0],) + v_res)).reshape(mat.shape[0], -1)
+        return w, profiles / w[:, None] - reference[None, :], target_w, reference
+
+    def group_tau(self, split):
+        w, gaps, target_w, ts = self.center_gaps(split)
+        value = 6.0 * math.fsum((w * ((gaps * gaps) @ target_w)).tolist())
+        knots, cum = [], 0.0
+        for i in np.argsort(ts, kind="stable"):
+            cum += float(target_w[i])
+            if knots and knots[-1][0] == float(ts[i]):
+                knots[-1] = (float(ts[i]), cum)
+            else:
+                knots.append((float(ts[i]), cum))
+        knots[-1] = (knots[-1][0], min(knots[-1][1], 1.0))
+        return value, max_bound(KendallCdf(tuple(knots), kind="step"))
+
+    def group_tau_normalized(self, split):
+        value, bound = self.group_tau(split)
+        if bound < 1e-12:
+            raise CopdepError("bound too small")
+        return value / bound
+
+    def averaged_dependence(self, split):
+        k = len(split.u_axes)
+        inner = GroupSplit(tuple(range(k)), (k,))
+        return math.fsum(
+            self.marginal(split.u_axes + (a,)).tau_quadratic(inner) for a in split.v_axes
+        ) / len(split.v_axes)
+
+
+def close(got, want):
+    return abs(got - want) <= TOL * max(1.0, abs(want))
+
+
+def outcome(fn):
+    """The value, or "error" when the call raised a package error."""
+    try:
+        return fn()
+    except CopdepError:
+        return "error"
+
+
+@st.composite
+def sparse_grids(draw):
+    dims = draw(st.integers(2, 4))
+    res = tuple(draw(st.lists(st.integers(1, 8), min_size=dims, max_size=dims)))
+    if max(res) == 1:
+        res = res[:-1] + (2,)
+    n = int(np.prod(res))
+    occupancy = draw(st.floats(0.01, 0.6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n, size=max(1, round(occupancy * n)), replace=False)
+    mass = np.zeros(n)
+    mass[cells] = rng.gamma(2.0, 1.0, size=cells.size)
+    mass /= mass.sum()
+    order = tuple(int(a) for a in rng.permutation(dims))
+    cut = draw(st.integers(1, dims - 1))
+    return res, mass, order, cut, rng
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_grids())
+def test_every_measure_matches_the_dense_oracle(case):
+    res, mass, order, cut, rng = case
+    cop = CheckerboardCopula(res, mass)
+    dense = Dense(res, mass)
+    assert np.count_nonzero(mass) == cop.cell_index.size
+    single = GroupSplit(order[:-1], order[-1:])
+    group = GroupSplit(order[:cut], order[cut:])
+
+    pairs = [
+        (lambda: tau_quadratic(cop, single).value, lambda: dense.tau_quadratic(single)),
+        (lambda: tau_alpha(cop, single, 1.0).value, lambda: dense.tau_alpha(single, 1.0)),
+        (lambda: tau_alpha(cop, single, 3.5).value, lambda: dense.tau_alpha(single, 3.5)),
+        (lambda: renyi_alpha(cop, single, 0.5).value, lambda: dense.renyi_alpha(single, 0.5)),
+        (lambda: renyi_alpha(cop, single, 1.5).value, lambda: dense.renyi_alpha(single, 1.5)),
+        (lambda: renyi_limit(cop, single).value, lambda: dense.renyi_limit(single)),
+        (lambda: mutual_information(cop).value, dense.mutual_information),
+    ]
+    if len(group.v_axes) >= 2:
+        pairs += [
+            (lambda: group_tau(cop, group).value, lambda: dense.group_tau(group)[0]),
+            (lambda: group_tau(cop, group).upper_bound, lambda: dense.group_tau(group)[1]),
+            (
+                lambda: group_tau_normalized(cop, group).value,
+                lambda: dense.group_tau_normalized(group),
+            ),
+        ]
+    pairs.append(
+        (lambda: averaged_dependence(cop, group).value, lambda: dense.averaged_dependence(group))
+    )
+    for ours, theirs in pairs:
+        got, want = outcome(ours), outcome(theirs)
+        if want == "error":
+            assert got == "error"
+        else:
+            assert got != "error" and close(got, want), (got, want)
+
+    for _ in range(3):
+        cell = tuple(int(rng.integers(res[a])) for a in group.u_axes)
+        v = rng.random(len(group.v_axes))
+        assert close(conditional_cdf(cop, group, cell, v), dense.conditional_cdf(group, cell, v))
+        point = rng.random(len(res))
+        assert close(cop.cdf(point), float(np.sum(_dense_cdf_terms(dense, point))))
+
+    report = cop.validate()
+    negative, total, worst = dense.validate()
+    assert close(report.max_negative_mass, negative)
+    assert close(report.total_mass_error, total)
+    assert close(report.worst_marginal_error, worst)
+    kept = order[:cut]
+    assert np.allclose(cop.marginal(kept).mass, dense.marginal(kept).grid.ravel(), rtol=0, atol=TOL)
+    assert np.array_equal(cop.permute_axes(order).mass, np.transpose(dense.grid, order).ravel())
+    axis = order[0]
+    assert np.array_equal(cop.reverse_axis(axis).mass, np.flip(dense.grid, axis).ravel())
+
+
+def _dense_cdf_terms(dense, point):
+    """Cell masses times the fraction of each cell below ``point``."""
+    frac = np.ones(dense.res)
+    for axis, m in enumerate(dense.res):
+        shape = [1] * len(dense.res)
+        shape[axis] = m
+        frac = frac * np.clip(point[axis] * m - np.arange(m), 0.0, 1.0).reshape(shape)
+    return dense.grid * frac
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rebalancing_matches_the_dense_oracle(seed):
+    rng = np.random.default_rng(seed)
+    res = (3, 5, 4)
+    mass = rng.gamma(2.0, 1.0, size=int(np.prod(res)))
+    mass[rng.random(mass.size) < 0.3] = 0.0  # empty cells stay empty
+    mass /= mass.sum()
+    want = Dense(res, mass).rebalance()
+    got = rebalance_marginals(CheckerboardCopula(res, mass))
+    assert np.allclose(got.mass, want.ravel(), rtol=0, atol=TOL)
+    assert np.array_equal(got.mass == 0.0, mass == 0.0)
+
+
+def test_fit_matches_dense_binning():
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((301, 3))  # no resolution divides 301, so IPF runs
+    data[:, 2] += data[:, 0]
+    res = (4, 5, 3)
+    pseudo = pseudo_observations(data)
+    cells = np.minimum((pseudo.values * np.array(res)).astype(np.int64), np.array(res) - 1)
+    counts = np.bincount(np.ravel_multi_index(cells.T, res), minlength=int(np.prod(res)))
+    want = Dense(res, counts / 301).rebalance()
+    got = fit_checkerboard(pseudo, res)
+    assert np.array_equal(got.cell_index, np.flatnonzero(counts))
+    assert np.allclose(got.mass, want.ravel(), rtol=0, atol=TOL)

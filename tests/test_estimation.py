@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 from copdep import (
     CheckerboardCopula,
     DegenerateMarginalError,
+    GroupSplit,
     InsufficientDataError,
     InvalidArgumentError,
     InvalidDataError,
+    RebalanceError,
     ResolutionPolicy,
+    SynthModel,
     choose_resolution,
     fit_checkerboard,
+    generate,
+    make_rng,
     pseudo_observations,
     read_csv,
     rebalance_marginals,
+    tau_quadratic,
 )
 
 
@@ -134,6 +140,19 @@ class TestFitCheckerboard:
         with pytest.raises(InvalidArgumentError):
             fit_checkerboard(obs, (256, 256))
 
+    def test_grid_beyond_an_int64_flat_index_rejected(self, rng):
+        obs = pseudo_observations(rng.random((300, 9)))
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*63"):
+            fit_checkerboard(obs, (128,) * 9)
+
+    def test_eight_dimensions_at_128_fit_from_200_rows(self):
+        # 2**56 cells: a dense mass array would take 512 PiB
+        data = generate(SynthModel("comonotone", dimension=8, seed=4), 200)
+        cop = fit_checkerboard(pseudo_observations(data), (128,) * 8)
+        assert cop.cell_index.size == 128
+        split = GroupSplit(tuple(range(7)), (7,))
+        assert tau_quadratic(cop, split).value == pytest.approx(1 - 1 / 128, abs=1e-12)
+
     def test_conditioning_column_permutation_gives_relabeled_grid(self, rng):
         data = rng.random((400, 3))
         cop = fit_checkerboard(pseudo_observations(data), (4, 4, 4))
@@ -174,6 +193,27 @@ class TestRebalanceMarginals:
         cop = CheckerboardCopula((2,), [1.2, -0.2])
         with pytest.raises(InvalidArgumentError):
             rebalance_marginals(cop)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_converges_on_a_circulant_band_support(self, seed):
+        # row i holds cells i .. i+3 (mod 16); these need about 100 sweeps
+        m = 16
+        i, j = np.indices((m, m))
+        raw = make_rng(100 + seed).gamma(2.0, 1.0, size=(m, m)) * ((j - i) % m < 4)
+        cop = CheckerboardCopula((m, m), raw.ravel() / raw.sum())
+        with pytest.raises(RebalanceError):
+            rebalance_marginals(cop, max_sweeps=50)
+        out = rebalance_marginals(cop)
+        assert out.validate().worst_marginal_error < 1e-10
+        assert np.array_equal(out.cell_index, cop.cell_index)
+
+    def test_infeasible_support_still_raises(self):
+        # 97 rows on a 50^3 grid: no weights on the occupied cells make
+        # every slab 1/50
+        obs = pseudo_observations(make_rng(0).random((97, 3)))
+        with pytest.raises(RebalanceError) as info:
+            fit_checkerboard(obs, (50, 50, 50))
+        assert info.value.residual > 1e-3
 
 
 class TestReadCsv:

@@ -11,6 +11,7 @@ from copdep import (
     InvalidArgumentError,
     comonotone_copula,
     copula_from_dict,
+    copula_to_dict,
     frechet_lower,
     frechet_upper,
     independence_copula,
@@ -72,6 +73,53 @@ class TestConstructors:
     def test_mass_length_checked(self):
         with pytest.raises(InvalidArgumentError):
             CheckerboardCopula((2, 2), np.ones(3))
+
+    def test_comonotone_stores_only_the_diagonal(self):
+        cop = comonotone_copula(3, 512)
+        assert np.array_equal(cop.cell_index, np.arange(512) * (512 * 512 + 512 + 1))
+        assert np.array_equal(cop.cell_mass, np.full(512, 1 / 512))
+
+
+class TestCellStorage:
+    def test_only_nonzero_cells_are_stored(self):
+        cop = CheckerboardCopula((2, 3), [0.0, 0.5, 0.0, -0.25, 0.0, 0.75])
+        assert cop.cell_index.tolist() == [1, 3, 5]
+        assert cop.cell_mass.tolist() == [0.5, -0.25, 0.75]
+        # the negative cell stays visible to validation
+        assert cop.validate().negative_cell == (1, 0)
+
+    def test_dense_views_are_fresh_read_only_copies(self):
+        cop = comonotone_copula(2, 3)
+        first, second = cop.mass, cop.mass
+        assert first is not second
+        assert np.array_equal(first, second)
+        assert not first.flags.writeable and not cop.grid.flags.writeable
+        assert not cop.cell_index.flags.writeable and not cop.cell_mass.flags.writeable
+
+    def test_json_keeps_the_dense_mass_list(self):
+        cop = comonotone_copula(2, 2)
+        assert copula_to_dict(cop) == {
+            "dims": 2,
+            "resolutions": [2, 2],
+            "mass": [0.5, 0.0, 0.0, 0.5],
+        }
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CheckerboardCopula((2**32, 2**31), [1.0]),
+            lambda: independence_copula((2**40, 2**23)),
+            lambda: comonotone_copula(9, 128),
+        ],
+    )
+    def test_grid_beyond_an_int64_flat_index_rejected(self, build):
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*63"):
+            build()
+
+    def test_largest_indexable_grid_is_accepted(self):
+        cop = comonotone_copula(9, 127)  # 127**9 is about 0.93 * 2**63 cells
+        assert cop.cell_index.size == 127
+        assert cop.validate().passed
 
 
 class TestFrechetFunctions:

@@ -1,0 +1,68 @@
+"""Peak allocations of fitting and measuring on grids that are mostly empty.
+
+A copula stores only its occupied cells, so no step may allocate an array
+with one entry per grid cell.  At d=5, m=32 the grid has 33.5M cells
+(256 MiB as float64); at 512^3 it has 134M (1 GiB).
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from copdep import (
+    GroupSplit,
+    comonotone_copula,
+    fit_checkerboard,
+    make_rng,
+    mutual_information,
+    pseudo_observations,
+    renyi_limit,
+    tau_quadratic,
+)
+
+MB = 2**20
+
+
+def peak_bytes(fn):
+    """Peak of memory traced while ``fn`` runs, above what was in use before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_and_tau_at_32_to_the_5th_stay_small():
+    rng = make_rng(7)
+    z = rng.standard_normal((100_000, 5))
+    z[:, 1:] = 0.5 * z[:, :1] + np.sqrt(0.75) * z[:, 1:]
+    pseudo = pseudo_observations(z)
+    result = {}
+
+    def work():
+        result["copula"] = fit_checkerboard(pseudo, (32,) * 5)
+        result["tau"] = tau_quadratic(result["copula"], GroupSplit((0, 1, 2, 3), (4,))).value
+
+    assert peak_bytes(work) < 128 * MB
+    assert result["copula"].cell_index.size <= 100_000
+    assert 0.0 < result["tau"] < 1.0
+
+
+def test_measures_on_comonotone_512_cubed_stay_small():
+    split = GroupSplit((0, 1), (2,))
+    values = {}
+
+    def work():
+        copula = comonotone_copula(3, 512)
+        values["valid"] = copula.validate().passed
+        values["tau"] = tau_quadratic(copula, split).value
+        values["renyi_limit"] = renyi_limit(copula, split).value
+        values["mi"] = mutual_information(copula).value
+
+    assert peak_bytes(work) < 64 * MB
+    assert values["valid"]
+    assert abs(values["tau"] - (1.0 - 1.0 / 512)) < 1e-12
+    assert abs(values["mi"] - 2.0 * np.log(512)) < 1e-9
+    assert values["renyi_limit"] > 0.0

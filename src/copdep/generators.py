@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .estimation import rebalance_marginals
-from .grid import (
-    CheckerboardCopula,
-    _prod,
-    comonotone_copula,
-    independence_copula,
-    require_valid,
-)
+from .grid import CheckerboardCopula, comonotone_copula, independence_copula, require_valid
 
 _TAGS = ("independent", "comonotone", "mixture", "functional", "gaussian", "square_law")
 
@@ -157,7 +151,7 @@ def random_copula(
     res = tuple(int(m) for m in resolutions)
     if any(m < 1 for m in res):
         raise InvalidArgumentError(f"resolutions must be positive, got {res}")
-    raw = rng.gamma(float(concentration), 1.0, size=_prod(res))
+    raw = rng.gamma(float(concentration), 1.0, size=int(np.prod(res)))
     raw /= raw.sum()
     balanced = rebalance_marginals(CheckerboardCopula(res, raw))
     return require_valid(balanced, "random_copula")

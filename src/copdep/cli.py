@@ -19,17 +19,12 @@ import numpy as np
 from . import __version__
 from .errors import (
     CopdepError,
-    CopulaValidationError,
-    DegenerateBoundError,
-    DegenerateMarginalError,
-    EvaluationError,
-    IncompatibleOperandsError,
     InsufficientDataError,
     InvalidArgumentError,
     InvalidDataError,
-    RebalanceError,
 )
 from .estimation import (
+    PseudoObservations,
     ResolutionPolicy,
     choose_resolution,
     fit_checkerboard,
@@ -37,6 +32,7 @@ from .estimation import (
     read_csv,
 )
 from .generators import (
+    _TAGS as _MODELS,
     SynthModel,
     assignment_copula,
     generate,
@@ -53,6 +49,7 @@ from .grid import (
     save_copula,
 )
 from .measures import (
+    _KINDS,
     MeasureKind,
     compute_measure,
     group_tau,
@@ -67,19 +64,13 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_SUITE_FAILURE = 4
 
+#: Errors that mean the input or an argument is bad (exit 2); every other
+#: CopdepError is a numerical or validation failure (exit 3).
 _INPUT_ERRORS = (
     InvalidArgumentError,
     InvalidDataError,
     InsufficientDataError,
-    FileNotFoundError,
-)
-_NUMERICAL_ERRORS = (
-    CopulaValidationError,
-    RebalanceError,
-    DegenerateMarginalError,
-    IncompatibleOperandsError,
-    DegenerateBoundError,
-    EvaluationError,
+    OSError,
 )
 
 
@@ -128,35 +119,36 @@ def _looks_like_json(path: Path) -> bool:
     return head.startswith("{")
 
 
+def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
+    """Read, rank and fit the CSV named by ``--input``: the copula, the
+    pseudo-observations and the column names."""
+    data, names = read_csv(args.input, _parse_columns(args.columns))
+    pseudo = pseudo_observations(data)
+    if args.resolution is None:
+        policy = ResolutionPolicy(mode="automatic")
+    else:
+        m = int(args.resolution)
+        policy = ResolutionPolicy(mode="fixed", fixed_m=m, max_m=max(128, m))
+    res = choose_resolution(pseudo.n_rows, pseudo.n_cols, policy)
+    return fit_checkerboard(pseudo, res, max_resolution=policy.max_m), pseudo, names
+
+
 def _load_measure_input(args) -> tuple[CheckerboardCopula, GroupSplit | None, int | None]:
     """A copula plus split from either a copula JSON file or a CSV sample."""
     path = Path(args.input)
     if _looks_like_json(path):
         copula = load_copula(path)
         names: list[str] = []
-        n_cols = copula.dims
         sample_size = None
     else:
-        data, names = read_csv(path, _parse_columns(args.columns))
-        pseudo = pseudo_observations(data)
-        policy = _policy_from_args(args)
-        res = choose_resolution(pseudo.n_rows, pseudo.n_cols, policy)
-        copula = fit_checkerboard(pseudo, res, max_resolution=policy.max_m)
-        n_cols = pseudo.n_cols
+        copula, pseudo, names = _fit_csv(args)
         sample_size = pseudo.n_rows
     split = None
-    if args.kind != "mutual_information":
+    if _KINDS[args.kind].needs_split:
         split = _resolve_split(
-            _indices(args.u_cols, names), _indices(args.v_cols, names), n_cols
+            _indices(args.u_cols, names), _indices(args.v_cols, names), copula.dims
         )
     return copula, split, sample_size
-
-
-def _policy_from_args(args) -> ResolutionPolicy:
-    if args.resolution is None:
-        return ResolutionPolicy(mode="automatic")
-    m = int(args.resolution)
-    return ResolutionPolicy(mode="fixed", fixed_m=m, max_m=max(128, m))
 
 
 # ----------------------------------------------------------------------
@@ -165,21 +157,17 @@ def _policy_from_args(args) -> ResolutionPolicy:
 
 
 def cmd_estimate(args) -> int:
-    data, names = read_csv(args.input, _parse_columns(args.columns))
-    pseudo = pseudo_observations(data)
-    policy = _policy_from_args(args)
-    res = choose_resolution(pseudo.n_rows, pseudo.n_cols, policy)
-    copula = fit_checkerboard(pseudo, res, max_resolution=policy.max_m)
+    copula, pseudo, names = _fit_csv(args)
     report = copula.validate()
     save_copula(copula, args.output)
     _note(f"columns: {names}")
-    _note(f"fitted {pseudo.n_rows} rows at resolutions {list(res)}")
+    _note(f"fitted {pseudo.n_rows} rows at resolutions {list(copula.resolutions)}")
     _note(f"validate: {report.summary()}")
     _emit(
         {
             "output": str(args.output),
             "rows": pseudo.n_rows,
-            "resolutions": list(res),
+            "resolutions": list(copula.resolutions),
             "ties": list(pseudo.tie_counts),
             "valid": report.passed,
         }
@@ -246,17 +234,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "axioms": _suite_axioms,
-        "dpi": _suite_dpi,
-        "equitability": _suite_equitability,
-        "bounds": _suite_bounds,
-    }
-    if args.suite not in suites:
-        raise InvalidArgumentError(
-            f"unknown suite {args.suite!r}; choose from {sorted(suites)}"
-        )
-    checks = suites[args.suite](trials=args.trials, seed=args.seed)
+    checks = _SUITES[args.suite](trials=args.trials, seed=args.seed)
     results = []
     for name, passed, detail in checks:
         _note(f"{'PASS' if passed else 'FAIL'}: {name} ({detail})")
@@ -383,6 +361,14 @@ def _suite_bounds(trials: int, seed: int):
     return checks
 
 
+_SUITES = {
+    "axioms": _suite_axioms,
+    "dpi": _suite_dpi,
+    "equitability": _suite_equitability,
+    "bounds": _suite_bounds,
+}
+
+
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
@@ -411,16 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     mea.add_argument(
         "--kind",
         default="tau_quadratic",
-        choices=[
-            "tau_quadratic",
-            "tau_alpha",
-            "renyi_alpha",
-            "renyi_limit",
-            "mutual_information",
-            "group_tau",
-            "group_tau_normalized",
-            "averaged_dependence",
-        ],
+        choices=[tag for tag, spec in _KINDS.items() if spec.compute is not None],
     )
     mea.add_argument("--alpha", type=float)
     mea.add_argument("--resolution", type=int, help="CSV only; default: from the sample size")
@@ -434,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     stp.set_defaults(handler=cmd_star)
 
     syn = sub.add_parser("synth", help="write a synthetic CSV sample")
-    syn.add_argument(
-        "--model",
-        required=True,
-        choices=["independent", "comonotone", "mixture", "functional", "gaussian", "square_law"],
-    )
+    syn.add_argument("--model", required=True, choices=_MODELS)
     syn.add_argument("--rows", type=int, default=1000)
     syn.add_argument("--dimension", type=int, default=2)
     syn.add_argument("--theta", type=float)
@@ -448,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.set_defaults(handler=cmd_synth)
 
     ver = sub.add_parser("verify", help="run a property suite")
-    ver.add_argument("--suite", required=True, choices=["axioms", "dpi", "equitability", "bounds"])
+    ver.add_argument("--suite", required=True, choices=list(_SUITES))
     ver.add_argument("--trials", type=int, default=50)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(handler=cmd_verify)
@@ -464,9 +437,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         _note(f"error: {exc}")
         return EXIT_INVALID_INPUT
-    except _NUMERICAL_ERRORS as exc:
-        _note(f"error: {exc}")
-        return EXIT_NUMERICAL
     except CopdepError as exc:
         _note(f"error: {exc}")
         return EXIT_NUMERICAL

@@ -11,6 +11,7 @@ downstream measures.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -291,10 +292,9 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     accepts the file or raises the typed error naming the row and column.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        first = next(csv.reader(fh), [])
-    if first:
-        header = _header(first)
+    first = _csv_rows(path, 1)
+    if first and first[0]:
+        header = _header(first[0])
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -315,10 +315,19 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     return _read_csv_rows(path, columns)
 
 
+def _csv_rows(path: Path, limit: int | None = None) -> list[list[str]]:
+    """The first ``limit`` rows of a UTF-8 CSV file (every row when None);
+    a blank line is an empty row."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return list(itertools.islice(csv.reader(fh), limit))
+    except UnicodeDecodeError as exc:
+        raise InvalidDataError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_csv_rows(path: Path, columns) -> tuple[np.ndarray, list[str]]:
     """Row-by-row reader behind ``read_csv``; it names the row and column of a bad cell."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in _csv_rows(path) if row]
     if not rows:
         raise InsufficientDataError(f"{path} is empty")
     header = _header(rows[0])

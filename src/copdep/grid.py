@@ -19,9 +19,7 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,7 +141,13 @@ class CheckerboardCopula:
     @property
     def mass(self) -> np.ndarray:
         """Dense flat mass array, row-major; a new read-only copy on each access."""
-        out = _scatter(self.cell_index, self.cell_mass, _prod(self.resolutions))
+        size = _prod(self.resolutions)
+        try:
+            out = _scatter(self.cell_index, self.cell_mass, size)
+        except MemoryError as exc:
+            raise InvalidArgumentError(
+                f"grid {self.resolutions} has {size} cells, too many for a dense mass array"
+            ) from exc
         out.setflags(write=False)
         return out
 
@@ -187,42 +191,44 @@ class CheckerboardCopula:
             raise InvalidArgumentError(f"point {p.tolist()} outside the unit cube")
         return p
 
+    def _box_share(self, lower, upper) -> float:
+        """Sum of stored cell masses, each weighted by the share of its cell
+        inside the box [lower, upper]; the share is a product over axes."""
+        share = np.ones(self.cell_index.size)
+        for axis, m in enumerate(self.resolutions):
+            key = self._key((axis,))
+            share *= np.clip(upper[axis] * m - key, 0.0, 1.0) - np.clip(
+                lower[axis] * m - key, 0.0, 1.0
+            )
+        return float(self.cell_mass @ share)
+
     def cdf(self, point) -> float:
         """CDF at a point of the unit cube.
 
         Multilinear in each coordinate: the value is the sum of cell masses
         weighted by the fraction of each cell lying below the point.
         """
-        p = self._check_point(point)
-        below = np.ones(self.cell_index.size)
-        for axis, m in enumerate(self.resolutions):
-            below *= np.clip(p[axis] * m - self._key((axis,)), 0.0, 1.0)
-        return float(self.cell_mass @ below)
+        return self._box_share(np.zeros(self.dims), self._check_point(point))
 
     def box_mass(self, box: GridBox) -> float:
         """Probability mass of an axis-aligned box.
 
-        Computed as the signed sum of the CDF over the 2^d box vertices
-        (even number of lower coordinates -> +, odd -> -).  Equals the sum
-        of contained cell masses whenever the box is grid aligned.
+        The sum of cell masses weighted by the fraction of each cell inside
+        the box, which equals the sum of contained cell masses whenever the
+        box is grid aligned.
         """
         if box.dims != self.dims:
             raise InvalidArgumentError(
                 f"box has {box.dims} axes, copula has {self.dims}"
             )
-        terms = []
-        for picks in itertools.product((0, 1), repeat=self.dims):
-            vertex = [box.lower[k] if pick else box.upper[k] for k, pick in enumerate(picks)]
-            sign = 1.0 if sum(picks) % 2 == 0 else -1.0
-            terms.append(sign * self.cdf(vertex))
-        return max(math.fsum(terms), 0.0)
+        return max(self._box_share(box.lower, box.upper), 0.0)
 
     def sub_box_mass(self, box: GridBox, tail_point) -> float:
         """Mass of {first k coordinates in ``box``} and {remaining <= tail_point}.
 
-        ``box`` covers the leading ``k < dims`` axes; the alternating sum runs
-        over its 2^k vertices only, with the tail coordinates held fixed.
-        Nonnegative and nondecreasing in every tail coordinate.
+        ``box`` covers the leading ``k < dims`` axes and ``tail_point``, a
+        point of the unit cube, the rest.  Nonnegative and nondecreasing in
+        every tail coordinate.
         """
         k = box.dims
         if not 1 <= k < self.dims:
@@ -234,12 +240,8 @@ class CheckerboardCopula:
             raise InvalidArgumentError(
                 f"tail point must have {self.dims - k} coordinates, got {tail.size}"
             )
-        terms = []
-        for picks in itertools.product((0, 1), repeat=k):
-            head = [box.lower[i] if pick else box.upper[i] for i, pick in enumerate(picks)]
-            sign = 1.0 if sum(picks) % 2 == 0 else -1.0
-            terms.append(sign * self.cdf(list(head) + list(tail)))
-        return max(math.fsum(terms), 0.0)
+        upper = self._check_point(box.upper + tuple(tail))
+        return max(self._box_share(box.lower + (0.0,) * tail.size, upper), 0.0)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -497,14 +499,14 @@ def copula_from_dict(payload: dict) -> CheckerboardCopula:
     try:
         dims = int(payload["dims"])
         resolutions = tuple(int(m) for m in payload["resolutions"])
-        mass = payload["mass"]
+        mass = np.asarray(payload["mass"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed copula payload: {exc}") from exc
     if dims != len(resolutions):
         raise InvalidArgumentError(
             f"dims {dims} does not match {len(resolutions)} resolutions"
         )
-    copula = CheckerboardCopula(resolutions, np.asarray(mass, dtype=np.float64))
+    copula = CheckerboardCopula(resolutions, mass)
     return require_valid(copula, "copula payload")
 
 
@@ -515,6 +517,6 @@ def save_copula(copula: CheckerboardCopula, path) -> None:
 def load_copula(path) -> CheckerboardCopula:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise InvalidArgumentError(f"{path} is not valid JSON: {exc}") from exc
     return copula_from_dict(payload)

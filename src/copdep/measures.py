@@ -35,6 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -56,43 +57,32 @@ _GAUSS_ORDER = 16
 #: 16-node pass twice as fast as 256 rows.
 _BLOCK_CELLS = 4096
 
-_PARAMETRIC_TAGS = {"tau_alpha", "renyi_alpha"}
-_KNOWN_TAGS = {
-    "tau_quadratic",
-    "tau_alpha",
-    "renyi_alpha",
-    "renyi_limit",
-    "mutual_information",
-    "group_tau",
-    "group_tau_normalized",
-    "averaged_dependence",
-    "custom_phi",
-}
-
 
 @dataclass(frozen=True)
 class MeasureKind:
-    """Measure family tag plus its parameter, when the family has one."""
+    """Measure family tag plus its parameter, when the family has one.
+
+    The tag names a row of the kind table ``_KINDS``, which fixes alpha's range.
+    """
 
     tag: str
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.tag not in _KNOWN_TAGS:
+        spec = _KINDS.get(self.tag)
+        if spec is None:
             raise InvalidArgumentError(f"unknown measure kind {self.tag!r}")
-        if self.tag in _PARAMETRIC_TAGS:
-            if self.alpha is None:
-                raise InvalidArgumentError(f"{self.tag} requires alpha")
-            a = float(self.alpha)
-            if self.tag == "tau_alpha" and not 1.0 <= a < math.inf:
-                raise InvalidArgumentError(f"tau_alpha needs a finite alpha >= 1, got {a}")
-            if self.tag == "renyi_alpha" and not (0.0 < a < 2.0 and a != 1.0):
-                raise InvalidArgumentError(
-                    f"renyi_alpha needs 0 < alpha < 2, alpha != 1, got {a}"
-                )
-            object.__setattr__(self, "alpha", a)
-        elif self.alpha is not None:
-            raise InvalidArgumentError(f"{self.tag} takes no alpha")
+        if spec.alpha is None:
+            if self.alpha is not None:
+                raise InvalidArgumentError(f"{self.tag} takes no alpha")
+            return
+        if self.alpha is None:
+            raise InvalidArgumentError(f"{self.tag} requires alpha")
+        a = float(self.alpha)
+        in_range, needs = spec.alpha
+        if not in_range(a):
+            raise InvalidArgumentError(f"{self.tag} needs {needs}, got {a}")
+        object.__setattr__(self, "alpha", a)
 
 
 @dataclass(frozen=True)
@@ -282,7 +272,10 @@ def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) ->
     """
     split.check_covers(copula.dims)
     u_res = [copula.resolutions[a] for a in split.u_axes]
-    cell = tuple(int(i) for i in np.atleast_1d(np.asarray(u_cell, dtype=np.int64)))
+    raw = np.atleast_1d(np.asarray(u_cell))
+    if raw.dtype.kind not in "iu" or raw.ndim != 1:
+        raise InvalidArgumentError(f"cell {u_cell!r} must be a sequence of integer indices")
+    cell = tuple(int(i) for i in raw)
     if len(cell) != len(u_res) or any(not 0 <= i < m for i, m in zip(cell, u_res)):
         raise InvalidArgumentError(f"cell {cell} outside grid {tuple(u_res)}")
     vs = np.asarray(v, dtype=np.float64).ravel()
@@ -358,17 +351,16 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
     alpha=2 reuses the exact closed-form path, so it matches tau_quadratic
     bit for bit; other alphas use Gauss-Legendre nodes per target cell.
     """
-    a = float(alpha)
-    if not 1.0 <= a < math.inf:
-        raise InvalidArgumentError(f"alpha must be finite and >= 1, got {a}")
+    kind = MeasureKind("tau_alpha", alpha)
+    a = kind.alpha
     if a == 2.0:
-        return replace(tau_quadratic(copula, split), kind=MeasureKind("tau_alpha", 2.0))
+        return replace(tau_quadratic(copula, split), kind=kind)
     normalizer = (a + 1.0) * (a + 2.0) / 2.0
     w, per_row = _row_sums(copula, split, _gauss_cells(lambda f, v: np.abs(f - v) ** a))
     value = normalizer * _fsum(w * per_row)
     _warn_above_unit(value, "tau_alpha")
     return MeasureReport(
-        kind=MeasureKind("tau_alpha", a),
+        kind=kind,
         value=value,
         split=split,
         resolutions=copula.resolutions,
@@ -466,16 +458,15 @@ def renyi_alpha(
     approaches 2 under complete dependence, which is why the range stops
     there.  0 for independence; unbounded above.
     """
-    a = float(alpha)
-    if not (0.0 < a < 2.0) or a == 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 2) excluding 1, got {a}")
+    kind = MeasureKind("renyi_alpha", alpha)
+    a = kind.alpha
     w, per_row = _row_sums(copula, split, _ratio_cells(a))
     total = _fsum(w * per_row)
     if total <= 0.0:
         raise EvaluationError(f"nonpositive integral {total} in renyi_alpha")
     value = math.log(total) / (a - 1.0)
     return MeasureReport(
-        kind=MeasureKind("renyi_alpha", a),
+        kind=kind,
         value=value,
         split=split,
         resolutions=copula.resolutions,
@@ -742,8 +733,38 @@ def averaged_dependence(copula: CheckerboardCopula, split: GroupSplit) -> Measur
 
 
 # ----------------------------------------------------------------------
-# dispatch
+# the kind table
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one measure kind is computed and checked.
+
+    ``compute`` takes the copula, then the split when ``needs_split``, then
+    alpha when the kind has one; it is None for custom_phi, which takes a
+    phi as well and is computed by :func:`generic_measure`.  ``alpha`` is
+    None, or a test that alpha is in range plus the range in words.
+    """
+
+    compute: Callable[..., MeasureReport] | None
+    alpha: tuple[Callable[[float], bool], str] | None = None
+    needs_split: bool = True
+
+
+_KINDS = {
+    "tau_quadratic": _Kind(tau_quadratic),
+    "tau_alpha": _Kind(tau_alpha, (lambda a: 1.0 <= a < math.inf, "a finite alpha >= 1")),
+    "renyi_alpha": _Kind(
+        renyi_alpha, (lambda a: 0.0 < a < 2.0 and a != 1.0, "0 < alpha < 2, alpha != 1")
+    ),
+    "renyi_limit": _Kind(renyi_limit),
+    "mutual_information": _Kind(mutual_information, needs_split=False),
+    "group_tau": _Kind(group_tau),
+    "group_tau_normalized": _Kind(group_tau_normalized),
+    "averaged_dependence": _Kind(averaged_dependence),
+    "custom_phi": _Kind(None),
+}
 
 
 def compute_measure(
@@ -751,23 +772,15 @@ def compute_measure(
     split: GroupSplit | None,
     kind: MeasureKind,
 ) -> MeasureReport:
-    """Route a MeasureKind to its implementation."""
-    if kind.tag == "mutual_information":
-        return mutual_information(copula)
-    if split is None:
-        raise InvalidArgumentError(f"{kind.tag} requires a group split")
-    if kind.tag == "tau_quadratic":
-        return tau_quadratic(copula, split)
-    if kind.tag == "tau_alpha":
-        return tau_alpha(copula, split, kind.alpha)
-    if kind.tag == "renyi_alpha":
-        return renyi_alpha(copula, split, kind.alpha)
-    if kind.tag == "renyi_limit":
-        return renyi_limit(copula, split)
-    if kind.tag == "group_tau":
-        return group_tau(copula, split)
-    if kind.tag == "group_tau_normalized":
-        return group_tau_normalized(copula, split)
-    if kind.tag == "averaged_dependence":
-        return averaged_dependence(copula, split)
-    raise InvalidArgumentError(f"cannot dispatch measure kind {kind.tag!r}")
+    """Route a MeasureKind to its implementation through the kind table."""
+    spec = _KINDS[kind.tag]
+    if spec.compute is None:
+        raise InvalidArgumentError(f"cannot dispatch measure kind {kind.tag!r}")
+    args = [copula]
+    if spec.needs_split:
+        if split is None:
+            raise InvalidArgumentError(f"{kind.tag} requires a group split")
+        args.append(split)
+    if spec.alpha is not None:
+        args.append(kind.alpha)
+    return spec.compute(*args)

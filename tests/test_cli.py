@@ -114,6 +114,32 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_grid_too_large_to_write_exits_two(self, capsys, tmp_path):
+        # 128**8 cells: the dense mass array the JSON needs is 512 PiB, an
+        # allocation that fails at once.
+        csv_path = tmp_path / "same.csv"
+        np.savetxt(csv_path, np.tile(np.arange(200.0)[:, None], 8), delimiter=",")
+        out_path = tmp_path / "o.json"
+        code, out, err = run(
+            capsys, "estimate", "--input", str(csv_path), "--output", str(out_path),
+            "--resolution", "128",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "dense mass array" in err
+        assert not out_path.exists()
+
+
+#: Inputs that ``measure`` cannot read, by file name; None makes a directory.
+UNREADABLE_INPUTS = {
+    "latin1.json": b'{"dims": 1, "resolutions": [1], "mass": [1.0]}\xe9',
+    "text_mass.json": b'{"dims": 1, "resolutions": [2], "mass": [0.5, "x"]}',
+    "ragged.json": b'{"dims": 2, "resolutions": [2, 2], "mass": [[0.5, 0], [0]]}',
+    "latin1_header.csv": b"a\xe9,b\n1,2\n3,4\n",
+    "latin1_row.csv": b"a,b\n1,2\n3\xe9,4\n",
+    "a_directory": None,
+}
+
 
 class TestMeasure:
     def test_copula_file_tau(self, capsys, tmp_path):
@@ -186,6 +212,28 @@ class TestMeasure:
         assert out == ""
         assert "2**63" in err
 
+    def test_mutual_information_on_a_one_axis_copula(self, capsys, tmp_path):
+        cop_path = tmp_path / "one.json"
+        copdep.save_copula(copdep.independence_copula((4,)), cop_path)
+        code, out, _ = run(
+            capsys, "measure", "--input", str(cop_path), "--kind", "mutual_information"
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_INPUTS))
+    def test_unreadable_input_exits_two(self, capsys, tmp_path, name):
+        content = UNREADABLE_INPUTS[name]
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "measure", "--input", str(path), "--resolution", "2")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_infeasible_rebalancing_exits_three(self, capsys, tmp_path):
         csv_path = tmp_path / "short.csv"
         np.savetxt(csv_path, np.random.default_rng(0).random((97, 3)), delimiter=",")
@@ -247,8 +295,10 @@ class TestVerify:
         assert "PASS" in err
 
     def test_unknown_suite(self, capsys):
-        code, _, _ = run(capsys, "verify", "--suite", "axioms", "--trials", "5")
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "no_such_suite", "--trials", "5"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "dpi", "--trials", "10", "--seed", "3")

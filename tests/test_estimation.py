@@ -280,8 +280,11 @@ class TestReadCsv:
 def reference_read_csv(path, columns=None):
     """Row-by-row reader that ``read_csv`` replaced; the fast path must agree with it."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise InvalidDataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise InsufficientDataError(f"{path} is empty")
     header = None

@@ -227,6 +227,12 @@ class TestSubBoxMass:
             a, b = np.sort(rng.random(2))
             assert cop.sub_box_mass(box, [a]) <= cop.sub_box_mass(box, [b]) + 1e-12
 
+    @pytest.mark.parametrize("tail", [-0.1, 1.5, np.nan])
+    def test_tail_outside_unit_cube_rejected(self, rng, tail):
+        cop = random_copula((3, 3, 3), rng)
+        with pytest.raises(InvalidArgumentError, match="unit cube"):
+            cop.sub_box_mass(GridBox((0.1, 0.2), (0.6, 0.9)), [tail])
+
 
 class TestMarginal:
     def test_identity_marginal(self, rng):

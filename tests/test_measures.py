@@ -85,6 +85,12 @@ class TestConditionalCdf:
         val = conditional_cdf(cop, split, (1,), [0.5, 0.25])
         assert val == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("cell", [1.7, (1.7,), "x", ("x",)])
+    def test_non_integer_cell_rejected(self, cell):
+        cop = independence_copula((4, 4))
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            conditional_cdf(cop, PAIR, cell, 0.5)
+
 
 class TestTauQuadratic:
     def test_independence_zero_exactly(self):
@@ -455,6 +461,16 @@ class TestMeasureKindValidation:
     def test_non_finite_alpha_rejected(self, tag, alpha):
         with pytest.raises(InvalidArgumentError):
             MeasureKind(tag, alpha)
+
+    @pytest.mark.parametrize(
+        "measure, alpha", [(tau_alpha, 0.5), (tau_alpha, math.inf), (renyi_alpha, 1.0)]
+    )
+    def test_direct_call_gives_the_measure_kind_message(self, measure, alpha):
+        with pytest.raises(InvalidArgumentError) as kind_error:
+            MeasureKind(measure.__name__, alpha)
+        with pytest.raises(InvalidArgumentError) as call_error:
+            measure(independence_copula((4, 4)), PAIR, alpha)
+        assert str(call_error.value) == str(kind_error.value)
 
     def test_report_json_schema(self, rng):
         cop = random_copula((4, 4), rng)

@@ -7,14 +7,21 @@ stream is independent of the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .estimation import rebalance_marginals
-from .grid import CheckerboardCopula, comonotone_copula, independence_copula, require_valid
+from .grid import (
+    CheckerboardCopula,
+    _check_resolutions,
+    _strides,
+    comonotone_copula,
+    independence_copula,
+    require_valid,
+)
 
 _TAGS = ("independent", "comonotone", "mixture", "functional", "gaussian", "square_law")
 
@@ -142,19 +149,39 @@ def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:
 def random_copula(
     resolutions, rng: np.random.Generator, concentration: float = 2.0
 ) -> CheckerboardCopula:
-    """Random strictly positive grid, rebalanced to uniform marginals.
+    """Random strictly positive grid whose marginals are uniform by construction.
 
-    Cell weights are i.i.d. Gamma(concentration) draws (a symmetric
-    Dirichlet after normalization); positivity guarantees the marginal
-    rebalancing converges.
+    The grid mixes K random transversals with the independence copula.  A
+    transversal is L = lcm(resolutions) points of mass 1/L; on an axis of
+    size m its coordinates are a random permutation of every slab label
+    repeated L/m times, so each slab holds exactly 1/m of its mass.  K is the
+    fewest transversals with at least as many points as the grid has cells,
+    their weights are a symmetric Dirichlet(concentration) draw, and
+    independence gets weight 1/(K + 1), which keeps every cell positive.
+    Marginals are uniform up to rounding, with no iterative fitting.
     """
-    res = tuple(int(m) for m in resolutions)
-    if any(m < 1 for m in res):
-        raise InvalidArgumentError(f"resolutions must be positive, got {res}")
-    raw = rng.gamma(float(concentration), 1.0, size=int(np.prod(res)))
-    raw /= raw.sum()
-    balanced = rebalance_marginals(CheckerboardCopula(res, raw))
-    return require_valid(balanced, "random_copula")
+    res = _check_resolutions(resolutions)
+    try:
+        alpha = float(concentration)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"concentration must be a number, got {concentration!r}"
+        ) from exc
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise InvalidArgumentError(f"concentration must be finite and > 0, got {alpha}")
+    cells = math.prod(res)
+    points = math.lcm(*res)
+    k = -(-cells // points)
+    floor = 1.0 / (k + 1)
+    weights = rng.dirichlet(np.full(k, alpha)) * ((1.0 - floor) / points)
+    sizes = np.array(res, dtype=np.int64)[:, None]
+    labels = np.arange(points, dtype=np.int64) // (points // sizes)
+    coords = rng.permuted(np.broadcast_to(labels[:, None, :], (len(res), k, points)), axis=2)
+    index = np.array(_strides(res), dtype=np.int64) @ coords.reshape(len(res), -1)
+    mass = np.bincount(index, weights=np.repeat(weights, points), minlength=cells)
+    mass += floor / cells
+    copula = CheckerboardCopula._from_cells(res, np.arange(cells, dtype=np.int64), mass)
+    return require_valid(copula, "random_copula")
 
 
 def assignment_copula(

@@ -78,7 +78,12 @@ class MeasureKind:
             return
         if self.alpha is None:
             raise InvalidArgumentError(f"{self.tag} requires alpha")
-        a = float(self.alpha)
+        try:
+            a = float(self.alpha)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"{self.tag} needs a numeric alpha, got {self.alpha!r}"
+            ) from exc
         in_range, needs = spec.alpha
         if not in_range(a):
             raise InvalidArgumentError(f"{self.tag} needs {needs}, got {a}")

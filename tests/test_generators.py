@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+import copdep.estimation
+import copdep.generators
 from copdep import (
     GroupSplit,
     InsufficientDataError,
     InvalidArgumentError,
     SynthModel,
+    compatibility_check,
     comonotone_copula,
     fit_checkerboard,
     generate,
     independence_copula,
+    make_rng,
     mixture_copula,
     pseudo_observations,
     random_copula,
@@ -133,3 +139,62 @@ class TestRandomCopulas:
         a, b = random_star_pair(2, 3, rng, target_axes=2)
         assert a.resolutions == (3, 3, 3, 3)
         assert b.resolutions == (3, 3, 3, 3)
+
+
+SHAPES = [(4,) * 4, (8,) * 3, (3, 4, 5), (2, 3, 2, 3), (7,), (1,), (1, 4)]
+
+
+class TestExactMarginals:
+    @pytest.mark.parametrize("res", SHAPES, ids=str)
+    def test_marginals_exact_and_cells_positive(self, res, rng):
+        for _ in range(5):
+            mass = random_copula(res, rng).grid
+            assert mass.min() > 0.0
+            for axis, m in enumerate(res):
+                others = tuple(a for a in range(len(res)) if a != axis)
+                slabs = mass.sum(axis=others) if others else mass
+                assert np.abs(slabs - 1.0 / m).max() <= 1e-14
+
+    @pytest.mark.parametrize("concentration", [1e-3, 0.5, 2.0, 1e3])
+    def test_any_concentration_gives_a_valid_grid(self, concentration, rng):
+        cop = random_copula((4, 4, 4), rng, concentration)
+        report = cop.validate()
+        assert report.worst_marginal_error <= 1e-14
+        assert cop.cell_mass.min() > 0.0 and cop.cell_index.size == 64
+
+    def test_same_seed_bit_identical(self):
+        for res in SHAPES:
+            a = random_copula(res, make_rng(31))
+            b = random_copula(res, make_rng(31))
+            assert np.array_equal(a.cell_index, b.cell_index)
+            assert a.cell_mass.tobytes() == b.cell_mass.tobytes()
+        pairs = [random_star_pair(2, 4, make_rng(32)) for _ in range(2)]
+        for x, y in zip(*pairs):
+            assert x.cell_mass.tobytes() == y.cell_mass.tobytes()
+
+    @pytest.mark.parametrize("n, m, target_axes", [(1, 8, 1), (2, 4, 1), (1, 3, 2), (1, 1, 1)])
+    def test_star_pair_middle_marginals_agree(self, n, m, target_axes, rng):
+        a, b = random_star_pair(n, m, rng, target_axes=target_axes)
+        assert compatibility_check(a, b, n).passed
+        middle_a = a.marginal(tuple(range(n, 2 * n))).mass
+        middle_b = b.marginal(tuple(range(n))).mass
+        assert np.abs(middle_a - middle_b).max() <= 1e-14
+
+    def test_generators_run_without_ipf(self, monkeypatch, rng):
+        def no_ipf(*args, **kwargs):
+            raise AssertionError("rebalance_marginals called")
+
+        monkeypatch.setattr(copdep.estimation, "rebalance_marginals", no_ipf)
+        monkeypatch.setattr(copdep.generators, "rebalance_marginals", no_ipf, raising=False)
+        with pytest.raises(AssertionError):
+            fit_checkerboard(pseudo_observations(rng.random((50, 2))), (4, 4))
+        assert random_copula((3, 4, 5), rng).validate().passed
+        a, b = random_star_pair(2, 4, rng)
+        assert compatibility_check(a, b, 2).passed
+
+    @pytest.mark.parametrize("concentration", [0.0, -1.0, math.nan, math.inf, "x", None])
+    def test_bad_concentration_rejected(self, concentration, rng):
+        with pytest.raises(InvalidArgumentError, match="concentration"):
+            random_copula((4, 4), rng, concentration)
+        with pytest.raises(InvalidArgumentError, match="concentration"):
+            random_star_pair(1, 4, rng, concentration=concentration)

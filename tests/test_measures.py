@@ -462,6 +462,14 @@ class TestMeasureKindValidation:
         with pytest.raises(InvalidArgumentError):
             MeasureKind(tag, alpha)
 
+    @pytest.mark.parametrize("measure", [tau_alpha, renyi_alpha])
+    @pytest.mark.parametrize("alpha", ["x", [1.5]])
+    def test_non_numeric_alpha_rejected(self, measure, alpha):
+        with pytest.raises(InvalidArgumentError, match="numeric alpha"):
+            MeasureKind(measure.__name__, alpha)
+        with pytest.raises(InvalidArgumentError, match="numeric alpha"):
+            measure(independence_copula((4, 4)), PAIR, alpha)
+
     @pytest.mark.parametrize(
         "measure, alpha", [(tau_alpha, 0.5), (tau_alpha, math.inf), (renyi_alpha, 1.0)]
     )

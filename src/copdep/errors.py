@@ -2,7 +2,8 @@
 
 Public functions never raise bare ValueError/RuntimeError; every contract
 violation maps to one of the classes below so callers (and the CLI exit-code
-mapping) can distinguish bad input from numerical failure.
+mapping) can distinguish bad input from numerical failure.  Fitting has no
+iterative step; only its final validity check can fail numerically.
 """
 
 from __future__ import annotations
@@ -34,18 +35,6 @@ class CopulaValidationError(CopdepError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class RebalanceError(CopdepError):
-    """Iterative proportional fitting did not reach the target tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-class DegenerateMarginalError(CopdepError):
-    """A marginal slab has zero mass and cannot be rescaled."""
 
 
 class IncompatibleOperandsError(CopdepError):

@@ -1,11 +1,11 @@
 """From raw samples to a fitted checkerboard copula.
 
-The pipeline is rank-based: each column is replaced by its normalized ranks
-(the empirical probability-integral transform), the ranked points are binned
-on the grid, and iterative proportional fitting restores exact marginal
-uniformity.  Because only ranks enter, every strictly increasing per-column
-transform of the raw data yields the identical copula, and hence identical
-downstream measures.
+The pipeline is rank-based: each column is replaced by its rank intervals
+(a tied group of rows shares one interval), and every row spreads its mass
+uniformly over the box of its intervals.  The grid cells collect that mass
+exactly, so every marginal is uniform by construction.  Because only ranks
+enter, every strictly increasing per-column transform of the raw data
+yields the identical copula, and hence identical downstream measures.
 """
 
 from __future__ import annotations
@@ -18,29 +18,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateMarginalError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    InvalidDataError,
-    RebalanceError,
-)
-from .grid import CheckerboardCopula, _check_resolutions, require_valid
+from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError
+from .grid import CheckerboardCopula, _check_resolutions, _prod, _scatter, require_valid
 
-#: Worst marginal deviation tolerated after rebalancing.
-IPF_TOL = 1e-10
-IPF_MAX_SWEEPS = 1000
+#: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
+MAX_BOX_PARTS = 2**22
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class PseudoObservations:
     """Rank-transformed sample matrix with entries strictly inside (0, 1).
 
-    Column j of ``values`` is the permutation of (i - 0.5)/N induced by the
-    sort order of the raw column (ties broken by ascending row index).
-    ``tie_counts[j]`` records how many rows in column j shared a value with
-    an earlier row; nonzero counts mean the continuity assumption behind the
-    rank transform is violated.
+    Entry (i, j) of ``values`` is the mid-rank (lo + hi) / 2N of row i's rank
+    interval [lo, hi) in column j: [r, r + 1) for rank r, shared by a tied
+    group.  ``tie_counts[j]`` records how many rows in column j shared a
+    value with an earlier row; nonzero counts mean the continuity assumption
+    behind the rank transform is violated.
     """
 
     values: np.ndarray
@@ -92,7 +85,7 @@ class ResolutionPolicy:
 
 
 def pseudo_observations(data) -> PseudoObservations:
-    """Column-wise normalized ranks (rank - 0.5)/N, ties broken by row order.
+    """Column-wise normalized mid-ranks; tied rows share one rank interval.
 
     Raises InsufficientDataError for fewer than two rows and
     InvalidDataError (with the offending column) for non-finite entries.
@@ -107,25 +100,27 @@ def pseudo_observations(data) -> PseudoObservations:
     if bad.any():
         col = int(np.argwhere(bad.any(axis=0)).ravel()[0])
         raise InvalidDataError(f"non-finite value in column {col}", column=col)
+    del bad
     out = np.empty_like(arr)
     ties = []
     for j in range(d):
         col = arr[:, j]
-        # Without ties the sorting permutation is unique, so the fast default
-        # sort gives the same ranks; ties need the stable sort's row order.
         order = np.argsort(col)
         ordered = col[order]
-        tied = int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+        same = ordered[1:] == ordered[:-1]
+        tied = int(np.count_nonzero(same))
+        twice_mid = np.arange(1, 2 * n, 2)  # lo + hi of each interval, in sorted order
         if tied:
-            order = np.argsort(col, kind="stable")
-        ranks = np.empty(n, dtype=np.float64)
-        ranks[order] = np.arange(n, dtype=np.float64)
-        out[:, j] = (ranks + 0.5) / n
+            lo = np.flatnonzero(np.r_[True, ~same])
+            hi = np.r_[lo[1:], n]
+            twice_mid = np.repeat(lo + hi, hi - lo)
+        del ordered, same
+        out[:, j] = _scatter(order, twice_mid / (2 * n), n)
         ties.append(tied)
     total_ties = sum(ties)
     if total_ties:
         warnings.warn(
-            f"{total_ties} tied value(s) across columns; ranks broken by row order",
+            f"{total_ties} tied value(s) across columns; tied rows share one rank interval",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -150,85 +145,106 @@ def fit_checkerboard(
     *,
     max_resolution: int = 128,
 ) -> CheckerboardCopula:
-    """Bin pseudo-observations on the grid and rebalance the marginals.
+    """The checkerboard approximation of the empirical copula (Li, Mikusinski,
+    Sherwood & Taylor 1997; for ties, Genest, Neslehova & Remillard 2014).
 
-    Cell masses start as bin counts divided by N; a point exactly on an
-    interior cell boundary belongs to the upper cell (this cannot happen
-    with the (i - 0.5)/N ranks when the resolution divides N).  Only the
-    occupied cells are stored, so the grid size is limited by the int64
-    flat index alone (fewer than 2**63 cells).
+    Each row spreads 1/N uniformly over the box of its rank intervals and each
+    cell gets the part of every box inside it, so every slab holds exactly 1/m.
+    Split boxes are summed in sorted order, so no mass depends on the row order.
     """
-    res = tuple(int(m) for m in resolutions)
+    res = _check_resolutions(resolutions)
     if len(res) != pseudo.n_cols:
-        raise InvalidArgumentError(
-            f"{len(res)} resolutions for {pseudo.n_cols} columns"
-        )
-    if any(m < 1 for m in res):
-        raise InvalidArgumentError(f"resolutions must be positive, got {res}")
-    if any(m > max_resolution for m in res):
-        raise InvalidArgumentError(
-            f"resolution {max(res)} exceeds the maximum {max_resolution}"
-        )
-    _check_resolutions(res)
+        raise InvalidArgumentError(f"{len(res)} resolutions for {pseudo.n_cols} columns")
+    if max(res) > max_resolution:
+        raise InvalidArgumentError(f"resolution {max(res)} exceeds the maximum {max_resolution}")
     n = pseudo.n_rows
-    idx = np.zeros(n, dtype=np.int64)
+    first = np.zeros(n, dtype=np.int64)
+    scratch = np.empty((2, n), dtype=np.int64)
+    crossing = []
     for j, m in enumerate(res):
-        cells = np.minimum(np.floor(pseudo.values[:, j] * m).astype(np.int64), m - 1)
-        idx = idx * m + cells
-    occupied, counts = np.unique(idx, return_counts=True)
-    raw = CheckerboardCopula._from_cells(res, occupied, counts / n)
-    return require_valid(rebalance_marginals(raw), "fit_checkerboard")
+        crossing.append(_add_axis(first, pseudo.values[:, j], pseudo.tie_counts[j], m, scratch))
+    del scratch
+    if _prod(res) > 2 * n:
+        cells, mass = np.unique(first, return_counts=True)
+    else:
+        mass = np.bincount(first, minlength=_prod(res))
+        cells = np.flatnonzero(mass)
+        mass = mass[cells]
+    mass = mass.astype(np.float64)
+    split = np.zeros(n, dtype=bool)
+    split[np.concatenate([rows for rows, _, _ in crossing])] = True
+    if split.any():
+        split = np.flatnonzero(split)
+        moved, count, parts, shares = _split_boxes(res, n, split, first[split], crossing)
+        np.subtract.at(mass, np.searchsorted(cells, moved), count)  # they count by their parts
+        cells, at = np.unique(np.concatenate([cells, parts]), return_inverse=True)
+        mass = np.bincount(at, weights=np.concatenate([mass, shares]))
+    return require_valid(CheckerboardCopula._from_cells(res, cells, mass / n), "fit_checkerboard")
 
 
-def rebalance_marginals(
-    copula: CheckerboardCopula,
-    tol: float = IPF_TOL,
-    max_sweeps: int = IPF_MAX_SWEEPS,
-) -> CheckerboardCopula:
-    """Iterative proportional fitting toward uniform marginals.
-
-    Each sweep rescales every axis once so that all slab sums hit 1/m.
-    Rescaling preserves nonnegativity and keeps empty cells empty, so only
-    the stored cells are touched; a zero-mass slab cannot be rescaled and
-    raises DegenerateMarginalError.  Returns the input object unchanged
-    when the marginals are already within tolerance.
+def _add_axis(first, column, tied: int, m: int, scratch):
+    """Append an axis to each row's first-cell flat index.  In units of 1/(N m),
+    where cell c is [c N, (c + 1) N), returns the rows whose rank interval
+    crosses a cell edge and, per cell, the start and length of the one that does.
     """
-    mass = copula.cell_mass
-    if mass.size and float(mass.min()) < 0.0:
-        raise InvalidArgumentError("rebalancing requires nonnegative masses")
-    if abs(float(mass.sum()) - 1.0) > 1e-6:
-        raise InvalidArgumentError("rebalancing requires total mass 1")
+    n = column.size
+    start, cell = scratch
+    crosses = np.zeros(n, dtype=bool)  # by interval start, in units of 1/N
+    if tied:
+        _, group, size = np.unique(column, return_inverse=True, return_counts=True)
+        lo = np.cumsum(size) - size
+        crosses[lo[lo * m // n < ((lo + size) * m - 1) // n]] = True
+        np.take(lo, group, out=start)
+    else:  # the cast truncates lo + 0.5; edge k N / m is inside [lo, lo + 1) if k N % m > 0
+        np.multiply(column, n, out=start, casting="unsafe")
+        edge = np.arange(1, m) * n
+        crosses[edge[edge % m > 0] // m] = True
+    rows = np.flatnonzero(crosses[start])
+    start *= m
+    np.floor_divide(start, n, out=cell)
+    first *= m
+    first += cell
+    out_start, out_length = np.zeros((2, m), dtype=np.int64)
+    out_start[cell[rows]] = start[rows]
+    out_length[cell[rows]] = m * (size[group[rows]] if tied else 1)
+    return rows, out_start, out_length
 
-    res = copula.resolutions
-    coords = [copula._key((axis,)) for axis in range(len(res))]
 
-    def slab_sums(axis, values):
-        return np.bincount(coords[axis], weights=values, minlength=res[axis])
-
-    def worst_error(values):
-        return max(
-            float(np.abs(slab_sums(axis, values) - 1.0 / m).max())
-            for axis, m in enumerate(res)
+def _split_boxes(res, n: int, rows, first, crossing):
+    """First cell and row count of each box of ``rows``, and the cells the
+    boxes meet with their masses in units of 1/N.  An interval that crosses no
+    edge is replaced by its whole cell, so a box is known by its first cell and
+    which axes it crosses on; each is expanded once, in sorted order.
+    """
+    keys = []
+    for cell, (axis_rows, _, _) in zip(np.unravel_index(first, res), crossing):
+        keys.append(cell * 2 + np.isin(rows, axis_rows))
+    keys = np.array(keys)[:, np.lexsort(keys)]
+    new = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    keys, count = keys[:, new], np.diff(np.r_[new, rows.size])
+    cell, out = np.divmod(keys, 2)
+    start = np.array([np.where(o, s[c], c * n) for (_, s, _), c, o in zip(crossing, cell, out)])
+    length = np.array([np.where(o, w[c], n) for (_, _, w), c, o in zip(crossing, cell, out)])
+    span = (start + length - 1) // n - cell + 1
+    if np.prod(span, axis=0, dtype=np.float64).sum() > MAX_BOX_PARTS:
+        raise InvalidArgumentError(
+            f"rank boxes split into over {MAX_BOX_PARTS} parts at {res}; use a lower resolution"
         )
-
-    if worst_error(mass) < tol:
-        return copula
-    mass = mass.copy()
-    for _ in range(max_sweeps):
-        for axis, m in enumerate(res):
-            slabs = slab_sums(axis, mass)
-            if np.any(slabs <= 0.0):
-                j = int(np.argwhere(slabs <= 0.0).ravel()[0])
-                raise DegenerateMarginalError(
-                    f"axis {axis} slab {j} has zero mass; cannot rescale"
-                )
-            mass *= ((1.0 / m) / slabs)[coords[axis]]
-        if worst_error(mass) < tol:
-            return CheckerboardCopula._from_cells(res, copula.cell_index, mass)
-    residual = worst_error(mass)
-    raise RebalanceError(
-        f"marginals still off by {residual:.3e} after {max_sweeps} sweeps", residual
-    )
+    box = np.arange(count.size)
+    index = np.zeros(count.size, dtype=np.int64)
+    weight = count.astype(np.float64)
+    for j, m in enumerate(res):
+        size = span[j, box]
+        pick = np.repeat(np.arange(box.size), size)
+        box = box[pick]
+        part = cell[j, box] + np.arange(pick.size) - np.repeat(np.cumsum(size) - size, size)
+        lo, width = start[j, box], length[j, box]
+        overlap = np.minimum(lo + width, (part + 1) * n) - np.maximum(lo, part * n)
+        weight = weight[pick] * (overlap / width)
+        index = index[pick] * m + part
+    cells, at = np.unique(index, return_inverse=True)
+    moved = np.ravel_multi_index(tuple(cell), res)
+    return moved, count, cells, np.bincount(at, weights=weight, minlength=cells.size)
 
 
 # ----------------------------------------------------------------------

@@ -234,15 +234,34 @@ class TestMeasure:
         assert out == ""
         assert "error:" in err
 
-    def test_infeasible_rebalancing_exits_three(self, capsys, tmp_path):
+    def test_97_rows_on_a_50_cubed_grid_exit_zero(self, capsys, tmp_path):
+        # binned counts admit no uniform marginals here; the rank boxes do
         csv_path = tmp_path / "short.csv"
         np.savetxt(csv_path, np.random.default_rng(0).random((97, 3)), delimiter=",")
         code, out, err = run(
             capsys, "measure", "--input", str(csv_path), "--resolution", "50",
         )
-        assert code == 3
-        assert out == ""
-        assert "sweeps" in err
+        assert code == 0
+        payload = json.loads(out)
+        assert 0.0 <= payload["value"] <= 1.0
+        assert err.splitlines() == [f"tau_quadratic: {payload['value']:.12g}"]
+
+
+    def test_tied_csv_measures_the_same_in_any_row_order(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        data = np.round(rng.standard_normal((2000, 3)) * 2.0)
+        data[:, 2] += data[:, 0]
+        values = set()
+        for k, order in enumerate([np.arange(2000), rng.permutation(2000), rng.permutation(2000)]):
+            csv_path = tmp_path / f"tied{k}.csv"
+            np.savetxt(csv_path, data[order], delimiter=",")
+            with pytest.warns(RuntimeWarning, match="tied"):
+                code, out, _ = run(
+                    capsys, "measure", "--input", str(csv_path), "--resolution", "8",
+                )
+            assert code == 0
+            values.add(json.loads(out)["value"])
+        assert len(values) == 1
 
 
 class TestStarCommand:

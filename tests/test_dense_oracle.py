@@ -1,11 +1,12 @@
 """The cell-list copula against the dense-array implementation it replaced.
 
 ``Dense`` below keeps the previous code path: every layout-dependent step
-(binning, validation, marginals, rebalancing, the conditioning matrix, the
-conditional CDF, slab sums and target marginals) works on the full
-``m_1 x ... x m_d`` mass array, and the measure reductions on top of it are
-the ones that array fed.  On small random grids, most cells empty, every
-measure kind must agree with it to 1e-12.
+(validation, marginals, the conditioning matrix, the conditional CDF, slab
+sums and target marginals) works on the full ``m_1 x ... x m_d`` mass
+array, and the measure reductions on top of it are the ones that array fed.
+On small random grids, most cells empty, every measure kind must agree with
+it to 1e-12.  ``rank_box_grid`` fits a sample by brute force, one row at a
+time, for the fit to be checked against.
 """
 
 import math
@@ -29,7 +30,6 @@ from copdep import (
     max_bound,
     mutual_information,
     pseudo_observations,
-    rebalance_marginals,
     renyi_alpha,
     renyi_limit,
     tau_alpha,
@@ -99,17 +99,6 @@ class Dense:
         flat = self.grid.ravel()
         worst = max(float(np.abs(self.slabs(a) - 1.0 / m).max()) for a, m in enumerate(self.res))
         return max(0.0, -float(flat.min())), abs(float(flat.sum()) - 1.0), worst
-
-    def rebalance(self, sweeps=1000, tol=1e-10):
-        grid = self.grid.copy()
-        for _ in range(sweeps):
-            for axis, m in enumerate(self.res):
-                shape = [1] * grid.ndim
-                shape[axis] = m
-                grid *= (1.0 / m) / Dense(self.res, grid).slabs(axis).reshape(shape)
-            if Dense(self.res, grid).validate()[2] < tol:
-                return grid
-        raise AssertionError("dense rebalancing did not converge")
 
     # -- measures --------------------------------------------------------
 
@@ -334,28 +323,84 @@ def _dense_cdf_terms(dense, point):
     return dense.grid * frac
 
 
+def rank_box_grid(data, res):
+    """Dense checkerboard of the rank boxes, row by row.
+
+    Row i owns on axis j the interval [lo, hi) / N, where lo rows lie
+    strictly below it and hi rows at or below it, so tied rows share one
+    interval.  Its mass 1/N goes to the outer product of the per-axis
+    fractions of that interval inside each cell.  Bounds are compared in
+    units of 1/(N m), where they are integers, and the rows are summed in
+    extended precision, so the reference is accurate well below 1e-15.
+    """
+    n = data.shape[0]
+    fractions = []
+    for col, m in zip(data.T, res):
+        lo = (col[None, :] < col[:, None]).sum(axis=1) * m
+        hi = (col[None, :] <= col[:, None]).sum(axis=1) * m
+        cells = np.arange(m)
+        inside = np.minimum(hi[:, None], (cells + 1) * n) - np.maximum(lo[:, None], cells * n)
+        fractions.append(np.maximum(inside, 0) / (hi - lo)[:, None])
+    grid = np.zeros(res, dtype=np.longdouble)
+    for i in range(n):
+        box = fractions[0][i]
+        for frac in fractions[1:]:
+            box = np.multiply.outer(box, frac[i])
+        grid += box
+    return (grid / n).astype(np.float64)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_rebalancing_matches_the_dense_oracle(seed):
+    # The fit needs no rebalancing: tied rows and resolutions that do not
+    # divide N still give exact slabs, matching the brute-force boxes.
     rng = np.random.default_rng(seed)
     res = (3, 5, 4)
-    mass = rng.gamma(2.0, 1.0, size=int(np.prod(res)))
-    mass[rng.random(mass.size) < 0.3] = 0.0  # empty cells stay empty
-    mass /= mass.sum()
-    want = Dense(res, mass).rebalance()
-    got = rebalance_marginals(CheckerboardCopula(res, mass))
-    assert np.allclose(got.mass, want.ravel(), rtol=0, atol=TOL)
-    assert np.array_equal(got.mass == 0.0, mass == 0.0)
+    data = rng.standard_normal((97, 3))
+    data[:, 1] = np.round(data[:, 1])
+    data[:, 2] = rng.integers(0, 3, size=97)
+    with pytest.warns(RuntimeWarning, match="tied"):
+        got = fit_checkerboard(pseudo_observations(data), res)
+    want = rank_box_grid(data, res)
+    assert np.array_equal(got.cell_index, np.flatnonzero(want))
+    assert np.abs(got.mass - want.ravel()).max() <= 1e-15
+    for axis, m in enumerate(res):
+        slabs = np.bincount(got._key((axis,)), weights=got.cell_mass, minlength=m)
+        assert np.abs(slabs - 1.0 / m).max() <= 1e-15
 
 
 def test_fit_matches_dense_binning():
     rng = np.random.default_rng(11)
-    data = rng.standard_normal((301, 3))  # no resolution divides 301, so IPF runs
+    data = rng.standard_normal((301, 3))  # no resolution divides 301, so boxes cross cells
     data[:, 2] += data[:, 0]
     res = (4, 5, 3)
-    pseudo = pseudo_observations(data)
-    cells = np.minimum((pseudo.values * np.array(res)).astype(np.int64), np.array(res) - 1)
-    counts = np.bincount(np.ravel_multi_index(cells.T, res), minlength=int(np.prod(res)))
-    want = Dense(res, counts / 301).rebalance()
-    got = fit_checkerboard(pseudo, res)
-    assert np.array_equal(got.cell_index, np.flatnonzero(counts))
-    assert np.allclose(got.mass, want.ravel(), rtol=0, atol=TOL)
+    want = rank_box_grid(data, res)
+    got = fit_checkerboard(pseudo_observations(data), res)
+    assert np.array_equal(got.cell_index, np.flatnonzero(want))
+    assert np.abs(got.mass - want.ravel()).max() <= 1e-15
+
+
+@st.composite
+def tied_samples(draw):
+    """Samples whose columns are continuous, or drawn from a few values."""
+    n = draw(st.integers(2, 300))
+    dims = draw(st.integers(2, 4))
+    res = tuple(draw(st.lists(st.integers(1, 16), min_size=dims, max_size=dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.lists(st.sampled_from([0, 1, 2, 3, 7]), min_size=dims, max_size=dims))
+    columns = [
+        rng.integers(0, k, size=n).astype(np.float64) if k else rng.standard_normal(n)
+        for k in levels
+    ]
+    return np.column_stack(columns), res
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tied_samples())
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_fit_matches_the_rank_box_oracle(case):
+    data, res = case
+    got = fit_checkerboard(pseudo_observations(data), res)
+    want = rank_box_grid(data, res).ravel()
+    assert np.array_equal(got.cell_index, np.flatnonzero(want))
+    assert np.abs(got.mass - want).max() <= 1e-15

@@ -4,17 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from copdep import (
-    CheckerboardCopula,
-    DegenerateMarginalError,
     GroupSplit,
     InsufficientDataError,
     InvalidArgumentError,
     InvalidDataError,
-    RebalanceError,
     ResolutionPolicy,
     SynthModel,
     choose_resolution,
@@ -23,9 +21,9 @@ from copdep import (
     make_rng,
     pseudo_observations,
     read_csv,
-    rebalance_marginals,
     tau_quadratic,
 )
+from copdep.estimation import MAX_BOX_PARTS
 
 
 class TestPseudoObservations:
@@ -43,9 +41,10 @@ class TestPseudoObservations:
         )
 
     def test_tie_broken_by_row_order(self):
-        with pytest.warns(RuntimeWarning):
+        # tied rows share the interval [0, 2/3) and its mid-rank
+        with pytest.warns(RuntimeWarning, match="share one rank interval"):
             obs = pseudo_observations(np.array([[1.0], [1.0], [2.0]]))
-        assert np.allclose(obs.values[:, 0], [1 / 6, 3 / 6, 5 / 6])
+        assert np.allclose(obs.values[:, 0], [1 / 3, 1 / 3, 5 / 6])
         assert obs.tie_counts == (1,)
 
     def test_ties_above_insertion_sort_size_match_stable_reference(self, rng):
@@ -56,10 +55,7 @@ class TestPseudoObservations:
         with pytest.warns(RuntimeWarning):
             obs = pseudo_observations(np.column_stack([tied, distinct]))
         for j, col in enumerate((tied, distinct)):
-            order = np.argsort(col, kind="stable")
-            ranks = np.empty(n)
-            ranks[order] = np.arange(n, dtype=np.float64)
-            expected = (ranks + 0.5) / n
+            expected = (rankdata(col, method="average") - 0.5) / n
             assert obs.values[:, j].tobytes() == expected.tobytes()
             assert obs.tie_counts[j] == n - np.unique(col).size
         assert obs.tie_counts[0] == n - 51
@@ -129,6 +125,10 @@ class TestFitCheckerboard:
         np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
         assert np.array_equal(counts.sum(axis=1), np.full(m, n // m))
         assert np.array_equal(counts.sum(axis=0), np.full(m, n // m))
+        # no box crosses a cell edge, so the fit is the bin counts over N
+        cop = fit_checkerboard(obs, (m, m))
+        assert np.array_equal(cop.cell_index, np.flatnonzero(counts))
+        assert cop.cell_mass.tobytes() == (counts.ravel()[cop.cell_index] / n).tobytes()
 
     def test_output_validates(self, rng):
         obs = pseudo_observations(rng.random((1000, 3)))
@@ -146,12 +146,39 @@ class TestFitCheckerboard:
             fit_checkerboard(obs, (128,) * 9)
 
     def test_eight_dimensions_at_128_fit_from_200_rows(self):
-        # 2**56 cells: a dense mass array would take 512 PiB
+        # 2**56 cells: a dense mass array would take 512 PiB.  128 does not
+        # divide 200, so the boxes of 120 rows each split over 2**8 cells.
         data = generate(SynthModel("comonotone", dimension=8, seed=4), 200)
         cop = fit_checkerboard(pseudo_observations(data), (128,) * 8)
-        assert cop.cell_index.size == 128
+        assert cop.cell_index.size == 30_608
         split = GroupSplit(tuple(range(7)), (7,))
-        assert tau_quadratic(cop, split).value == pytest.approx(1 - 1 / 128, abs=1e-12)
+        assert tau_quadratic(cop, split).value == pytest.approx(0.9887902724499685, abs=1e-12)
+
+    @pytest.mark.parametrize("n, m, dims", [(200, 8, 3), (96, 32, 4), (200, 8, 8)])
+    def test_complete_dependence_reads_the_grid_maximum_when_m_divides_n(self, n, m, dims):
+        data = generate(SynthModel("comonotone", dimension=dims, seed=4), n)
+        cop = fit_checkerboard(pseudo_observations(data), (m,) * dims)
+        assert cop.cell_index.size == m
+        split = GroupSplit(tuple(range(dims - 1)), (dims - 1,))
+        assert tau_quadratic(cop, split).value == pytest.approx(1 - 1 / m, abs=1e-15)
+
+    @pytest.mark.parametrize("n, m", [(97, 50), (1000, 30), (20_000, 31)])
+    def test_slabs_exact_when_m_does_not_divide_n(self, n, m):
+        # at 97 rows on 50**3 no weights on the binned cells make every
+        # slab 1/50; the rank boxes do
+        obs = pseudo_observations(make_rng(0).random((n, 3)))
+        report = fit_checkerboard(obs, (m, m, m)).validate()
+        assert report.passed
+        assert report.worst_marginal_error < 1e-15
+
+    def test_boxes_too_fine_to_split_rejected(self, rng):
+        # binary columns: every box meets 64**8 cells of the 128**8 grid
+        data = rng.integers(0, 2, size=(200, 8)).astype(np.float64)
+        with pytest.warns(RuntimeWarning, match="tied"):
+            obs = pseudo_observations(data)
+        with pytest.raises(InvalidArgumentError, match="lower resolution"):
+            fit_checkerboard(obs, (128,) * 8)
+        assert fit_checkerboard(obs, (2,) * 8).validate().passed
 
     def test_conditioning_column_permutation_gives_relabeled_grid(self, rng):
         data = rng.random((400, 3))
@@ -160,60 +187,47 @@ class TestFitCheckerboard:
         assert np.array_equal(swapped.grid, np.transpose(cop.grid, (1, 0, 2)))
 
 
-class TestRebalanceMarginals:
-    def test_uniform_fixed_point(self):
-        cop = CheckerboardCopula((2, 2), [0.3, 0.2, 0.2, 0.3])
-        assert rebalance_marginals(cop) is cop
+@st.composite
+def shuffled_samples(draw):
+    """A sample with ties, a resolution that need not divide N, and a row order."""
+    n = draw(st.integers(2, 400))
+    dims = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((n, dims))
+    for j in range(dims):
+        if draw(st.booleans()):
+            data[:, j] = np.round(data[:, j] * draw(st.sampled_from([0.5, 2.0, 8.0])))
+    return data, (m,) * dims, rng.permutation(n)
 
-    def test_ipf_against_hand_rolled_loop(self):
-        start = np.array([[0.4, 0.2], [0.2, 0.2]])
-        # independent oracle: alternate row/column scaling until converged
-        oracle = start.copy()
-        for _ in range(200):
-            oracle *= (0.5 / oracle.sum(axis=1))[:, None]
-            oracle *= 0.5 / oracle.sum(axis=0)[None, :]
-        out = rebalance_marginals(CheckerboardCopula((2, 2), start))
-        assert np.allclose(out.grid, oracle, atol=1e-9)
-        assert np.abs(out.grid.sum(axis=0) - 0.5).max() < 1e-10
-        assert np.abs(out.grid.sum(axis=1) - 0.5).max() < 1e-10
 
-    def test_preserves_nonnegativity_and_total(self, rng):
-        raw = rng.gamma(1.0, 1.0, size=27)
-        raw /= raw.sum()
-        out = rebalance_marginals(CheckerboardCopula((3, 3, 3), raw))
-        assert out.mass.min() >= 0.0
-        assert out.mass.sum() == pytest.approx(1.0, abs=1e-9)
+@settings(max_examples=150, deadline=None)
+@given(shuffled_samples())
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_fit_is_bit_identical_under_row_permutation(case):
+    data, res, perm = case
+    cop = fit_checkerboard(pseudo_observations(data), res)
+    shuffled = fit_checkerboard(pseudo_observations(data[perm]), res)
+    assert shuffled.cell_index.tobytes() == cop.cell_index.tobytes()
+    assert shuffled.cell_mass.tobytes() == cop.cell_mass.tobytes()
 
-    def test_zero_slab_degenerate(self):
-        cop = CheckerboardCopula((2, 2), [0.5, 0.5, 0.0, 0.0])
-        with pytest.raises(DegenerateMarginalError):
-            rebalance_marginals(cop)
 
-    def test_rejects_negative_mass(self):
-        cop = CheckerboardCopula((2,), [1.2, -0.2])
-        with pytest.raises(InvalidArgumentError):
-            rebalance_marginals(cop)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_converges_on_a_circulant_band_support(self, seed):
-        # row i holds cells i .. i+3 (mod 16); these need about 100 sweeps
-        m = 16
-        i, j = np.indices((m, m))
-        raw = make_rng(100 + seed).gamma(2.0, 1.0, size=(m, m)) * ((j - i) % m < 4)
-        cop = CheckerboardCopula((m, m), raw.ravel() / raw.sum())
-        with pytest.raises(RebalanceError):
-            rebalance_marginals(cop, max_sweeps=50)
-        out = rebalance_marginals(cop)
-        assert out.validate().worst_marginal_error < 1e-10
-        assert np.array_equal(out.cell_index, cop.cell_index)
-
-    def test_infeasible_support_still_raises(self):
-        # 97 rows on a 50^3 grid: no weights on the occupied cells make
-        # every slab 1/50
-        obs = pseudo_observations(make_rng(0).random((97, 3)))
-        with pytest.raises(RebalanceError) as info:
-            fit_checkerboard(obs, (50, 50, 50))
-        assert info.value.residual > 1e-3
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    dims=st.integers(2, 8),
+    fixed=st.one_of(st.none(), st.integers(1, 128)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_chosen_or_fixed_resolution_fits(n, dims, fixed, seed):
+    # m > N spreads each box over about (m / N) ** d cells; the fuzz keeps
+    # that below MAX_BOX_PARTS, where the exact fit is storable.
+    policy = ResolutionPolicy() if fixed is None else ResolutionPolicy("fixed", fixed)
+    res = choose_resolution(n, dims, policy)
+    assume(n * (res[0] / n + 2) ** dims < MAX_BOX_PARTS)
+    data = np.random.default_rng(seed).standard_normal((n, dims))
+    report = fit_checkerboard(pseudo_observations(data), res).validate()
+    assert report.passed, report.summary()
 
 
 class TestReadCsv:

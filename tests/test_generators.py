@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import copdep.estimation
-import copdep.generators
 from copdep import (
     GroupSplit,
     InsufficientDataError,
@@ -179,18 +177,6 @@ class TestExactMarginals:
         middle_a = a.marginal(tuple(range(n, 2 * n))).mass
         middle_b = b.marginal(tuple(range(n))).mass
         assert np.abs(middle_a - middle_b).max() <= 1e-14
-
-    def test_generators_run_without_ipf(self, monkeypatch, rng):
-        def no_ipf(*args, **kwargs):
-            raise AssertionError("rebalance_marginals called")
-
-        monkeypatch.setattr(copdep.estimation, "rebalance_marginals", no_ipf)
-        monkeypatch.setattr(copdep.generators, "rebalance_marginals", no_ipf, raising=False)
-        with pytest.raises(AssertionError):
-            fit_checkerboard(pseudo_observations(rng.random((50, 2))), (4, 4))
-        assert random_copula((3, 4, 5), rng).validate().passed
-        a, b = random_star_pair(2, 4, rng)
-        assert compatibility_check(a, b, 2).passed
 
     @pytest.mark.parametrize("concentration", [0.0, -1.0, math.nan, math.inf, "x", None])
     def test_bad_concentration_rejected(self, concentration, rng):

@@ -8,6 +8,7 @@ with one entry per grid cell.  At d=5, m=32 the grid has 33.5M cells
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from copdep import (
     GroupSplit,
@@ -48,6 +49,26 @@ def test_fit_and_tau_at_32_to_the_5th_stay_small():
     assert peak_bytes(work) < 128 * MB
     assert result["copula"].cell_index.size <= 100_000
     assert 0.0 < result["tau"] < 1.0
+
+
+def test_fit_of_heavily_tied_columns_stays_small():
+    # A 2-valued and a 5-valued column: every row's box spans about 17 x 8
+    # cells.  Expanding each row would take ~1e5 x 136 parts (over 200 MB);
+    # rows that share a box are expanded once.
+    rng = make_rng(5)
+    n = 100_000
+    data = np.column_stack(
+        [rng.integers(0, 2, n), rng.integers(0, 5, n), rng.standard_normal(n)]
+    ).astype(np.float64)
+    with pytest.warns(RuntimeWarning, match="tied"):
+        pseudo = pseudo_observations(data)
+    result = {}
+
+    def work():
+        result["copula"] = fit_checkerboard(pseudo, (32,) * 3)
+
+    assert peak_bytes(work) < 48 * MB
+    assert result["copula"].validate().worst_marginal_error < 1e-14
 
 
 def test_measures_on_comonotone_512_cubed_stay_small():

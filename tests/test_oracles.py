@@ -18,11 +18,11 @@ from copdep import (
     mixture_copula,
     mutual_information,
     random_copula,
-    rebalance_marginals,
     renyi_alpha,
     renyi_limit,
     tau_alpha,
 )
+from conftest import dense_rebalance
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -278,7 +278,7 @@ def _runs_copula(m, rng):
     i + m/2 - 1 (mod m): F(v0) = 0 at v0 > 0, and flat runs of F."""
     i, j = np.indices((m, m))
     raw = rng.gamma(2.0, 1.0, size=(m, m)) * ((j - i) % m < m // 2)
-    return rebalance_marginals(CheckerboardCopula((m, m), raw.ravel() / raw.sum()))
+    return CheckerboardCopula((m, m), dense_rebalance((m, m), raw / raw.sum()))
 
 
 def _near_boundary_copula(rng):

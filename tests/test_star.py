@@ -83,12 +83,12 @@ class TestStarLaws:
         out = star(identity_coupling(1, 4), b, 1)
         assert np.abs(out.mass - b.mass).max() < 1e-12
 
-    def test_left_identity_on_rebalanced_operand(self, rng):
-        # marginals of a rebalanced grid are exact only to the IPF tolerance
-        # (1e-10), which propagates into the composed cells
+    def test_left_identity_on_random_operand(self, rng):
+        # random grids have exact marginals up to rounding, so composing
+        # with the identity changes a cell only in its last bits
         _, b = random_star_pair(1, 4, rng)
         out = star(identity_coupling(1, 4), b, 1)
-        assert np.abs(out.mass - b.mass).max() < 1e-10
+        assert np.abs(out.mass - b.mass).max() < 1e-14
 
     def test_identity_equals_comonotone_pair(self):
         assert np.array_equal(

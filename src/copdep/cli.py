@@ -24,6 +24,7 @@ from .errors import (
     InvalidDataError,
 )
 from .estimation import (
+    _select_columns,
     PseudoObservations,
     ResolutionPolicy,
     choose_resolution,
@@ -50,6 +51,7 @@ from .grid import (
 )
 from .measures import (
     _KINDS,
+    MIN_KENDALL_BOUND,
     MeasureKind,
     compute_measure,
     group_tau,
@@ -88,26 +90,15 @@ def _parse_columns(spec: str | None) -> list | None:
     return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
-def _indices(spec: str | None, names: list[str]) -> list[int] | None:
-    cols = _parse_columns(spec)
-    if cols is None:
-        return None
-    out = []
-    for c in cols:
-        if c in names:
-            out.append(names.index(c))
-        else:
-            try:
-                out.append(int(c))
-            except ValueError as exc:
-                raise InvalidArgumentError(f"unknown column {c!r}") from exc
-    return out
+def _resolve_split(u_spec, v_spec, names: list[str] | None, dims: int) -> GroupSplit:
+    """Column selectors to a split; the default target is the last column and
+    the default conditioning block every other column."""
 
+    def select(spec):
+        return _select_columns(_parse_columns(spec), names, dims)
 
-def _resolve_split(u_cols, v_cols, n_cols: int) -> GroupSplit:
-    """Index lists to a split; default target is the last column."""
-    v = v_cols if v_cols is not None else [n_cols - 1]
-    u = u_cols if u_cols is not None else [j for j in range(n_cols) if j not in v]
+    v = [dims - 1] if v_spec is None else select(v_spec)
+    u = [j for j in range(dims) if j not in v] if u_spec is None else select(u_spec)
     return GroupSplit(tuple(u), tuple(v))
 
 
@@ -138,16 +129,14 @@ def _load_measure_input(args) -> tuple[CheckerboardCopula, GroupSplit | None, in
     path = Path(args.input)
     if _looks_like_json(path):
         copula = load_copula(path)
-        names: list[str] = []
+        names = None
         sample_size = None
     else:
         copula, pseudo, names = _fit_csv(args)
         sample_size = pseudo.n_rows
     split = None
     if _KINDS[args.kind].needs_split:
-        split = _resolve_split(
-            _indices(args.u_cols, names), _indices(args.v_cols, names), copula.dims
-        )
+        split = _resolve_split(args.u_cols, args.v_cols, names, copula.dims)
     return copula, split, sample_size
 
 
@@ -183,7 +172,7 @@ def cmd_measure(args) -> int:
         report = replace(report, sample_size=sample_size)
     payload = report.to_json_dict()
     if kind.tag == "group_tau" and report.upper_bound is not None:
-        if report.upper_bound >= 1e-12:
+        if report.upper_bound >= MIN_KENDALL_BOUND:
             payload["normalized_value"] = report.value / report.upper_bound
         else:
             payload["normalized_value"] = None

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError
-from .grid import CheckerboardCopula, _check_resolutions, _prod, _scatter, require_valid
+from .grid import CheckerboardCopula, _check_resolutions, _compress, _prod, _scatter, require_valid
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
 MAX_BOX_PARTS = 2**22
@@ -162,7 +162,7 @@ def fit_checkerboard(
     scratch = np.empty((2, n), dtype=np.int64)
     crossing = []
     for j, m in enumerate(res):
-        crossing.append(_add_axis(first, pseudo.values[:, j], pseudo.tie_counts[j], m, scratch))
+        crossing.append(_add_axis(first, pseudo.values[:, j], pseudo.tie_counts[j], m, scratch, j))
     del scratch
     if _prod(res) > 2 * n:
         cells, mass = np.unique(first, return_counts=True)
@@ -171,21 +171,20 @@ def fit_checkerboard(
         cells = np.flatnonzero(mass)
         mass = mass[cells]
     mass = mass.astype(np.float64)
-    split = np.zeros(n, dtype=bool)
-    split[np.concatenate([rows for rows, _, _ in crossing])] = True
-    if split.any():
-        split = np.flatnonzero(split)
-        moved, count, parts, shares = _split_boxes(res, n, split, first[split], crossing)
+    if any(rows.size for rows, _, _ in crossing):
+        moved, count, parts, shares = _split_boxes(res, n, first, crossing)
         np.subtract.at(mass, np.searchsorted(cells, moved), count)  # they count by their parts
         cells, at = np.unique(np.concatenate([cells, parts]), return_inverse=True)
         mass = np.bincount(at, weights=np.concatenate([mass, shares]))
     return require_valid(CheckerboardCopula._from_cells(res, cells, mass / n), "fit_checkerboard")
 
 
-def _add_axis(first, column, tied: int, m: int, scratch):
-    """Append an axis to each row's first-cell flat index.  In units of 1/(N m),
+def _add_axis(first, column, tied: int, m: int, scratch, j: int):
+    """Append axis ``j`` to each row's first-cell flat index.  In units of 1/(N m),
     where cell c is [c N, (c + 1) N), returns the rows whose rank interval
     crosses a cell edge and, per cell, the start and length of the one that does.
+
+    A column without ties must hold the mid-ranks (r + 1/2) / N, r = 0..N-1.
     """
     n = column.size
     start, cell = scratch
@@ -196,7 +195,18 @@ def _add_axis(first, column, tied: int, m: int, scratch):
         crosses[lo[lo * m // n < ((lo + size) * m - 1) // n]] = True
         np.take(lo, group, out=start)
     else:  # the cast truncates lo + 0.5; edge k N / m is inside [lo, lo + 1) if k N % m > 0
-        np.multiply(column, n, out=start, casting="unsafe")
+        with np.errstate(invalid="ignore"):  # NaN casts to some integer, rejected below
+            np.multiply(column, n, out=start, casting="unsafe")
+        ranks = n > 0 and 0 <= start.min() and start.max() < n
+        if ranks:
+            crosses[start] = True
+        # Ranks 0..N-1 once each, and above 0 at rank 0, put every value in (0, 1).
+        if not (ranks and crosses.all() and column[start.argmin()] > 0.0):
+            raise InvalidArgumentError(
+                f"column {j} is recorded without ties but is not a permutation of the"
+                " mid-ranks (r + 1/2) / N that pseudo_observations returns"
+            )
+        crosses[:] = False
         edge = np.arange(1, m) * n
         crosses[edge[edge % m > 0] // m] = True
     rows = np.flatnonzero(crosses[start])
@@ -210,19 +220,27 @@ def _add_axis(first, column, tied: int, m: int, scratch):
     return rows, out_start, out_length
 
 
-def _split_boxes(res, n: int, rows, first, crossing):
-    """First cell and row count of each box of ``rows``, and the cells the
-    boxes meet with their masses in units of 1/N.  An interval that crosses no
-    edge is replaced by its whole cell, so a box is known by its first cell and
-    which axes it crosses on; each is expanded once, in sorted order.
+def _split_boxes(res, n: int, first, crossing):
+    """First cell and row count of each box of the rows that cross an edge,
+    and the cells the boxes meet with their masses in units of 1/N.  An
+    interval that crosses no edge is replaced by its whole cell, so a box is
+    known by its first cell and the axes it crosses on; each is expanded once,
+    in key order.
     """
-    keys = []
-    for cell, (axis_rows, _, _) in zip(np.unravel_index(first, res), crossing):
-        keys.append(cell * 2 + np.isin(rows, axis_rows))
-    keys = np.array(keys)[:, np.lexsort(keys)]
-    new = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
-    keys, count = keys[:, new], np.diff(np.r_[new, rows.size])
-    cell, out = np.divmod(keys, 2)
+    d = len(res)
+    bits = np.zeros(n, dtype=np.int64)  # a bit per axis the row's interval crosses on
+    for j, (rows, _, _) in enumerate(crossing):
+        bits[rows] += 1 << j
+    rows = np.flatnonzero(bits)
+    firsts, rank = _compress(first[rows], _prod(res))
+    if firsts.size << d >= 2**63:
+        raise InvalidArgumentError(
+            f"{firsts.size} first cells of split rank boxes on {d} axes overflow an int64 key"
+        )
+    key, count = np.unique((rank << d) + bits[rows], return_counts=True)
+    moved = firsts[key >> d]
+    cell = np.array(np.unravel_index(moved, res))
+    out = (key >> np.arange(d)[:, None]) & 1
     start = np.array([np.where(o, s[c], c * n) for (_, s, _), c, o in zip(crossing, cell, out)])
     length = np.array([np.where(o, w[c], n) for (_, _, w), c, o in zip(crossing, cell, out)])
     span = (start + length - 1) // n - cell + 1
@@ -243,7 +261,6 @@ def _split_boxes(res, n: int, rows, first, crossing):
         weight = weight[pick] * (overlap / width)
         index = index[pick] * m + part
     cells, at = np.unique(index, return_inverse=True)
-    moved = np.ravel_multi_index(tuple(cell), res)
     return moved, count, cells, np.bincount(at, weights=weight, minlength=cells.size)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def _default_functional(x: np.ndarray) -> np.ndarray:
+def _functional(x: np.ndarray) -> np.ndarray:
     """sin of the first driver plus the square of the second (or of itself)."""
     if x.shape[1] == 1:
         return np.sin(x[:, 0]) + x[:, 0] ** 2
@@ -47,8 +46,10 @@ class SynthModel:
       * comonotone: one uniform repeated across all columns.
       * mixture: bivariate; each row is comonotone with probability theta,
         independent otherwise.  The quadratic measure tends to theta^2.
-      * functional: last column = func(other columns) + sigma * noise;
-        complete dependence of the target on the drivers when sigma = 0.
+      * functional: last column = sin(first driver) + (second driver)^2
+        + sigma * noise, with the first driver standing in for the second
+        when there is only one; complete dependence of the target on the
+        drivers when sigma = 0.
       * gaussian: joint normal with the given correlation matrix.
       * square_law: X uniform on (-1, 1), Y = X^2.  Y is a function of X but
         not conversely, so the measure is 1 one way and 1/4 the other.
@@ -58,7 +59,6 @@ class SynthModel:
     dimension: int = 2
     theta: float | None = None
     sigma: float = 0.0
-    func: Callable | None = None
     correlation: tuple[tuple[float, ...], ...] | None = None
     seed: int = 0
 
@@ -110,8 +110,7 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
         return np.column_stack([u, np.where(pick, u, other)])
     if model.tag == "functional":
         x = rng.uniform(-2.0, 2.0, size=(n_rows, d - 1))
-        func = model.func if model.func is not None else _default_functional
-        y = np.asarray(func(x), dtype=np.float64)
+        y = _functional(x)
         if model.sigma > 0.0:
             y = y + model.sigma * rng.standard_normal(n_rows)
         return np.column_stack([x, y])

@@ -73,6 +73,14 @@ def _compress(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), rank[keys]
 
 
+def _unit_point(point) -> np.ndarray:
+    """``point`` as a flat float array; rejects empty points and points outside [0, 1]^d."""
+    p = np.asarray(point, dtype=np.float64).ravel()
+    if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+        raise InvalidArgumentError(f"point {p.tolist()} outside the unit cube")
+    return p
+
+
 def _scatter(index: np.ndarray, mass: np.ndarray, size: int) -> np.ndarray:
     """Dense array of ``size`` cells holding ``mass`` at ``index``, zero elsewhere."""
     out = np.zeros(size)
@@ -177,6 +185,14 @@ class CheckerboardCopula:
         size = _prod(self.resolutions[first : last + 1])
         return key - (key // size) * size
 
+    def _block_sums(self, axes) -> tuple[np.ndarray, np.ndarray]:
+        """Mass of every cell of the grid over ``axes`` alone (row-major, in
+        the given order), each the sum of its stored cells in stored order,
+        and the ``_key`` of every stored cell over ``axes``."""
+        key = self._key(axes)
+        size = _prod(self.resolutions[a] for a in axes)
+        return np.bincount(key, weights=self.cell_mass, minlength=size), key
+
     # ------------------------------------------------------------------
     # pointwise evaluation
     # ------------------------------------------------------------------
@@ -187,9 +203,7 @@ class CheckerboardCopula:
             raise InvalidArgumentError(
                 f"point has {p.size} coordinates, copula has {self.dims}"
             )
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-            raise InvalidArgumentError(f"point {p.tolist()} outside the unit cube")
-        return p
+        return _unit_point(p)
 
     def _box_share(self, lower, upper) -> float:
         """Sum of stored cell masses, each weighted by the share of its cell
@@ -314,8 +328,7 @@ class CheckerboardCopula:
         worst_axis = None
         worst_slab = None
         for axis, m in enumerate(self.resolutions):
-            slabs = np.bincount(self._key((axis,)), weights=mass, minlength=m)
-            errs = np.abs(slabs - 1.0 / m)
+            errs = np.abs(self._block_sums((axis,))[0] - 1.0 / m)
             j = int(errs.argmax())
             if errs[j] > worst_err:
                 worst_err = float(errs[j])
@@ -468,18 +481,13 @@ def frechet_lower(point) -> float:
     A pointwise bound for every copula; not itself a copula beyond two
     dimensions, so it is exposed only as a function.
     """
-    p = np.asarray(point, dtype=np.float64).ravel()
-    if p.size == 0 or np.any(p < 0.0) or np.any(p > 1.0) or not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("point must lie in the unit cube")
+    p = _unit_point(point)
     return max(float(p.sum()) - p.size + 1.0, 0.0)
 
 
 def frechet_upper(point) -> float:
     """Upper Frechet-Hoeffding envelope min(u_1, ..., u_d)."""
-    p = np.asarray(point, dtype=np.float64).ravel()
-    if p.size == 0 or np.any(p < 0.0) or np.any(p > 1.0) or not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("point must lie in the unit cube")
-    return float(p.min())
+    return float(_unit_point(point).min())
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,14 @@ to rounding: cells where the integrand is constant, and cells whose
 conditional CDF vanishes within half a cell below them, which are integrated
 exactly in the ratio variable (Gauss-Jacobi for the power kind, a dilogarithm
 for x log x); the rule skips the target cells outside the span that a
-block of conditioning rows needs it for.  The group measure evaluates at target cell centers against
-the target-marginal weights.
+block of conditioning rows needs it for.
+
+The group measures work at target cell centers.  One helper, ``_at_centers``,
+gives the mass below every center for rows of target-cell masses: the
+conditional CDF of each conditioning row, and the target-marginal CDF, which
+is the reference for the group gap and places the knots of the Kendall
+distribution behind the group bound.  A bound below ``MIN_KENDALL_BOUND`` is
+too small to normalize by.
 
 Conventions that matter for reproducibility:
   * zero-weight conditioning cells contribute zero to every sum;
@@ -44,10 +50,13 @@ from .errors import (
     EvaluationError,
     InvalidArgumentError,
 )
-from .grid import CheckerboardCopula, GroupSplit, _compress, _prod, _strides
+from .grid import CheckerboardCopula, GroupSplit, _compress, _prod, _strides, _unit_point
 
 #: Slack allowed above the theoretical unit bound before warning.
 UNIT_SLACK = 1e-9
+
+#: Smallest Kendall bound that a group value may be divided by.
+MIN_KENDALL_BOUND = 1e-12
 
 #: Points of the Gauss-Legendre rule applied to every target cell.
 _GAUSS_ORDER = 16
@@ -288,8 +297,7 @@ def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) ->
         raise InvalidArgumentError(
             f"target point needs {len(split.v_axes)} coordinates, got {vs.size}"
         )
-    if np.any(vs < 0.0) or np.any(vs > 1.0) or not np.all(np.isfinite(vs)):
-        raise InvalidArgumentError(f"target point {vs.tolist()} outside [0, 1]")
+    _unit_point(vs)
 
     index = copula.cell_index
     if not index.size:
@@ -505,9 +513,8 @@ def mutual_information(copula: CheckerboardCopula) -> MeasureReport:
     live = copula.cell_mass > 0.0
     p = copula.cell_mass[live]
     denom = np.ones(p.size)
-    for axis, m in enumerate(copula.resolutions):
-        coords = copula._key((axis,))
-        slabs = np.bincount(coords, weights=copula.cell_mass, minlength=m)
+    for axis in range(copula.dims):
+        slabs, coords = copula._block_sums((axis,))
         denom *= slabs[coords[live]]
     value = _fsum(p * np.log(p / denom))
     return MeasureReport(
@@ -571,25 +578,14 @@ def _center_ramp(m: int) -> np.ndarray:
     return ramp
 
 
-def _center_contract(block: np.ndarray, v_res: tuple[int, ...]) -> np.ndarray:
-    """Contract trailing target axes with the center ramps of each axis."""
-    out = block
+def _at_centers(rows: np.ndarray, v_res: tuple[int, ...]) -> np.ndarray:
+    """Per row of target-cell masses, the mass below every target cell center
+    (half of a cell's own mass is below its center): each target axis is
+    contracted with its center ramp."""
+    out = rows.reshape((rows.shape[0],) + v_res)
     for m in v_res:
         out = np.tensordot(out, _center_ramp(m), axes=([1], [0]))
-    return out
-
-
-def _center_profiles(w: np.ndarray, mat: np.ndarray, v_res) -> np.ndarray:
-    """Conditional CDF at every target cell center, per conditioning cell."""
-    t = mat.reshape((mat.shape[0],) + tuple(v_res))
-    out = _center_contract(t, tuple(v_res))
-    return out.reshape(mat.shape[0], -1) / w[:, None]
-
-
-def _center_reference(target_w: np.ndarray, v_res) -> np.ndarray:
-    """Target-marginal CDF at every target cell center."""
-    out = _center_contract(target_w.reshape((1,) + tuple(v_res)), tuple(v_res))
-    return out.reshape(-1)
+    return out.reshape(rows.shape[0], -1)
 
 
 def _center_gaps(
@@ -601,8 +597,8 @@ def _center_gaps(
     w, mat = _active_rows(copula, split)
     v_res = tuple(copula.resolutions[a] for a in split.v_axes)
     target_w = _target_marginal_masses(copula, split.v_axes)
-    reference = _center_reference(target_w, v_res)
-    gaps = _center_profiles(w, mat, v_res) - reference[None, :]
+    reference = _at_centers(target_w[None, :], v_res)[0]
+    gaps = _at_centers(mat, v_res) / w[:, None] - reference[None, :]
     return w, gaps, target_w, reference
 
 
@@ -626,25 +622,18 @@ def kendall_cdf(copula: CheckerboardCopula, v_axes) -> KendallCdf:
         return KendallCdf(((0.0, 0.0), (1.0, 1.0)), kind="linear")
     masses = _target_marginal_masses(copula, v_axes)
     v_res = tuple(copula.resolutions[a] for a in v_axes)
-    return _kendall_steps(masses, _center_reference(masses, v_res))
+    return _kendall_steps(masses, _at_centers(masses[None, :], v_res)[0])
 
 
 def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> KendallCdf:
     """Step CDF placing each target cell's mass at its center value ``ts``."""
     order = np.argsort(ts, kind="stable")
-    knots = []
-    cum = 0.0
-    for i in order:
-        cum += float(masses[i])
-        t = float(ts[i])
-        if knots and knots[-1][0] == t:
-            knots[-1] = (t, cum)
-        else:
-            knots.append((t, cum))
-    # Guard the accumulated total against eps drift past 1.
-    t_last, k_last = knots[-1]
-    knots[-1] = (t_last, min(k_last, 1.0))
-    return KendallCdf(tuple(knots), kind="step")
+    ts = ts[order]
+    cum = np.cumsum(masses[order])  # adds in sequence, one mass at a time
+    last = np.r_[ts[1:] != ts[:-1], True]  # one knot per distinct t, at its last mass
+    # Guard every knot against eps drift past 1, so the knots stay nondecreasing.
+    np.minimum(cum, 1.0, out=cum)
+    return KendallCdf(tuple(zip(ts[last].tolist(), cum[last].tolist())), kind="step")
 
 
 def max_bound(kendall: KendallCdf) -> float:
@@ -701,7 +690,7 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
 def group_tau_normalized(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     """group_tau rescaled by its Kendall bound so the maximum is 1."""
     base = group_tau(copula, split)
-    if base.upper_bound is None or base.upper_bound < 1e-12:
+    if base.upper_bound is None or base.upper_bound < MIN_KENDALL_BOUND:
         raise DegenerateBoundError(
             f"Kendall bound {base.upper_bound} too small to normalize"
         )

@@ -183,6 +183,57 @@ class TestMeasure:
             payload["value"] / payload["upper_bound"]
         )
 
+    def test_degenerate_group_bound_gives_a_null_normalized_value(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import copdep.measures as measures
+
+        monkeypatch.setattr(measures, "max_bound", lambda k: 0.0)
+        cop_path = tmp_path / "g.json"
+        copdep.save_copula(copdep.random_copula((4, 4, 4), copdep.make_rng(2)), cop_path)
+        code, out, err = run(
+            capsys, "measure", "--input", str(cop_path), "--kind", "group_tau",
+            "--u-cols", "0", "--v-cols", "1,2",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["upper_bound"] == 0.0
+        assert payload["normalized_value"] is None
+        assert "normalized value omitted" in err
+
+    @pytest.mark.parametrize("flag", ["--u-cols", "--v-cols"])
+    @pytest.mark.parametrize("selector", ["3", "-1", "nope"])
+    def test_bad_split_selector_exits_two(self, capsys, tmp_path, flag, selector):
+        csv_path = tmp_path / "abc.csv"
+        np.savetxt(csv_path, np.random.default_rng(6).random((40, 3)), delimiter=",",
+                   header="a,b,c", comments="")
+        code, out, err = run(
+            capsys, "measure", "--input", str(csv_path), flag, selector, "--resolution", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_digit_selectors_are_indices_when_a_header_token_is_digits(self, capsys, tmp_path):
+        csv_path = tmp_path / "digits.csv"
+        np.savetxt(csv_path, np.random.default_rng(7).random((64, 3)), delimiter=",",
+                   header="1,b,c", comments="")
+        code, _, err = run(
+            capsys, "estimate", "--input", str(csv_path), "--output", str(tmp_path / "c.json"),
+            "--columns", "1,2", "--resolution", "4",
+        )
+        assert code == 0
+        assert "columns: ['b', 'c']" in err
+        for u_cols, v_cols in (("1,2", "0"), ("0,2", "1")):
+            code, out, _ = run(
+                capsys, "measure", "--input", str(csv_path), "--u-cols", u_cols,
+                "--v-cols", v_cols, "--resolution", "4",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["u_axes"] == [int(c) for c in u_cols.split(",")]
+            assert payload["v_axes"] == [int(v_cols)]
+
     def test_invalid_alpha_exits_two(self, capsys, tmp_path):
         csv_path = write_synth(capsys, tmp_path)
         code, _, _ = run(

@@ -27,6 +27,7 @@ from copdep import (
     fit_checkerboard,
     group_tau,
     group_tau_normalized,
+    kendall_cdf,
     max_bound,
     mutual_information,
     pseudo_observations,
@@ -198,9 +199,9 @@ class Dense:
         profiles = contract(mat.reshape((mat.shape[0],) + v_res)).reshape(mat.shape[0], -1)
         return w, profiles / w[:, None] - reference[None, :], target_w, reference
 
-    def group_tau(self, split):
-        w, gaps, target_w, ts = self.center_gaps(split)
-        value = 6.0 * math.fsum((w * ((gaps * gaps) @ target_w)).tolist())
+    @staticmethod
+    def kendall_knots(target_w, ts):
+        """Knots of the Kendall step CDF, accumulated one mass at a time."""
         knots, cum = [], 0.0
         for i in np.argsort(ts, kind="stable"):
             cum += float(target_w[i])
@@ -208,8 +209,12 @@ class Dense:
                 knots[-1] = (float(ts[i]), cum)
             else:
                 knots.append((float(ts[i]), cum))
-        knots[-1] = (knots[-1][0], min(knots[-1][1], 1.0))
-        return value, max_bound(KendallCdf(tuple(knots), kind="step"))
+        return tuple((t, min(k, 1.0)) for t, k in knots)
+
+    def group_tau(self, split):
+        w, gaps, target_w, ts = self.center_gaps(split)
+        value = 6.0 * math.fsum((w * ((gaps * gaps) @ target_w)).tolist())
+        return value, max_bound(KendallCdf(self.kendall_knots(target_w, ts), kind="step"))
 
     def group_tau_normalized(self, split):
         value, bound = self.group_tau(split)
@@ -276,6 +281,8 @@ def test_every_measure_matches_the_dense_oracle(case):
         (lambda: mutual_information(cop).value, dense.mutual_information),
     ]
     if len(group.v_axes) >= 2:
+        _, _, target_w, ts = dense.center_gaps(group)
+        assert kendall_cdf(cop, group.v_axes).knots == Dense.kendall_knots(target_w, ts)
         pairs += [
             (lambda: group_tau(cop, group).value, lambda: dense.group_tau(group)[0]),
             (lambda: group_tau(cop, group).upper_bound, lambda: dense.group_tau(group)[1]),

@@ -13,6 +13,7 @@ from copdep import (
     InsufficientDataError,
     InvalidArgumentError,
     InvalidDataError,
+    PseudoObservations,
     ResolutionPolicy,
     SynthModel,
     choose_resolution,
@@ -180,6 +181,24 @@ class TestFitCheckerboard:
             fit_checkerboard(obs, (128,) * 8)
         assert fit_checkerboard(obs, (2,) * 8).validate().passed
 
+    @pytest.mark.parametrize(
+        "column",
+        [[0.75, 1.0], [0.0, 0.75], [-0.25, 0.75], [np.nan, 0.75], [0.25, 0.4]],
+        ids=["one", "zero", "negative", "nan", "repeated rank"],
+    )
+    def test_tie_free_column_that_is_not_mid_ranks_rejected(self, column):
+        # a 1.0 maps to cell m, whose flat index would alias another cell
+        obs = PseudoObservations(np.column_stack([[0.25, 0.75], column]), (0, 0))
+        with pytest.raises(InvalidArgumentError, match="column 1 .*mid-ranks"):
+            fit_checkerboard(obs, (2, 2))
+
+    def test_split_box_keys_beyond_int64_rejected(self, rng):
+        # 3 rows on 2 cells per axis: one rank per axis crosses the edge, and
+        # 62 axes leave one bit of an int64 key for the first cells
+        obs = pseudo_observations(rng.random((3, 62)))
+        with pytest.raises(InvalidArgumentError, match="int64 key"):
+            fit_checkerboard(obs, (2,) * 62)
+
     def test_conditioning_column_permutation_gives_relabeled_grid(self, rng):
         data = rng.random((400, 3))
         cop = fit_checkerboard(pseudo_observations(data), (4, 4, 4))
@@ -189,16 +208,20 @@ class TestFitCheckerboard:
 
 @st.composite
 def shuffled_samples(draw):
-    """A sample with ties, a resolution that need not divide N, and a row order."""
+    """A sample with ties (rounded columns, or columns of 2 or 5 values),
+    resolutions that need not divide N, and a row order."""
     n = draw(st.integers(2, 400))
     dims = draw(st.integers(2, 4))
-    m = draw(st.integers(1, 16))
+    res = tuple(draw(st.lists(st.integers(1, 16), min_size=dims, max_size=dims)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.standard_normal((n, dims))
     for j in range(dims):
-        if draw(st.booleans()):
-            data[:, j] = np.round(data[:, j] * draw(st.sampled_from([0.5, 2.0, 8.0])))
-    return data, (m,) * dims, rng.permutation(n)
+        ties = draw(st.sampled_from([None, 0.5, 2.0, 8.0, 2, 5]))  # a scale, or a value count
+        if isinstance(ties, float):
+            data[:, j] = np.round(data[:, j] * ties)
+        elif ties is not None:
+            data[:, j] = rng.integers(0, ties, size=n)
+    return data, res, rng.permutation(n)
 
 
 @settings(max_examples=150, deadline=None)

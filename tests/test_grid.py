@@ -136,6 +136,12 @@ class TestFrechetFunctions:
         with pytest.raises(InvalidArgumentError):
             frechet_lower([1.2, 0.5])
 
+    @pytest.mark.parametrize("envelope", [frechet_lower, frechet_upper])
+    @pytest.mark.parametrize("point", [[1.2, 0.5], [-0.1, 0.5], [np.nan, 0.5], []])
+    def test_both_envelopes_reject_points_outside_the_unit_cube(self, envelope, point):
+        with pytest.raises(InvalidArgumentError, match="unit cube"):
+            envelope(point)
+
 
 class TestCdf:
     def test_zero_coordinate_gives_zero(self):

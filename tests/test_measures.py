@@ -14,6 +14,7 @@ from copdep import (
     averaged_dependence,
     comonotone_copula,
     conditional_cdf,
+    fit_checkerboard,
     generic_measure,
     group_tau,
     group_tau_normalized,
@@ -22,6 +23,7 @@ from copdep import (
     max_bound,
     mixture_copula,
     mutual_information,
+    pseudo_observations,
     random_copula,
     renyi_alpha,
     renyi_limit,
@@ -344,6 +346,16 @@ class TestKendallCdf:
     def test_knot_monotonicity_validated(self):
         with pytest.raises(InvalidArgumentError):
             KendallCdf(((0.2, 0.5), (0.1, 1.0)))
+
+    def test_target_masses_summing_past_one_keep_the_knots_nondecreasing(self):
+        # this fit's target masses reach 1 + 2**-52 before its last, empty
+        # target cell; clamping only the last knot made the knots decrease
+        data = np.random.default_rng(213).standard_normal((97, 3))
+        cop = fit_checkerboard(pseudo_observations(data), (5, 7, 6))
+        knots = kendall_cdf(cop, (1, 2)).knots
+        assert knots[-1][1] == 1.0
+        report = group_tau(cop, GroupSplit((0,), (1, 2)))
+        assert 0.0 <= report.value <= report.upper_bound
 
 
 class TestMaxBound:

@@ -115,6 +115,7 @@ def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
     pseudo-observations and the column names."""
     data, names = read_csv(args.input, _parse_columns(args.columns))
     pseudo = pseudo_observations(data)
+    del data  # the fit needs only the ranks; the raw matrix would set its peak
     if args.resolution is None:
         policy = ResolutionPolicy(mode="automatic")
     else:

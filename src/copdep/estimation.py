@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError
-from .grid import CheckerboardCopula, _check_resolutions, _compress, _prod, _scatter, require_valid
+from .grid import CheckerboardCopula, _check_resolutions, _compress, _prod, require_valid
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
 MAX_BOX_PARTS = 2**22
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class PseudoObservations:
     """Rank-transformed sample matrix with entries strictly inside (0, 1).
 
@@ -34,16 +34,29 @@ class PseudoObservations:
     group.  ``tie_counts[j]`` records how many rows in column j shared a
     value with an earlier row; nonzero counts mean the continuity assumption
     behind the rank transform is violated.
+
+    ``values`` is a read-only (N, d) view of column-major storage, so each
+    column ``values[:, j]`` is contiguous.  ``PseudoObservations(values,
+    tie_counts)`` stores a copy and leaves the caller's array as it was.
     """
 
     values: np.ndarray
     tie_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "tie_counts", tuple(int(t) for t in self.tie_counts))
+    def __init__(self, values, tie_counts):
+        self._freeze(np.array(values, dtype=np.float64, order="F"), tie_counts)
+
+    @classmethod
+    def _from_columns(cls, columns: np.ndarray, tie_counts) -> PseudoObservations:
+        """From a (d, N) float64 array of mid-ranks that no one else holds; no copy."""
+        pseudo = object.__new__(cls)
+        pseudo._freeze(columns.T, tie_counts)
+        return pseudo
+
+    def _freeze(self, values: np.ndarray, tie_counts) -> None:
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "tie_counts", tuple(int(t) for t in tie_counts))
 
     def __repr__(self) -> str:
         return f"PseudoObservations(n_rows={self.n_rows}, n_cols={self.n_cols})"
@@ -87,7 +100,8 @@ class ResolutionPolicy:
 def pseudo_observations(data) -> PseudoObservations:
     """Column-wise normalized mid-ranks; tied rows share one rank interval.
 
-    Raises InsufficientDataError for fewer than two rows and
+    Beside the input and the output it holds two column-sized temporaries
+    and a boolean one, whatever the ties.  Raises InsufficientDataError for fewer than two rows and
     InvalidDataError (with the offending column) for non-finite entries.
     """
     arr = np.asarray(data, dtype=np.float64)
@@ -96,27 +110,34 @@ def pseudo_observations(data) -> PseudoObservations:
     n, d = arr.shape
     if n < 2:
         raise InsufficientDataError(f"need at least 2 rows, got {n}")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        col = int(np.argwhere(bad.any(axis=0)).ravel()[0])
-        raise InvalidDataError(f"non-finite value in column {col}", column=col)
-    del bad
-    out = np.empty_like(arr)
+    out = np.empty((d, n))  # column-major: every pass over a column is contiguous
+    new = np.empty(n, dtype=bool)  # whether each sorted value starts a tie group
+    new[0] = True
     ties = []
-    for j in range(d):
+    for j, row in enumerate(out):
         col = arr[:, j]
         order = np.argsort(col)
-        ordered = col[order]
-        same = ordered[1:] == ordered[:-1]
-        tied = int(np.count_nonzero(same))
-        twice_mid = np.arange(1, 2 * n, 2)  # lo + hi of each interval, in sorted order
-        if tied:
-            lo = np.flatnonzero(np.r_[True, ~same])
-            hi = np.r_[lo[1:], n]
-            twice_mid = np.repeat(lo + hi, hi - lo)
-        del ordered, same
-        out[:, j] = _scatter(order, twice_mid / (2 * n), n)
-        ties.append(tied)
+        np.take(col, order, out=row, mode="clip")  # "raise" would buffer a copy
+        if not (np.isfinite(row[0]) and np.isfinite(row[-1])):  # NaN sorts last
+            raise InvalidDataError(f"non-finite value in column {j}", column=j)
+        np.not_equal(row[1:], row[:-1], out=new[1:])
+        ties.append(n - int(np.count_nonzero(new)))
+        # Sorted position k lies in its tie group's interval [lo, hi): lo is the
+        # last group start at or before k, and n - hi the same in reversed order,
+        # written over the sorted values.  Each step is exact in float64, so only
+        # the division by 2N rounds; ``del`` frees both columns before the next sort.
+        mid = np.arange(n, dtype=np.float64)
+        back = row[::-1]
+        back[0] = 0.0
+        np.multiply(mid[1:], new[:0:-1], out=back[1:])
+        np.maximum.accumulate(back, out=back)
+        mid *= new
+        np.maximum.accumulate(mid, out=mid)
+        mid -= row
+        mid += n
+        mid /= 2 * n
+        row[order] = mid
+        del order, mid
     total_ties = sum(ties)
     if total_ties:
         warnings.warn(
@@ -124,7 +145,7 @@ def pseudo_observations(data) -> PseudoObservations:
             RuntimeWarning,
             stacklevel=2,
         )
-    return PseudoObservations(out, tuple(ties))
+    return PseudoObservations._from_columns(out, ties)
 
 
 def choose_resolution(n_rows: int, dims: int, policy: ResolutionPolicy) -> tuple[int, ...]:
@@ -317,7 +338,8 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     """Read a numeric CSV, optionally selecting columns by name or 0-based index.
 
     The first row is treated as a header when any of its tokens is not a
-    number.  Returns the selected matrix and the resolved column names.
+    number.  Returns the selected matrix and the resolved column names; when
+    every column is selected in order, the matrix is the parsed array itself.
 
     Plain files are parsed by ``np.loadtxt``.  Anything it refuses (quoted
     fields, tokens only ``float`` accepts, ragged or non-numeric rows, a
@@ -344,7 +366,9 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
         if data is not None and data.size:
             width = data.shape[1]
             sel = _select_columns(columns, header, width)
-            return data.take(sel, axis=1), _column_names(header, width, sel)
+            if sel != list(range(width)):
+                data = data.take(sel, axis=1)
+            return data, _column_names(header, width, sel)
     return _read_csv_rows(path, columns)
 
 

@@ -77,6 +77,14 @@ class TestPseudoObservations:
         assert obs.values.min() > 0.0
         assert obs.values.max() < 1.0
 
+    def test_constructor_copies_and_leaves_the_callers_array_writeable(self):
+        given = np.array([[0.25, 0.75], [0.75, 0.25]])
+        obs = PseudoObservations(given, (0, 0))
+        assert given.flags.writeable
+        assert not obs.values.flags.writeable
+        given[0, 0] = 0.5
+        assert obs.values[0, 0] == 0.25
+
 
 class TestChooseResolution:
     def test_automatic_20000_rows_3d(self):
@@ -253,6 +261,75 @@ def test_every_chosen_or_fixed_resolution_fits(n, dims, fixed, seed):
     assert report.passed, report.summary()
 
 
+def reference_pseudo_observations(data):
+    """Row-major ranking that ``pseudo_observations`` replaced: the values and
+    the tie counts, or InvalidDataError naming the first non-finite column."""
+    arr = np.asarray(data, dtype=np.float64)
+    n, d = arr.shape
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        col = int(np.argwhere(bad.any(axis=0)).ravel()[0])
+        raise InvalidDataError(f"non-finite value in column {col}", column=col)
+    out = np.empty_like(arr)
+    ties = []
+    for j in range(d):
+        col = arr[:, j]
+        order = np.argsort(col)
+        ordered = col[order]
+        same = ordered[1:] == ordered[:-1]
+        twice_mid = np.arange(1, 2 * n, 2)
+        if same.any():
+            lo = np.flatnonzero(np.r_[True, ~same])
+            hi = np.r_[lo[1:], n]
+            twice_mid = np.repeat(lo + hi, hi - lo)
+        out[order, j] = twice_mid / (2 * n)
+        ties.append(int(np.count_nonzero(same)))
+    return out, tuple(ties)
+
+
+@st.composite
+def rank_samples(draw):
+    """Up to 300 rows and 4 columns, each without ties, rounded, of 5 values,
+    constant or of signed zeros, with up to two non-finite cells."""
+    n = draw(st.integers(2, 300))
+    dims = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((n, dims))
+    for j in range(dims):
+        kind = draw(st.sampled_from(["distinct", "rounded", "valued", "constant", "zeros"]))
+        if kind == "rounded":
+            data[:, j] = np.round(data[:, j] * 2.0)
+        elif kind == "valued":
+            data[:, j] = rng.integers(0, 5, size=n)
+        elif kind == "constant":
+            data[:, j] = 1.5
+        elif kind == "zeros":
+            data[:, j] = rng.choice([0.0, -0.0, 1.0], size=n)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, dims - 1))
+    bad = st.tuples(cells, st.sampled_from([np.nan, np.inf, -np.inf]))
+    for (i, j), value in draw(st.lists(bad, max_size=2)):
+        data[i, j] = value
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_samples())
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_ranks_match_the_row_major_reference(data):
+    try:
+        expected, ties = reference_pseudo_observations(data)
+    except InvalidDataError as exc:
+        with pytest.raises(InvalidDataError) as err:
+            pseudo_observations(data)
+        assert err.value.column == exc.column
+        return
+    obs = pseudo_observations(data)
+    assert obs.values.shape == data.shape
+    assert obs.values.tobytes() == expected.tobytes()
+    assert obs.tie_counts == ties
+    assert all(obs.values[:, j].flags.c_contiguous for j in range(obs.n_cols))
+
+
 class TestReadCsv:
     def test_header_detection_and_names(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -274,6 +351,18 @@ class TestReadCsv:
         data, names = read_csv(path, ["c", "0"])
         assert names == ["c", "a"]
         assert np.allclose(data, [[3, 1], [6, 4]])
+
+    def test_every_column_in_order_is_the_whole_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        data, names = read_csv(path)
+        same, same_names = read_csv(path, ["a", "1", 2])
+        assert names == same_names == ["a", "b", "c"]
+        assert np.array_equal(same, data)
+        subset, subset_names = read_csv(path, ["c", "a"])
+        assert subset_names == ["c", "a"]
+        assert np.array_equal(subset, data[:, [2, 0]])
+        assert subset.base is None  # a separate array, not a view of the parse
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,8 +1,10 @@
-"""Peak allocations of fitting and measuring on grids that are mostly empty.
+"""Peak allocations of ranking, fitting and measuring.
 
 A copula stores only its occupied cells, so no step may allocate an array
 with one entry per grid cell.  At d=5, m=32 the grid has 33.5M cells
-(256 MiB as float64); at 512^3 it has 134M (1 GiB).
+(256 MiB as float64); at 512^3 it has 134M (1 GiB).  Ranking holds its
+output and two column-sized temporaries whatever the ties, and the CLI drops
+the raw sample once it is ranked.
 """
 
 import tracemalloc
@@ -20,6 +22,7 @@ from copdep import (
     renyi_limit,
     tau_quadratic,
 )
+from copdep.cli import main
 
 MB = 2**20
 
@@ -87,3 +90,36 @@ def test_measures_on_comonotone_512_cubed_stay_small():
     assert abs(values["tau"] - (1.0 - 1.0 / 512)) < 1e-12
     assert abs(values["mi"] - 2.0 * np.log(512)) < 1e-9
     assert values["renyi_limit"] > 0.0
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_ranking_holds_its_output_and_two_columns(tied):
+    # The tied sample has a 5-valued column and one rounded to ~1.5e5 distinct values.
+    rng = make_rng(11)
+    n = 200_000
+    data = rng.standard_normal((n, 3))
+    if tied:
+        data[:, 0] = rng.integers(0, 5, n)
+        data[:, 1] = np.round(data[:, 1], 5)
+    result = {}
+
+    def work():
+        result["pseudo"] = pseudo_observations(data)
+
+    assert peak_bytes(work) < data.nbytes + 2.5 * n * 8
+    assert tied == any(result["pseudo"].tie_counts)
+
+
+def test_cli_measure_on_a_csv_holds_the_sample_its_ranks_and_two_columns(tmp_path):
+    n = 200_000
+    path = tmp_path / "sample.csv"
+    sample = make_rng(3).standard_normal((n, 3))
+    np.savetxt(path, sample, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    argv = ["measure", "--input", str(path), "--kind", "tau_quadratic"]
+    assert main(argv) == 0  # imports and caches fill outside the traced run
+
+    def work():
+        assert main(argv) == 0
+
+    assert peak_bytes(work) < 2 * sample.nbytes + 2.5 * n * 8

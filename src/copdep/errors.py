@@ -47,3 +47,13 @@ class DegenerateBoundError(CopdepError):
 
 class EvaluationError(CopdepError):
     """A user-supplied function produced a non-finite value."""
+
+
+def _convert(value, kind: type, name: str):
+    """``kind(value)`` for ``kind`` int or float; InvalidArgumentError naming
+    ``name`` where the conversion raises."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a numeric"
+        raise InvalidArgumentError(f"expected {noun} {name}, got {value!r}") from exc

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError
+from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError, _convert
 from .grid import CheckerboardCopula, _check_resolutions, _compress, _prod, require_valid
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
@@ -27,54 +27,88 @@ MAX_BOX_PARTS = 2**22
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
 class PseudoObservations:
-    """Rank-transformed sample matrix with entries strictly inside (0, 1).
+    """A sample's rank intervals, one per entry.
 
-    Entry (i, j) of ``values`` is the mid-rank (lo + hi) / 2N of row i's rank
-    interval [lo, hi) in column j: [r, r + 1) for rank r, shared by a tied
-    group.  ``tie_counts[j]`` records how many rows in column j shared a
-    value with an earlier row; nonzero counts mean the continuity assumption
-    behind the rank transform is violated.
+    ``intervals[j, 0, i]`` and ``intervals[j, 1, i]`` are the ends of row i's
+    rank interval [lo, hi) in column j, in units of 1/N: [r, r + 1) for rank
+    r, shared by a tied group.  The array is read-only int32 of shape
+    (d, 2, N), so a sample needs fewer than 2**31 rows.  ``tie_counts[j]``
+    records how many rows in column j shared a value with an earlier row;
+    nonzero counts mean the continuity assumption behind the rank transform
+    is violated.
 
-    ``values`` is a read-only (N, d) view of column-major storage, so each
-    column ``values[:, j]`` is contiguous.  ``PseudoObservations(values,
-    tie_counts)`` stores a copy and leaves the caller's array as it was.
+    ``values`` is the (N, d) matrix of mid-ranks (lo + hi) / 2N, strictly
+    inside (0, 1): a new read-only array on each access, with contiguous
+    columns.  ``PseudoObservations(values, tie_counts)`` ranks ``values``
+    again and raises InvalidArgumentError naming the first column that is
+    not its own mid-ranks with that tie count.
     """
 
-    values: np.ndarray
+    intervals: np.ndarray
     tie_counts: tuple[int, ...]
 
     def __init__(self, values, tie_counts):
-        self._freeze(np.array(values, dtype=np.float64, order="F"), tie_counts)
+        arr = np.asarray(values, dtype=np.float64)
+        try:
+            intervals, ties = _rank(arr)
+        except InvalidDataError as exc:
+            raise InvalidArgumentError(
+                f"column {exc.column} holds a non-finite value, so it is not mid-ranks"
+            ) from exc
+        try:
+            counts = tuple(tie_counts)
+        except TypeError as exc:
+            raise InvalidArgumentError(
+                f"expected a sequence of tie counts, got {tie_counts!r}"
+            ) from exc
+        if len(counts) != len(ties):
+            raise InvalidArgumentError(f"{len(counts)} tie counts for {len(ties)} columns")
+        mids = _mid_ranks(intervals)
+        for j, (mid, t) in enumerate(zip(mids, ties)):
+            if not np.array_equal(mid, arr[:, j]):
+                raise InvalidArgumentError(
+                    f"column {j} is not the mid-ranks (lo + hi) / 2N"
+                    " that pseudo_observations returns"
+                )
+            if counts[j] != t:
+                raise InvalidArgumentError(f"column {j} has {t} ties, not {counts[j]!r}")
+        self._freeze(intervals, ties)
 
     @classmethod
-    def _from_columns(cls, columns: np.ndarray, tie_counts) -> PseudoObservations:
-        """From a (d, N) float64 array of mid-ranks that no one else holds; no copy."""
+    def _from_intervals(cls, intervals: np.ndarray, tie_counts) -> PseudoObservations:
+        """From a (d, 2, N) int32 array of rank intervals that no one else holds; no copy."""
         pseudo = object.__new__(cls)
-        pseudo._freeze(columns.T, tie_counts)
+        pseudo._freeze(intervals, tie_counts)
         return pseudo
 
-    def _freeze(self, values: np.ndarray, tie_counts) -> None:
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tie_counts", tuple(int(t) for t in tie_counts))
+    def _freeze(self, intervals: np.ndarray, tie_counts) -> None:
+        intervals.setflags(write=False)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "tie_counts", tuple(tie_counts))
 
     def __repr__(self) -> str:
         return f"PseudoObservations(n_rows={self.n_rows}, n_cols={self.n_cols})"
 
     @property
+    def values(self) -> np.ndarray:
+        mids = _mid_ranks(self.intervals)
+        mids.setflags(write=False)
+        return mids.T
+
+    @property
     def n_rows(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.intervals.shape[2])
 
     @property
     def n_cols(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.intervals.shape[0])
 
 
 @dataclass(frozen=True)
 class ResolutionPolicy:
     """How to pick the grid resolution when fitting.
 
-    ``automatic`` uses m = clamp(floor(N^(1/(d+1))), min_m, max_m) on every
+    ``automatic`` uses m = clamp(floor(N^(1/(d+1))), 2, max_m) on every
     axis, balancing cell count against per-cell sample count.  No estimator
     theory backs this exponent; it is a documented placeholder that callers
     can override with ``fixed`` mode.
@@ -82,62 +116,32 @@ class ResolutionPolicy:
 
     mode: str = "automatic"
     fixed_m: int | None = None
-    min_m: int = 2
     max_m: int = 128
 
     def __post_init__(self):
         if self.mode not in ("fixed", "automatic"):
             raise InvalidArgumentError(f"unknown resolution mode {self.mode!r}")
-        if not 2 <= self.min_m <= self.max_m:
-            raise InvalidArgumentError(
-                f"need 2 <= min_m <= max_m, got {self.min_m}, {self.max_m}"
-            )
+        max_m = _convert(self.max_m, int, "max_m")
+        if max_m < 2:
+            raise InvalidArgumentError(f"need max_m >= 2, got {max_m}")
+        object.__setattr__(self, "max_m", max_m)
+        if self.fixed_m is not None:
+            object.__setattr__(self, "fixed_m", _convert(self.fixed_m, int, "fixed_m"))
         if self.mode == "fixed":
-            if self.fixed_m is None or int(self.fixed_m) < 1:
+            if self.fixed_m is None or self.fixed_m < 1:
                 raise InvalidArgumentError("fixed mode requires a positive fixed_m")
 
 
 def pseudo_observations(data) -> PseudoObservations:
-    """Column-wise normalized mid-ranks; tied rows share one rank interval.
+    """Column-wise rank intervals; tied rows share one.
 
-    Beside the input and the output it holds two column-sized temporaries
-    and a boolean one, whatever the ties.  Raises InsufficientDataError for fewer than two rows and
-    InvalidDataError (with the offending column) for non-finite entries.
+    Beside the input and the output it holds a column of sort order, two
+    half columns of interval ends and a boolean column, whatever the ties.
+    Raises InsufficientDataError for fewer than two rows, InvalidArgumentError
+    for 2**31 rows or more, and InvalidDataError (with the offending column)
+    for non-finite entries.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"expected a 2-D sample matrix, got shape {arr.shape}")
-    n, d = arr.shape
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 rows, got {n}")
-    out = np.empty((d, n))  # column-major: every pass over a column is contiguous
-    new = np.empty(n, dtype=bool)  # whether each sorted value starts a tie group
-    new[0] = True
-    ties = []
-    for j, row in enumerate(out):
-        col = arr[:, j]
-        order = np.argsort(col)
-        np.take(col, order, out=row, mode="clip")  # "raise" would buffer a copy
-        if not (np.isfinite(row[0]) and np.isfinite(row[-1])):  # NaN sorts last
-            raise InvalidDataError(f"non-finite value in column {j}", column=j)
-        np.not_equal(row[1:], row[:-1], out=new[1:])
-        ties.append(n - int(np.count_nonzero(new)))
-        # Sorted position k lies in its tie group's interval [lo, hi): lo is the
-        # last group start at or before k, and n - hi the same in reversed order,
-        # written over the sorted values.  Each step is exact in float64, so only
-        # the division by 2N rounds; ``del`` frees both columns before the next sort.
-        mid = np.arange(n, dtype=np.float64)
-        back = row[::-1]
-        back[0] = 0.0
-        np.multiply(mid[1:], new[:0:-1], out=back[1:])
-        np.maximum.accumulate(back, out=back)
-        mid *= new
-        np.maximum.accumulate(mid, out=mid)
-        mid -= row
-        mid += n
-        mid /= 2 * n
-        row[order] = mid
-        del order, mid
+    intervals, ties = _rank(np.asarray(data, dtype=np.float64))
     total_ties = sum(ties)
     if total_ties:
         warnings.warn(
@@ -145,7 +149,54 @@ def pseudo_observations(data) -> PseudoObservations:
             RuntimeWarning,
             stacklevel=2,
         )
-    return PseudoObservations._from_columns(out, ties)
+    return PseudoObservations._from_intervals(intervals, ties)
+
+
+def _rank(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The (d, 2, N) int32 rank intervals of a float64 (N, d) sample and each
+    column's tie count."""
+    if arr.ndim != 2:
+        raise InvalidArgumentError(f"expected a 2-D sample matrix, got shape {arr.shape}")
+    n, d = arr.shape
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 rows, got {n}")
+    if n >= 2**31:
+        raise InvalidArgumentError(f"{n} rows; int32 rank intervals need fewer than 2**31")
+    out = np.empty((d, 2, n), dtype=np.int32)
+    new = np.empty(n, dtype=bool)  # whether each sorted value starts a tie group
+    new[0] = True
+    ties = []
+    for j, ends in enumerate(out):
+        col = arr[:, j]
+        order = np.argsort(col)
+        row = ends.reshape(-1).view(np.float64)  # the sorted values, until the ends overwrite them
+        np.take(col, order, out=row, mode="clip")  # "raise" would buffer a copy
+        if not (np.isfinite(row[0]) and np.isfinite(row[-1])):  # NaN sorts last
+            raise InvalidDataError(f"non-finite value in column {j}", column=j)
+        np.not_equal(row[1:], row[:-1], out=new[1:])
+        ties.append(n - int(np.count_nonzero(new)))
+        # Sorted position k lies in its tie group's interval [lo, hi): lo is the
+        # last group start at or before k, and n - hi the same in reversed order.
+        # Both are made after the sort, which copies a strided column, and
+        # ``del`` frees them before the next one.
+        lo = np.arange(n, dtype=np.int32)
+        lo *= new
+        np.maximum.accumulate(lo, out=lo)
+        back = np.arange(n, dtype=np.int32)
+        back[1:] *= new[:0:-1]
+        np.maximum.accumulate(back, out=back)
+        np.subtract(n, back, out=back)
+        ends[0, order] = lo
+        ends[1, order] = back[::-1]
+        del order, lo, back
+    return out, ties
+
+
+def _mid_ranks(intervals: np.ndarray) -> np.ndarray:
+    """The (d, N) float64 mid-ranks (lo + hi) / 2N of (d, 2, N) rank intervals."""
+    mids = np.add(intervals[:, 0], intervals[:, 1], dtype=np.float64)
+    mids /= 2 * intervals.shape[2]
+    return mids
 
 
 def choose_resolution(n_rows: int, dims: int, policy: ResolutionPolicy) -> tuple[int, ...]:
@@ -153,10 +204,10 @@ def choose_resolution(n_rows: int, dims: int, policy: ResolutionPolicy) -> tuple
     if n_rows < 2 or dims < 2:
         raise InvalidArgumentError(f"need n_rows >= 2 and dims >= 2, got {n_rows}, {dims}")
     if policy.mode == "fixed":
-        return (int(policy.fixed_m),) * dims
+        return (policy.fixed_m,) * dims
     # Guard against floor(x ** (1/k)) landing one below an exact power.
     m = int(float(n_rows) ** (1.0 / (dims + 1)) + 1e-9)
-    m = min(max(m, policy.min_m), policy.max_m)
+    m = min(max(m, 2), policy.max_m)
     return (m,) * dims
 
 
@@ -181,9 +232,7 @@ def fit_checkerboard(
     n = pseudo.n_rows
     first = np.zeros(n, dtype=np.int64)
     scratch = np.empty((2, n), dtype=np.int64)
-    crossing = []
-    for j, m in enumerate(res):
-        crossing.append(_add_axis(first, pseudo.values[:, j], pseudo.tie_counts[j], m, scratch, j))
+    crossing = [_add_axis(first, lo, hi, m, scratch) for (lo, hi), m in zip(pseudo.intervals, res)]
     del scratch
     if _prod(res) > 2 * n:
         cells, mass = np.unique(first, return_counts=True)
@@ -200,44 +249,28 @@ def fit_checkerboard(
     return require_valid(CheckerboardCopula._from_cells(res, cells, mass / n), "fit_checkerboard")
 
 
-def _add_axis(first, column, tied: int, m: int, scratch, j: int):
-    """Append axis ``j`` to each row's first-cell flat index.  In units of 1/(N m),
-    where cell c is [c N, (c + 1) N), returns the rows whose rank interval
-    crosses a cell edge and, per cell, the start and length of the one that does.
-
-    A column without ties must hold the mid-ranks (r + 1/2) / N, r = 0..N-1.
+def _add_axis(first, lo, hi, m: int, scratch):
+    """Append an axis of ``m`` cells to each row's first-cell flat index, given
+    the rows' int32 rank intervals [lo, hi) in units of 1/N.  In units of
+    1/(N m), where cell c is [c N, (c + 1) N) and an interval is [lo m, hi m),
+    returns the rows whose interval crosses a cell edge and, per cell, the
+    start and length of the one that does.
     """
-    n = column.size
+    n = lo.size
     start, cell = scratch
-    crosses = np.zeros(n, dtype=bool)  # by interval start, in units of 1/N
-    if tied:
-        _, group, size = np.unique(column, return_inverse=True, return_counts=True)
-        lo = np.cumsum(size) - size
-        crosses[lo[lo * m // n < ((lo + size) * m - 1) // n]] = True
-        np.take(lo, group, out=start)
-    else:  # the cast truncates lo + 0.5; edge k N / m is inside [lo, lo + 1) if k N % m > 0
-        with np.errstate(invalid="ignore"):  # NaN casts to some integer, rejected below
-            np.multiply(column, n, out=start, casting="unsafe")
-        ranks = n > 0 and 0 <= start.min() and start.max() < n
-        if ranks:
-            crosses[start] = True
-        # Ranks 0..N-1 once each, and above 0 at rank 0, put every value in (0, 1).
-        if not (ranks and crosses.all() and column[start.argmin()] > 0.0):
-            raise InvalidArgumentError(
-                f"column {j} is recorded without ties but is not a permutation of the"
-                " mid-ranks (r + 1/2) / N that pseudo_observations returns"
-            )
-        crosses[:] = False
-        edge = np.arange(1, m) * n
-        crosses[edge[edge % m > 0] // m] = True
-    rows = np.flatnonzero(crosses[start])
-    start *= m
+    # int64 arithmetic throughout: lo m and hi m overflow int32 for large N m.
+    np.multiply(hi, m, out=start, dtype=np.int64)
+    start -= 1
+    np.floor_divide(start, n, out=cell)
+    cell *= n  # where the interval's last cell begins
+    np.multiply(lo, m, out=start, dtype=np.int64)
+    rows = np.flatnonzero(cell > start)  # it crosses an edge if that is after its start
     np.floor_divide(start, n, out=cell)
     first *= m
     first += cell
     out_start, out_length = np.zeros((2, m), dtype=np.int64)
     out_start[cell[rows]] = start[rows]
-    out_length[cell[rows]] = m * (size[group[rows]] if tied else 1)
+    out_length[cell[rows]] = np.multiply(hi[rows] - lo[rows], m, dtype=np.int64)
     return rows, out_start, out_length
 
 

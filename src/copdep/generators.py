@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, _convert
 from .grid import (
     CheckerboardCopula,
     _check_resolutions,
@@ -65,10 +65,14 @@ class SynthModel:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise InvalidArgumentError(f"unknown model tag {self.tag!r}")
+        object.__setattr__(self, "dimension", _convert(self.dimension, int, "dimension"))
+        object.__setattr__(self, "sigma", _convert(self.sigma, float, "sigma"))
+        if self.theta is not None:
+            object.__setattr__(self, "theta", _convert(self.theta, float, "theta"))
         if self.dimension < 2:
             raise InvalidArgumentError(f"dimension must be >= 2, got {self.dimension}")
         if self.tag == "mixture":
-            if self.theta is None or not 0.0 <= float(self.theta) <= 1.0:
+            if self.theta is None or not 0.0 <= self.theta <= 1.0:
                 raise InvalidArgumentError(f"mixture needs theta in [0, 1], got {self.theta}")
             if self.dimension != 2:
                 raise InvalidArgumentError("mixture model is bivariate")
@@ -94,6 +98,7 @@ class SynthModel:
 
 def generate(model: SynthModel, n_rows: int) -> np.ndarray:
     """Draw an (n_rows x dimension) sample; deterministic given the seed."""
+    n_rows = _convert(n_rows, int, "n_rows")
     if n_rows < 2:
         raise InsufficientDataError(f"need at least 2 rows, got {n_rows}")
     rng = make_rng(model.seed)
@@ -106,7 +111,7 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
     if model.tag == "mixture":
         u = rng.random(n_rows)
         other = rng.random(n_rows)
-        pick = rng.random(n_rows) < float(model.theta)
+        pick = rng.random(n_rows) < model.theta
         return np.column_stack([u, np.where(pick, u, other)])
     if model.tag == "functional":
         x = rng.uniform(-2.0, 2.0, size=(n_rows, d - 1))
@@ -132,7 +137,7 @@ def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:
     The quadratic measure of the blend is theta^2 * (1 - 1/m), approaching
     the continuous-limit value theta^2.
     """
-    t = float(theta)
+    t = _convert(theta, float, "theta")
     if not 0.0 <= t <= 1.0:
         raise InvalidArgumentError(f"theta must be in [0, 1], got {t}")
     diag = comonotone_copula(2, resolution)
@@ -145,9 +150,7 @@ def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:
     )
 
 
-def random_copula(
-    resolutions, rng: np.random.Generator, concentration: float = 2.0
-) -> CheckerboardCopula:
+def random_copula(resolutions, rng: np.random.Generator) -> CheckerboardCopula:
     """Random strictly positive grid whose marginals are uniform by construction.
 
     The grid mixes K random transversals with the independence copula.  A
@@ -155,24 +158,16 @@ def random_copula(
     size m its coordinates are a random permutation of every slab label
     repeated L/m times, so each slab holds exactly 1/m of its mass.  K is the
     fewest transversals with at least as many points as the grid has cells,
-    their weights are a symmetric Dirichlet(concentration) draw, and
+    their weights are a symmetric Dirichlet(2) draw, and
     independence gets weight 1/(K + 1), which keeps every cell positive.
     Marginals are uniform up to rounding, with no iterative fitting.
     """
     res = _check_resolutions(resolutions)
-    try:
-        alpha = float(concentration)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"concentration must be a number, got {concentration!r}"
-        ) from exc
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidArgumentError(f"concentration must be finite and > 0, got {alpha}")
     cells = math.prod(res)
     points = math.lcm(*res)
     k = -(-cells // points)
     floor = 1.0 / (k + 1)
-    weights = rng.dirichlet(np.full(k, alpha)) * ((1.0 - floor) / points)
+    weights = rng.dirichlet(np.full(k, 2.0)) * ((1.0 - floor) / points)
     sizes = np.array(res, dtype=np.int64)[:, None]
     labels = np.arange(points, dtype=np.int64) // (points // sizes)
     coords = rng.permuted(np.broadcast_to(labels[:, None, :], (len(res), k, points)), axis=2)
@@ -194,7 +189,8 @@ def assignment_copula(
     uniform and the quadratic measure attains its resolution maximum
     1 - 1/m.  Useful as an exact complete-dependence witness.
     """
-    m = int(resolution)
+    n_cond = _convert(n_cond, int, "n_cond")
+    m = _convert(resolution, int, "resolution")
     n_cells = m**n_cond
     if n_cells % m != 0:
         raise InvalidArgumentError("conditioning cells must split evenly over targets")
@@ -213,7 +209,6 @@ def random_star_pair(
     resolution: int,
     rng: np.random.Generator,
     target_axes: int = 1,
-    concentration: float = 2.0,
 ) -> tuple[CheckerboardCopula, CheckerboardCopula]:
     """Random compatible operands for the Markov product.
 
@@ -221,10 +216,12 @@ def random_star_pair(
     and splits it into its (conditioning + middle) and (middle + target)
     marginals, so the two middle-block marginals agree by construction.
     """
+    n = _convert(n, int, "n")
+    target_axes = _convert(target_axes, int, "target_axes")
     if n < 1 or target_axes < 1:
         raise InvalidArgumentError("block sizes must be positive")
     dims = 2 * n + target_axes
-    joint = random_copula((resolution,) * dims, rng, concentration)
+    joint = random_copula((resolution,) * dims, rng)
     a = joint.marginal(tuple(range(2 * n)))
     b = joint.marginal(tuple(range(n, dims)))
     return a, b

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CopulaValidationError, InvalidArgumentError
+from .errors import CopulaValidationError, InvalidArgumentError, _convert
 
 #: Validity tolerance for total mass and marginal uniformity.
 VALIDITY_TOL = 1e-9
@@ -40,7 +40,7 @@ def _prod(values) -> int:
 
 def _check_resolutions(resolutions) -> tuple[int, ...]:
     """Resolutions as a tuple of ints; rejects empty, nonpositive and too-large grids."""
-    res = tuple(int(m) for m in resolutions)
+    res = tuple(_convert(m, int, "resolution") for m in resolutions)
     if not res or any(m < 1 for m in res):
         raise InvalidArgumentError(f"resolutions must be positive, got {res}")
     if _prod(res) >= 2**63:
@@ -419,8 +419,8 @@ class GroupSplit:
     v_axes: tuple[int, ...]
 
     def __post_init__(self):
-        u = tuple(int(a) for a in self.u_axes)
-        v = tuple(int(a) for a in self.v_axes)
+        u = tuple(_convert(a, int, "axis") for a in self.u_axes)
+        v = tuple(_convert(a, int, "axis") for a in self.v_axes)
         if not u or not v:
             raise InvalidArgumentError("both blocks must be nonempty")
         if set(u) & set(v):
@@ -461,9 +461,10 @@ def comonotone_copula(dims: int, resolution: int) -> CheckerboardCopula:
     diagonal atom uniformly over one cell, so dependence measures computed
     from it approach their ideal values as the resolution grows.
     """
+    dims = _convert(dims, int, "dims")
     if dims < 2:
         raise InvalidArgumentError(f"need at least 2 dims, got {dims}")
-    m = int(resolution)
+    m = _convert(resolution, int, "resolution")
     if m < 1:
         raise InvalidArgumentError(f"resolution must be positive, got {m}")
     res = _check_resolutions((m,) * dims)

@@ -49,6 +49,7 @@ from .errors import (
     DegenerateBoundError,
     EvaluationError,
     InvalidArgumentError,
+    _convert,
 )
 from .grid import CheckerboardCopula, GroupSplit, _compress, _prod, _strides, _unit_point
 
@@ -87,12 +88,7 @@ class MeasureKind:
             return
         if self.alpha is None:
             raise InvalidArgumentError(f"{self.tag} requires alpha")
-        try:
-            a = float(self.alpha)
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(
-                f"{self.tag} needs a numeric alpha, got {self.alpha!r}"
-            ) from exc
+        a = _convert(self.alpha, float, f"alpha for {self.tag}")
         in_range, needs = spec.alpha
         if not in_range(a):
             raise InvalidArgumentError(f"{self.tag} needs {needs}, got {a}")
@@ -145,9 +141,13 @@ class KendallCdf:
     def __post_init__(self):
         if self.kind not in ("step", "linear"):
             raise InvalidArgumentError(f"unknown Kendall CDF kind {self.kind!r}")
-        knots = tuple((float(t), float(k)) for t, k in self.knots)
+        knots = tuple(
+            (_convert(t, float, "knot"), _convert(k, float, "knot")) for t, k in self.knots
+        )
         if not knots:
             raise InvalidArgumentError("Kendall CDF needs at least one knot")
+        if not all(math.isfinite(t) and math.isfinite(k) for t, k in knots):
+            raise InvalidArgumentError(f"Kendall CDF knots must be finite, got {knots}")
         ts = [t for t, _ in knots]
         ks = [k for _, k in knots]
         if any(b < a for a, b in zip(ts, ts[1:])) or any(b < a for a, b in zip(ks, ks[1:])):

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IncompatibleOperandsError, InvalidArgumentError
+from .errors import IncompatibleOperandsError, InvalidArgumentError, _convert
 from .estimation import fit_checkerboard, pseudo_observations
 from .grid import CheckerboardCopula, GroupSplit, _prod, _scatter, require_valid
 from .measures import MeasureKind, compute_measure
@@ -110,6 +110,7 @@ def identity_coupling(n: int, m: int) -> CheckerboardCopula:
     grid returns that grid, because each conditioning cell pins down one
     middle cell.
     """
+    n, m = _convert(n, int, "n"), _convert(m, int, "m")
     if n < 1 or m < 1:
         raise InvalidArgumentError(f"need n >= 1 and m >= 1, got {n}, {m}")
     n_s = m**n

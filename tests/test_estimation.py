@@ -100,14 +100,13 @@ class TestChooseResolution:
         assert choose_resolution(500, 3, policy) == (32, 32, 32)
 
     def test_clamped_to_min(self):
-        policy = ResolutionPolicy(mode="automatic", min_m=4)
-        assert choose_resolution(10, 4, policy) == (4, 4, 4, 4)
+        assert choose_resolution(10, 4, ResolutionPolicy()) == (2, 2, 2, 2)
 
     def test_policy_validation(self):
         with pytest.raises(InvalidArgumentError):
             ResolutionPolicy(mode="fixed")
         with pytest.raises(InvalidArgumentError):
-            ResolutionPolicy(min_m=1)
+            ResolutionPolicy(max_m=1)
 
 
 class TestFitCheckerboard:
@@ -195,10 +194,34 @@ class TestFitCheckerboard:
         ids=["one", "zero", "negative", "nan", "repeated rank"],
     )
     def test_tie_free_column_that_is_not_mid_ranks_rejected(self, column):
-        # a 1.0 maps to cell m, whose flat index would alias another cell
-        obs = PseudoObservations(np.column_stack([[0.25, 0.75], column]), (0, 0))
+        # a 1.0 would map to cell m, whose flat index would alias another cell
         with pytest.raises(InvalidArgumentError, match="column 1 .*mid-ranks"):
-            fit_checkerboard(obs, (2, 2))
+            PseudoObservations(np.column_stack([[0.25, 0.75], column]), (0, 0))
+
+    def test_tied_column_that_is_not_mid_ranks_rejected(self):
+        # its mid-ranks are 1/4 and 3/4; its raw values would fit a plausible grid
+        ranks = [0.125, 0.375, 0.625, 0.875]
+        with pytest.raises(InvalidArgumentError, match="column 1 .*mid-ranks"):
+            PseudoObservations(np.column_stack([ranks, [0.1, 0.1, 0.9, 0.9]]), (0, 2))
+        obs = PseudoObservations(np.column_stack([ranks, [0.25, 0.25, 0.75, 0.75]]), (0, 2))
+        assert np.array_equal(obs.intervals[1], [[0, 0, 2, 2], [2, 2, 4, 4]])
+
+    @pytest.mark.parametrize("ties", [(0, 1), (1, 2), (0, 2, 0), (0,)], ids=str)
+    def test_tie_counts_that_disagree_with_the_columns_rejected(self, ties):
+        values = np.column_stack([[0.125, 0.375, 0.625, 0.875], [0.25, 0.25, 0.75, 0.75]])
+        with pytest.raises(InvalidArgumentError, match="column|tie counts"):
+            PseudoObservations(values, ties)
+
+    def test_tie_free_fit_beyond_int32_cell_arithmetic(self):
+        # lo m reaches 1e5 * 42950 > 2**32: int32 products would wrap
+        obs = pseudo_observations(make_rng(8).random((100_000, 2)))
+        cop = fit_checkerboard(obs, (42950, 42950), max_resolution=42950)
+        assert cop.validate().passed
+
+    def test_two_to_the_31_rows_rejected(self):
+        # a broadcast view: the limit is checked before anything is allocated
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*31"):
+            pseudo_observations(np.broadcast_to(0.0, (2**31, 2)))
 
     def test_split_box_keys_beyond_int64_rejected(self, rng):
         # 3 rows on 2 cells per axis: one rank per axis crosses the edge, and
@@ -288,9 +311,9 @@ def reference_pseudo_observations(data):
 
 
 @st.composite
-def rank_samples(draw):
+def rank_samples(draw, non_finite=True):
     """Up to 300 rows and 4 columns, each without ties, rounded, of 5 values,
-    constant or of signed zeros, with up to two non-finite cells."""
+    constant or of signed zeros, with up to two non-finite cells if asked."""
     n = draw(st.integers(2, 300))
     dims = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -307,7 +330,7 @@ def rank_samples(draw):
             data[:, j] = rng.choice([0.0, -0.0, 1.0], size=n)
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, dims - 1))
     bad = st.tuples(cells, st.sampled_from([np.nan, np.inf, -np.inf]))
-    for (i, j), value in draw(st.lists(bad, max_size=2)):
+    for (i, j), value in draw(st.lists(bad, max_size=2 if non_finite else 0)):
         data[i, j] = value
     return data
 
@@ -328,6 +351,19 @@ def test_ranks_match_the_row_major_reference(data):
     assert obs.values.tobytes() == expected.tobytes()
     assert obs.tie_counts == ties
     assert all(obs.values[:, j].flags.c_contiguous for j in range(obs.n_cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_samples(non_finite=False))
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_constructor_round_trips_ranked_samples(data):
+    obs = pseudo_observations(data)
+    again = PseudoObservations(obs.values, obs.tie_counts)
+    assert again.intervals.tobytes() == obs.intervals.tobytes()
+    assert again.intervals.shape == obs.intervals.shape
+    assert again.tie_counts == obs.tie_counts
+    assert again.values.tobytes() == obs.values.tobytes()
+    assert obs.values is not obs.values and not obs.values.flags.writeable
 
 
 class TestReadCsv:

@@ -347,6 +347,16 @@ class TestKendallCdf:
         with pytest.raises(InvalidArgumentError):
             KendallCdf(((0.2, 0.5), (0.1, 1.0)))
 
+    @pytest.mark.parametrize(
+        "knots",
+        [((0.0, math.nan),), ((math.nan, 1.0),), ((0.2, 0.5), (math.nan, 1.0))],
+        ids=["nan level", "nan point", "nan second point"],
+    )
+    def test_non_finite_knots_rejected(self, knots):
+        # NaN fails every comparison, so these passed the order and reach-1 checks
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            KendallCdf(knots)
+
     def test_target_masses_summing_past_one_keep_the_knots_nondecreasing(self):
         # this fit's target masses reach 1 + 2**-52 before its last, empty
         # target cell; clamping only the last knot made the knots decrease

@@ -48,7 +48,10 @@ class PseudoObservations:
     tie_counts: tuple[int, ...]
 
     def __init__(self, values, tie_counts):
-        arr = np.asarray(values, dtype=np.float64)
+        try:
+            arr = _sample_matrix(values)
+        except InvalidDataError as exc:
+            raise InvalidArgumentError(str(exc)) from exc
         try:
             intervals, ties = _rank(arr)
         except InvalidDataError as exc:
@@ -138,10 +141,10 @@ def pseudo_observations(data) -> PseudoObservations:
     Beside the input and the output it holds a column of sort order, two
     half columns of interval ends and a boolean column, whatever the ties.
     Raises InsufficientDataError for fewer than two rows, InvalidArgumentError
-    for 2**31 rows or more, and InvalidDataError (with the offending column)
-    for non-finite entries.
+    for 2**31 rows or more, and InvalidDataError for non-numeric entries and,
+    with the offending column, for non-finite ones.
     """
-    intervals, ties = _rank(np.asarray(data, dtype=np.float64))
+    intervals, ties = _rank(_sample_matrix(data))
     total_ties = sum(ties)
     if total_ties:
         warnings.warn(
@@ -150,6 +153,14 @@ def pseudo_observations(data) -> PseudoObservations:
             stacklevel=2,
         )
     return PseudoObservations._from_intervals(intervals, ties)
+
+
+def _sample_matrix(data) -> np.ndarray:
+    """``data`` as a float64 array; InvalidDataError where numpy cannot make one."""
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDataError(f"sample is not a numeric matrix: {exc}") from exc
 
 
 def _rank(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:

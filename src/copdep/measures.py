@@ -5,16 +5,21 @@ a conditioning cell.  On a checkerboard grid the conditional given any point
 inside a conditioning cell is constant on that cell, equal to the cell's
 mass profile along the target axes divided by the cell's weight, so every
 integral over the conditioning block becomes an exact finite sum over cells.
-Only conditioning cells that carry mass enter: their rows are scattered from
-the copula's stored cells, so the work scales with the occupied conditioning
-cells times the target cells, not with the whole grid.
+Only conditioning cells that carry mass enter.
 
-The quadratic measure integrates (conditional CDF - reference)^2 in closed
-form per target cell (the integrand is piecewise quadratic).  Every other
-single-target measure integrates phi of the conditional CDF and v over each
-target cell with one fixed 16-point Gauss-Legendre rule.  The entropy family
-replaces that rule by closed forms on the cells where it would not be exact
-to rounding: cells where the integrand is constant, and cells whose
+Along one conditioning cell the conditional CDF of a single target axis is
+piecewise linear: with k stored target cells it has at most 2k + 1 pieces,
+the stored cells and the runs of empty cells around them, where it is
+constant.  The quadratic measure (and with it tau_alpha at alpha = 2 and
+averaged_dependence) walks those pieces from the stored cells alone
+(``_target_walk``) and integrates (conditional CDF - v)^2 over each in one
+closed form, so its work scales with the stored cells.  Every other
+single-target measure still scatters each conditioning cell into a dense row
+of target cells and integrates phi of the conditional CDF and v over every
+target cell with one fixed 16-point Gauss-Legendre rule, so its work scales
+with the occupied conditioning cells times the target cells.  The entropy
+family replaces that rule by closed forms on the cells where it would not be
+exact to rounding: cells where the integrand is constant, and cells whose
 conditional CDF vanishes within half a cell below them, which are integrated
 exactly in the ratio variable (Gauss-Jacobi for the power kind, a dilogarithm
 for x log x); the rule skips the target cells outside the span that a
@@ -51,7 +56,15 @@ from .errors import (
     InvalidArgumentError,
     _convert,
 )
-from .grid import CheckerboardCopula, GroupSplit, _compress, _prod, _strides, _unit_point
+from .grid import (
+    CheckerboardCopula,
+    GroupSplit,
+    _compress,
+    _prod,
+    _scatter,
+    _strides,
+    _unit_point,
+)
 
 #: Slack allowed above the theoretical unit bound before warning.
 UNIT_SLACK = 1e-9
@@ -62,9 +75,10 @@ MIN_KENDALL_BOUND = 1e-12
 #: Points of the Gauss-Legendre rule applied to every target cell.
 _GAUSS_ORDER = 16
 
-#: (row, target cell) pairs evaluated at once.  Small blocks bound the
-#: temporaries; on dense 64^3 grids blocks of 64 rows (4096 cells) ran the
-#: 16-node pass twice as fast as 256 rows.
+#: (row, target cell) pairs evaluated at once, or stored cells in one block
+#: of the quadratic walk.  Small blocks bound the temporaries; on dense 64^3
+#: grids blocks of 64 rows (4096 cells) ran the 16-node pass twice as fast as
+#: 256 rows.
 _BLOCK_CELLS = 4096
 
 
@@ -141,20 +155,21 @@ class KendallCdf:
     def __post_init__(self):
         if self.kind not in ("step", "linear"):
             raise InvalidArgumentError(f"unknown Kendall CDF kind {self.kind!r}")
-        knots = tuple(
-            (_convert(t, float, "knot"), _convert(k, float, "knot")) for t, k in self.knots
-        )
-        if not knots:
+        try:
+            knots = np.asarray(self.knots, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"expected numeric knots, got {self.knots!r}") from exc
+        if not knots.size:
             raise InvalidArgumentError("Kendall CDF needs at least one knot")
-        if not all(math.isfinite(t) and math.isfinite(k) for t, k in knots):
-            raise InvalidArgumentError(f"Kendall CDF knots must be finite, got {knots}")
-        ts = [t for t, _ in knots]
-        ks = [k for _, k in knots]
-        if any(b < a for a, b in zip(ts, ts[1:])) or any(b < a for a, b in zip(ks, ks[1:])):
+        if knots.ndim != 2 or knots.shape[1] != 2:
+            raise InvalidArgumentError(f"Kendall CDF knots must be (t, K) pairs, got {self.knots!r}")
+        if not np.isfinite(knots).all():
+            raise InvalidArgumentError(f"Kendall CDF knots must be finite, got {self.knots!r}")
+        if (np.diff(knots, axis=0) < 0.0).any():
             raise InvalidArgumentError("Kendall CDF knots must be nondecreasing")
-        if abs(ks[-1] - 1.0) > 1e-6:
-            raise InvalidArgumentError(f"Kendall CDF must reach 1, got {ks[-1]}")
-        object.__setattr__(self, "knots", knots)
+        if abs(knots[-1, 1] - 1.0) > 1e-6:
+            raise InvalidArgumentError(f"Kendall CDF must reach 1, got {knots[-1, 1]}")
+        object.__setattr__(self, "knots", tuple(map(tuple, knots.tolist())))
 
 
 def _warn_above_unit(value: float, label: str) -> None:
@@ -215,10 +230,7 @@ def _row_sums(
     are built and reduced a block of rows at a time, so no array spans all
     rows but the mass matrix itself.
     """
-    if len(split.v_axes) != 1:
-        raise InvalidArgumentError(
-            "this measure takes exactly one target axis; use group_tau for groups"
-        )
+    _require_single_target(split)
     w, mat = _active_rows(copula, split)
     sums = np.empty(w.size)
     step = max(1, _BLOCK_CELLS // mat.shape[1])
@@ -230,6 +242,82 @@ def _row_sums(
         edges[:, 1:] /= w[rows, None]
         sums[rows] = cells(edges[:, :-1], edges[:, 1:]).sum(axis=1)
     return w, sums
+
+
+def _require_single_target(split: GroupSplit) -> None:
+    if len(split.v_axes) != 1:
+        raise InvalidArgumentError(
+            "this measure takes exactly one target axis; use group_tau for groups"
+        )
+
+
+def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
+    """The conditioning cells that carry mass, each walked over its stored
+    target cells only, with no array of conditioning cells times m.
+
+    Yields ``(w, edges, t)`` per block of conditioning cells that hold the
+    same number k of stored cells, one column per conditioning cell: their
+    weights; the conditional CDF at the edges of their stored cells, shape
+    (k + 1, columns), 0 first; and the target coordinates of those cells in
+    ascending order, shape (k, columns), or (k, 1) when they are the same
+    in every column.  Along a column F is piecewise linear with at most
+    2k + 1 pieces: cell j, [t_j, t_j + 1], where F runs from edges[j] to
+    edges[j + 1]; the run of empty cells before it, from the previous
+    cell's right edge (0 for the first), where F is edges[j]; and the run
+    after the last cell, where F is 1.
+
+    Each column's CDF is a cumulative sum over its own cells in target
+    order, so it adds in sequence like the cumulative sum of its dense row.
+    A column's weight is its last sum, so F reaches 1 exactly.
+    """
+    _require_single_target(split)
+    split.check_covers(copula.dims)
+    m = copula.resolutions[split.v_axes[0]]
+    n_u = _prod(copula.resolutions[a] for a in split.u_axes)
+    in_order = split.u_axes + split.v_axes == tuple(range(copula.dims))
+    flat = copula._key(split.u_axes + split.v_axes)  # conditioning key * m + t
+    mass = copula.cell_mass
+    if flat.size == n_u * m:
+        # Every cell is stored: in split order the masses are the matrix.
+        if not in_order:
+            mass = _scatter(flat, mass, flat.size)
+        cells, t = mass.reshape(n_u, m).T, np.arange(m)[:, None]
+        step = max(1, _BLOCK_CELLS // m)
+        blocks = ((cells[:, lo : lo + step], t) for lo in range(0, n_u, step))
+    else:
+        if not in_order:
+            order = np.argsort(flat)
+            flat, mass = flat[order], mass[order]
+        blocks = _blocks_by_length(flat, mass, m)
+    for block, t in blocks:
+        edges = np.zeros((block.shape[0] + 1, block.shape[1]))
+        np.cumsum(block, axis=0, out=edges[1:])
+        w = edges[-1].copy()
+        live = w > 0.0
+        if not live.all():
+            w, edges, t = w[live], edges[:, live], np.broadcast_to(t, block.shape)[:, live]
+        edges[1:] /= w
+        yield w, edges, t
+
+
+def _blocks_by_length(flat: np.ndarray, mass: np.ndarray, m: int):
+    """Stored cells sorted by ``flat`` = conditioning key * m + target
+    coordinate, as matrices of at most about ``_BLOCK_CELLS`` cells: the
+    masses and target coordinates of conditioning cells that hold the same
+    number k of cells, one column each, shape (k, columns)."""
+    key = flat // m
+    t = flat - key * m
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(starts, append=key.size)
+    by_count = np.argsort(counts)
+    starts, counts = starts[by_count], counts[by_count]
+    firsts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
+    for first, stop in zip(firsts, firsts[1:] + [counts.size]):
+        k = int(counts[first])
+        step = max(1, _BLOCK_CELLS // k)
+        for lo in range(first, stop, step):
+            at = np.arange(k)[:, None] + starts[lo : min(lo + step, stop)]
+            yield mass[at], t[at]
 
 
 @lru_cache(maxsize=16)
@@ -334,14 +422,30 @@ def tau_quadratic(copula: CheckerboardCopula, split: GroupSplit) -> MeasureRepor
     0 for independence; at resolution m the complete-dependence maximum is
     1 - 1/m, approaching 1 as the grid refines.
     """
-    def cells(f0, f1):
-        m = f0.shape[1]
-        v = np.arange(m + 1) / m
-        ga, gb = f0 - v[:-1], f1 - v[1:]  # F - v at the cell edges
-        return (ga * ga + ga * gb + gb * gb) / (3.0 * m)
+    def squares(g0, g1):
+        """3 / width times the integral of g^2 over a piece where g is linear
+        from g0 to g1."""
+        return g0 * (g0 + g1) + g1 * g1
 
-    w, per_row = _row_sums(copula, split, cells)
-    value = 6.0 * _fsum(w * per_row)
+    terms = []
+    for w, edges, t in _target_walk(copula, split):
+        m = copula.resolutions[split.v_axes[0]]
+        k, n = edges.shape[0] - 1, edges.shape[1]
+        left = edges[:-1] - t / m  # F - v at each cell's left edge
+        right = edges[1:] - (t + 1) / m  # and at its right edge
+        sums = squares(left, right).sum(axis=0)
+        if k < m:  # add the runs of empty cells, before each cell and after the last
+            run_start = np.zeros((k + 1, n))  # F = v = 0 where the first run starts
+            run_start[1:] = right
+            run_end = np.zeros((k + 1, n))  # F = v = 1 where the last run ends
+            run_end[:-1] = left
+            width = np.empty((k + 1, n), dtype=t.dtype)
+            width[:-1] = t
+            width[-1] = m
+            width[1:] -= t + 1
+            sums += (squares(run_start, run_end) * width).sum(axis=0)
+        terms.append(w * sums / (3.0 * m))
+    value = 6.0 * _fsum(np.concatenate(terms)) if terms else 0.0
     _warn_above_unit(value, "tau_quadratic")
     return MeasureReport(
         kind=MeasureKind("tau_quadratic"),
@@ -564,9 +668,10 @@ def _target_marginal_masses(copula: CheckerboardCopula, v_axes) -> np.ndarray:
     order = np.argsort(keys, kind="stable")  # keys come in ascending runs
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    groups = np.split(copula.cell_mass[order], starts[1:])
+    masses = copula.cell_mass[order]
+    bounds = starts.tolist() + [masses.size]
     out = np.zeros(_prod(copula.resolutions[a] for a in v_axes))
-    out[keys[starts]] = [math.fsum(group.tolist()) for group in groups]
+    out[keys[starts]] = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     return out
 
 

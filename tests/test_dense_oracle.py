@@ -320,6 +320,44 @@ def test_every_measure_matches_the_dense_oracle(case):
     assert np.array_equal(cop.reverse_axis(axis).mass, np.flip(dense.grid, axis).ravel())
 
 
+@st.composite
+def sparse_rows(draw):
+    """Grids whose conditioning cells hold one to three target cells each.
+
+    The target axis has 1, 2 or up to 32 cells, and often its first and last
+    cells are empty everywhere; one conditioning cell may hold +x and -x, so
+    its weight is zero; the target axis sits anywhere in the axis order.
+    """
+    dims = draw(st.integers(2, 4))
+    m_v = draw(st.sampled_from([1, 2]) | st.integers(3, 32))
+    u_res = draw(st.lists(st.integers(1, 5), min_size=dims - 1, max_size=dims - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_u = int(np.prod(u_res))
+    lo, hi = (1, m_v - 1) if m_v >= 3 and draw(st.booleans()) else (0, m_v)
+    mat = np.zeros((n_u, m_v))
+    occupied = np.flatnonzero(rng.random(n_u) < draw(st.floats(0.2, 1.0)))
+    for row in occupied if occupied.size else [0]:
+        k = int(rng.integers(1, min(3, hi - lo) + 1))
+        mat[row, rng.choice(np.arange(lo, hi), size=k, replace=False)] = rng.gamma(2.0, 1.0, k)
+    mat /= mat.sum()
+    empty = np.flatnonzero(~mat.any(axis=1))
+    if m_v >= 2 and empty.size and draw(st.booleans()):
+        x = rng.random()
+        mat[empty[0], [0, m_v - 1]] = x, -x
+    order = tuple(int(a) for a in rng.permutation(dims))  # split order; the target last
+    grid = np.transpose(mat.reshape(u_res + [m_v]), np.argsort(order))
+    return grid.shape, grid, GroupSplit(order[:-1], order[-1:])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_rows())
+def test_tau_quadratic_on_sparse_rows_matches_the_dense_oracle(case):
+    # tau_quadratic integrates the runs of empty target cells in closed form
+    res, grid, split = case
+    got = tau_quadratic(CheckerboardCopula(res, grid), split).value
+    assert close(got, Dense(res, grid).tau_quadratic(split))
+
+
 def _dense_cdf_terms(dense, point):
     """Cell masses times the fraction of each cell below ``point``."""
     frac = np.ones(dense.res)

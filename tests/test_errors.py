@@ -5,6 +5,9 @@ import pytest
 from copdep import (
     GroupSplit,
     InvalidArgumentError,
+    InvalidDataError,
+    KendallCdf,
+    PseudoObservations,
     ResolutionPolicy,
     SynthModel,
     assignment_copula,
@@ -13,6 +16,7 @@ from copdep import (
     identity_coupling,
     make_rng,
     mixture_copula,
+    pseudo_observations,
     random_star_pair,
 )
 
@@ -34,3 +38,20 @@ NON_NUMBER_ARGUMENTS = {
 def test_non_number_argument_raises_invalid_argument(name):
     with pytest.raises(InvalidArgumentError, match="expected an? .*got '[xa]'"):
         NON_NUMBER_ARGUMENTS[name]()
+
+
+NON_NUMERIC_INPUTS = {
+    "pseudo_observations": (lambda: pseudo_observations([["x", "y"], ["1", "2"]]), InvalidDataError),
+    "PseudoObservations": (
+        lambda: PseudoObservations([["x", "y"], ["1", "2"]], (0, 0)),
+        InvalidArgumentError,
+    ),
+    "KendallCdf knot not a pair": (lambda: KendallCdf(((0.1,),)), InvalidArgumentError),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMERIC_INPUTS))
+def test_malformed_array_input_raises_a_typed_error(name):
+    call, error = NON_NUMERIC_INPUTS[name]
+    with pytest.raises(error):
+        call()

@@ -54,6 +54,22 @@ def test_fit_and_tau_at_32_to_the_5th_stay_small():
     assert 0.0 < result["tau"] < 1.0
 
 
+def test_tau_quadratic_at_32_to_the_5th_holds_no_rows_times_m_array():
+    # 87k occupied conditioning cells times 32 target cells would be 22 MB
+    # as float64; the stored cells are ~98k.
+    rng = make_rng(7)
+    z = rng.standard_normal((100_000, 5))
+    z[:, 1:] = 0.5 * z[:, :1] + np.sqrt(0.75) * z[:, 1:]
+    copula = fit_checkerboard(pseudo_observations(z), (32,) * 5)
+    result = {}
+
+    def work():
+        result["tau"] = tau_quadratic(copula, GroupSplit((0, 1, 2, 3), (4,))).value
+
+    assert peak_bytes(work) < 16 * MB
+    assert 0.0 < result["tau"] < 1.0
+
+
 def test_fit_of_heavily_tied_columns_stays_small():
     # A 2-valued and a 5-valued column: every row's box spans about 17 x 8
     # cells.  Expanding each row would take ~1e5 x 136 parts (over 200 MB);

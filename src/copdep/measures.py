@@ -7,30 +7,28 @@ mass profile along the target axes divided by the cell's weight, so every
 integral over the conditioning block becomes an exact finite sum over cells.
 Only conditioning cells that carry mass enter.
 
-Along one conditioning cell the conditional CDF of a single target axis is
-piecewise linear: with k stored target cells it has at most 2k + 1 pieces,
-the stored cells and the runs of empty cells around them, where it is
-constant.  The quadratic measure (and with it tau_alpha at alpha = 2 and
-averaged_dependence) walks those pieces from the stored cells alone
-(``_target_walk``) and integrates (conditional CDF - v)^2 over each in one
-closed form, so its work scales with the stored cells.  Every other
-single-target measure still scatters each conditioning cell into a dense row
-of target cells and integrates phi of the conditional CDF and v over every
-target cell with one fixed 16-point Gauss-Legendre rule, so its work scales
-with the occupied conditioning cells times the target cells.  The entropy
-family replaces that rule by closed forms on the cells where it would not be
-exact to rounding: cells where the integrand is constant, and cells whose
-conditional CDF vanishes within half a cell below them, which are integrated
-exactly in the ratio variable (Gauss-Jacobi for the power kind, a dilogarithm
-for x log x); the rule skips the target cells outside the span that a
-block of conditioning rows needs it for.
+One walk, ``_target_walk``, feeds every split measure: it groups the stored
+cells by conditioning cell, drops zero-weight cells and yields each block's
+weights, stored target cells and cumulative masses.  For one target axis
+the conditional CDF along a conditioning cell is piecewise linear, with at
+most 2k + 1 pieces for k stored cells, constant over the runs of empty
+cells between them; tau_quadratic integrates (F - v)^2 over each piece in
+closed form, so its work scales with the stored cells.  The other kinds
+take the walk in blocks of about ``_BLOCK_CELLS`` dense cells.  The rule
+kinds read CDF rows off it and integrate every target cell with one
+16-point Gauss-Legendre rule, which the entropy family replaces by closed
+forms where it would not be exact to rounding: cells where the integrand is
+constant, and cells whose conditional CDF vanishes within half a cell below
+them (Gauss-Jacobi in the ratio variable for the power kind, a dilogarithm
+for x log x).
 
-The group measures work at target cell centers.  One helper, ``_at_centers``,
-gives the mass below every center for rows of target-cell masses: the
-conditional CDF of each conditioning row, and the target-marginal CDF, which
-is the reference for the group gap and places the knots of the Kendall
-distribution behind the group bound.  A bound below ``MIN_KENDALL_BOUND`` is
-too small to normalize by.
+The group kinds scatter the walk's masses into dense rows and work at target
+cell centers.  One helper, ``_at_centers``, gives the mass below every
+center for rows of target-cell masses: the conditional CDF of each
+conditioning row, and the target-marginal CDF, which is the reference for
+the group gap and places the knots of the Kendall distribution behind the
+group bound.  A bound below ``MIN_KENDALL_BOUND`` is too small to normalize
+by.
 
 Conventions that matter for reproducibility:
   * zero-weight conditioning cells contribute zero to every sum;
@@ -59,7 +57,6 @@ from .errors import (
 from .grid import (
     CheckerboardCopula,
     GroupSplit,
-    _compress,
     _prod,
     _scatter,
     _strides,
@@ -75,8 +72,8 @@ MIN_KENDALL_BOUND = 1e-12
 #: Points of the Gauss-Legendre rule applied to every target cell.
 _GAUSS_ORDER = 16
 
-#: (row, target cell) pairs evaluated at once, or stored cells in one block
-#: of the quadratic walk.  Small blocks bound the temporaries; on dense 64^3
+#: Stored cells in one block of the walk, or (row, target cell) pairs in one
+#: block of dense rows.  Small blocks bound the temporaries; on dense 64^3
 #: grids blocks of 64 rows (4096 cells) ran the 16-node pass twice as fast as
 #: 256 rows.
 _BLOCK_CELLS = 4096
@@ -190,79 +187,33 @@ def _fsum(values) -> float:
 # ----------------------------------------------------------------------
 
 
-def _active_rows(
-    copula: CheckerboardCopula, split: GroupSplit
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and mass rows (over the target cells) of the conditioning
-    cells that carry mass, in conditioning-key order.
-
-    Each row holds exactly the cell masses of the dense row, zeros
-    included, so it sums to the same bits as the dense row.
-    """
-    split.check_covers(copula.dims)
-    res = copula.resolutions
-    n_u = _prod(res[a] for a in split.u_axes)
-    n_v = _prod(res[a] for a in split.v_axes)
-    if copula.cell_index.size == n_u * n_v and split.u_axes + split.v_axes == tuple(
-        range(copula.dims)
-    ):
-        # Every cell is stored, in split order: the masses are the matrix.
-        mat = copula.cell_mass.reshape(n_u, n_v)
-    else:
-        rows, row_of = _compress(copula._key(split.u_axes), n_u)
-        mat = np.zeros((rows.size, n_v))
-        mat.reshape(-1)[row_of * n_v + copula._key(split.v_axes)] = copula.cell_mass
-    w = mat.sum(axis=1)
-    live = np.flatnonzero(w > 0.0)
-    if live.size == w.size:
-        return w, mat
-    return w[live], mat[live]
-
-
-def _row_sums(
-    copula: CheckerboardCopula, split: GroupSplit, cells
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of the conditioning cells that carry mass, and for each of
-    them the sum over target cells of ``cells(f0, f1)``.
-
-    f0 and f1 hold the conditioning cell's conditional CDF at the left and
-    right edge of every target cell, one row per conditioning cell.  They
-    are built and reduced a block of rows at a time, so no array spans all
-    rows but the mass matrix itself.
-    """
-    _require_single_target(split)
-    w, mat = _active_rows(copula, split)
-    sums = np.empty(w.size)
-    step = max(1, _BLOCK_CELLS // mat.shape[1])
-    for lo in range(0, w.size, step):
-        rows = slice(lo, lo + step)
-        block = mat[rows]
-        edges = np.zeros((block.shape[0], block.shape[1] + 1))
-        np.cumsum(block, axis=1, out=edges[:, 1:])
-        edges[:, 1:] /= w[rows, None]
-        sums[rows] = cells(edges[:, :-1], edges[:, 1:]).sum(axis=1)
-    return w, sums
-
-
-def _require_single_target(split: GroupSplit) -> None:
+def _single_target(copula: CheckerboardCopula, split: GroupSplit) -> int:
+    """The target resolution of a split that covers the copula with one target axis."""
     if len(split.v_axes) != 1:
         raise InvalidArgumentError(
             "this measure takes exactly one target axis; use group_tau for groups"
         )
+    split.check_covers(copula.dims)
+    return copula.resolutions[split.v_axes[0]]
 
 
 def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
     """The conditioning cells that carry mass, each walked over its stored
-    target cells only, with no array of conditioning cells times m.
+    target cells only, with no array of conditioning cells times m, the
+    target cells numbered row-major over the target axes in split order.
+    The split must cover the copula.
 
-    Yields ``(w, edges, t)`` per block of conditioning cells that hold the
-    same number k of stored cells, one column per conditioning cell: their
-    weights; the conditional CDF at the edges of their stored cells, shape
-    (k + 1, columns), 0 first; and the target coordinates of those cells in
-    ascending order, shape (k, columns), or (k, 1) when they are the same
-    in every column.  Along a column F is piecewise linear with at most
-    2k + 1 pieces: cell j, [t_j, t_j + 1], where F runs from edges[j] to
-    edges[j + 1]; the run of empty cells before it, from the previous
+    Yields ``(w, cells, edges, t)`` per block of conditioning cells that hold
+    the same number k of stored cells, one column per conditioning cell:
+    their weights; the masses of their stored cells, shape (k, columns);
+    the cumulative masses divided by the weight, shape (k + 1, columns), 0
+    first; and the target numbers of those cells in ascending order, shape
+    (k, columns), or (k, 1) when they are the same in every column.
+
+    For a single target axis ``edges`` is the conditional CDF at the edges
+    of the stored cells, and along a column F is piecewise linear with at
+    most 2k + 1 pieces: cell j, [t_j, t_j + 1], where F runs from edges[j]
+    to edges[j + 1]; the run of empty cells before it, from the previous
     cell's right edge (0 for the first), where F is edges[j]; and the run
     after the last cell, where F is 1.
 
@@ -270,9 +221,7 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
     order, so it adds in sequence like the cumulative sum of its dense row.
     A column's weight is its last sum, so F reaches 1 exactly.
     """
-    _require_single_target(split)
-    split.check_covers(copula.dims)
-    m = copula.resolutions[split.v_axes[0]]
+    m = _prod(copula.resolutions[a] for a in split.v_axes)
     n_u = _prod(copula.resolutions[a] for a in split.u_axes)
     in_order = split.u_axes + split.v_axes == tuple(range(copula.dims))
     flat = copula._key(split.u_axes + split.v_axes)  # conditioning key * m + t
@@ -295,15 +244,16 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
         w = edges[-1].copy()
         live = w > 0.0
         if not live.all():
-            w, edges, t = w[live], edges[:, live], np.broadcast_to(t, block.shape)[:, live]
+            t = np.broadcast_to(t, block.shape)[:, live]
+            w, block, edges = w[live], block[:, live], edges[:, live]
         edges[1:] /= w
-        yield w, edges, t
+        yield w, block, edges, t
 
 
 def _blocks_by_length(flat: np.ndarray, mass: np.ndarray, m: int):
     """Stored cells sorted by ``flat`` = conditioning key * m + target
-    coordinate, as matrices of at most about ``_BLOCK_CELLS`` cells: the
-    masses and target coordinates of conditioning cells that hold the same
+    number, as matrices of at most about ``_BLOCK_CELLS`` cells: the
+    masses and target numbers of conditioning cells that hold the same
     number k of cells, one column each, shape (k, columns)."""
     key = flat // m
     t = flat - key * m
@@ -318,6 +268,43 @@ def _blocks_by_length(flat: np.ndarray, mass: np.ndarray, m: int):
         for lo in range(first, stop, step):
             at = np.arange(k)[:, None] + starts[lo : min(lo + step, stop)]
             yield mass[at], t[at]
+
+
+def _dense_walk(copula: CheckerboardCopula, split: GroupSplit):
+    """The walk in blocks of at most about ``_BLOCK_CELLS`` / m conditioning
+    cells, so that their dense rows over all m target cells stay small.  An
+    array of one column passes whole: it holds target numbers shared by every
+    column, or the block has one column."""
+    step = max(1, _BLOCK_CELLS // _prod(copula.resolutions[a] for a in split.v_axes))
+    for block in _target_walk(copula, split):
+        for lo in range(0, block[0].size, step):
+            yield tuple(x if x.shape[-1] == 1 else x[..., lo : lo + step] for x in block)
+
+
+def _row_terms(blocks, per_row) -> np.ndarray:
+    """Weight times ``per_row(w, cells, edges, t)`` of every conditioning
+    cell in walk ``blocks``; empty when none carries mass."""
+    terms = [block[0] * per_row(*block) for block in blocks]
+    return np.concatenate(terms) if terms else np.zeros(0)
+
+
+def _rule_terms(copula: CheckerboardCopula, split: GroupSplit, cells) -> np.ndarray:
+    """:func:`_row_terms` of the sum over target cells of ``cells(f0, f1)``,
+    where f0 and f1 hold the conditional CDF at the left and right edge of
+    every target cell, one row per conditioning cell."""
+    m = _single_target(copula, split)
+
+    def per_row(w, masses, edges, t):
+        f = np.ascontiguousarray(edges.T)
+        if masses.shape[0] < m:  # hold F over the runs of empty cells
+            spans = np.empty(edges.shape, dtype=t.dtype)  # cell edges at each value
+            spans[0] = t[0] + 1
+            np.subtract(t[1:], t[:-1], out=spans[1:-1])
+            spans[-1] = m - t[-1]
+            f = f.ravel().repeat(spans.T.ravel()).reshape(-1, m + 1)
+        return cells(f[:, :-1], f[:, 1:]).sum(axis=1)
+
+    return _row_terms(_dense_walk(copula, split), per_row)
 
 
 @lru_cache(maxsize=16)
@@ -358,7 +345,7 @@ def _gauss_rule(f0: np.ndarray, f1: np.ndarray, g, m: int, first: int = 0) -> np
 
 
 def _gauss_cells(g):
-    """``cells`` function for :func:`_row_sums`: g(F, v) integrated over every
+    """``cells`` function for :func:`_rule_terms`: g(F, v) integrated over every
     target cell by the Gauss-Legendre rule."""
     return lambda f0, f1: _gauss_rule(f0, f1, g, f0.shape[1])
 
@@ -422,15 +409,15 @@ def tau_quadratic(copula: CheckerboardCopula, split: GroupSplit) -> MeasureRepor
     0 for independence; at resolution m the complete-dependence maximum is
     1 - 1/m, approaching 1 as the grid refines.
     """
+    m = _single_target(copula, split)
+
     def squares(g0, g1):
         """3 / width times the integral of g^2 over a piece where g is linear
         from g0 to g1."""
         return g0 * (g0 + g1) + g1 * g1
 
-    terms = []
-    for w, edges, t in _target_walk(copula, split):
-        m = copula.resolutions[split.v_axes[0]]
-        k, n = edges.shape[0] - 1, edges.shape[1]
+    def per_row(w, cells, edges, t):
+        k, n = cells.shape
         left = edges[:-1] - t / m  # F - v at each cell's left edge
         right = edges[1:] - (t + 1) / m  # and at its right edge
         sums = squares(left, right).sum(axis=0)
@@ -444,8 +431,9 @@ def tau_quadratic(copula: CheckerboardCopula, split: GroupSplit) -> MeasureRepor
             width[-1] = m
             width[1:] -= t + 1
             sums += (squares(run_start, run_end) * width).sum(axis=0)
-        terms.append(w * sums / (3.0 * m))
-    value = 6.0 * _fsum(np.concatenate(terms)) if terms else 0.0
+        return sums
+
+    value = 6.0 * _fsum(_row_terms(_target_walk(copula, split), per_row) / (3.0 * m))
     _warn_above_unit(value, "tau_quadratic")
     return MeasureReport(
         kind=MeasureKind("tau_quadratic"),
@@ -473,8 +461,8 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
     if a == 2.0:
         return replace(tau_quadratic(copula, split), kind=kind)
     normalizer = (a + 1.0) * (a + 2.0) / 2.0
-    w, per_row = _row_sums(copula, split, _gauss_cells(lambda f, v: np.abs(f - v) ** a))
-    value = normalizer * _fsum(w * per_row)
+    terms = _rule_terms(copula, split, _gauss_cells(lambda f, v: np.abs(f - v) ** a))
+    value = normalizer * _fsum(terms)
     _warn_above_unit(value, "tau_alpha")
     return MeasureReport(
         kind=kind,
@@ -486,7 +474,7 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
 
 
 def _ratio_cells(alpha: float | None):
-    """``cells`` function for :func:`_row_sums`: per (row, target cell), the
+    """``cells`` function for :func:`_rule_terms`: per (row, target cell), the
     integral over the cell of phi(conditional CDF / v).
 
     phi is r**alpha, or r*log(r) (with 0 log 0 = 0) when ``alpha`` is None.
@@ -577,8 +565,7 @@ def renyi_alpha(
     """
     kind = MeasureKind("renyi_alpha", alpha)
     a = kind.alpha
-    w, per_row = _row_sums(copula, split, _ratio_cells(a))
-    total = _fsum(w * per_row)
+    total = _fsum(_rule_terms(copula, split, _ratio_cells(a)))
     if total <= 0.0:
         raise EvaluationError(f"nonpositive integral {total} in renyi_alpha")
     value = math.log(total) / (a - 1.0)
@@ -596,8 +583,7 @@ def renyi_limit(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     The alpha -> 1 limit of the entropy family.  0 for independence, 1 in
     the continuous complete-dependence limit, unbounded in general.
     """
-    w, per_row = _row_sums(copula, split, _ratio_cells(None))
-    value = _fsum(w * per_row)
+    value = _fsum(_rule_terms(copula, split, _ratio_cells(None)))
     return MeasureReport(
         kind=MeasureKind("renyi_limit"),
         value=value,
@@ -638,16 +624,16 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
     group (target-marginal weights).  ``phi`` must accept numpy arrays;
     convexity is the caller's responsibility, phi(0) = 0 is recommended.
     """
+    def at(x):
+        return np.asarray(phi(x), dtype=np.float64)
+
     if len(split.v_axes) == 1:
-        w, per_row = _row_sums(
-            copula, split, _gauss_cells(lambda f, v: np.asarray(phi(f - v), dtype=np.float64))
-        )
+        terms = _rule_terms(copula, split, _gauss_cells(lambda f, v: at(f - v)))
     else:
-        w, gaps, target_w, _ = _center_gaps(copula, split)
-        per_row = (np.asarray(phi(gaps), dtype=np.float64) * target_w).sum(axis=1)
-    if not np.all(np.isfinite(per_row)):
+        terms = _gap_terms(copula, split, lambda gaps, tw: (at(gaps) * tw).sum(axis=1))[0]
+    if not np.all(np.isfinite(terms)):
         raise EvaluationError("phi produced a non-finite value")
-    value = _fsum(w * per_row)
+    value = _fsum(terms)
     return MeasureReport(
         kind=MeasureKind("custom_phi"),
         value=value,
@@ -685,26 +671,30 @@ def _center_ramp(m: int) -> np.ndarray:
 
 def _at_centers(rows: np.ndarray, v_res: tuple[int, ...]) -> np.ndarray:
     """Per row of target-cell masses, the mass below every target cell center
-    (half of a cell's own mass is below its center): each target axis is
-    contracted with its center ramp."""
-    out = rows.reshape((rows.shape[0],) + v_res)
+    (half of a cell's own mass is below its center): each target axis in
+    turn, leading first, is contracted with its center ramp and moved last."""
+    out = rows
     for m in v_res:
-        out = np.tensordot(out, _center_ramp(m), axes=([1], [0]))
+        out = out.reshape(rows.shape[0], m, -1).transpose(0, 2, 1).reshape(-1, m) @ _center_ramp(m)
     return out.reshape(rows.shape[0], -1)
 
 
-def _center_gaps(
-    copula: CheckerboardCopula, split: GroupSplit
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weights of the conditioning cells that carry mass, the gap between
-    their conditional CDF and the target-marginal CDF at every target cell
-    center, the target-marginal cell masses, and that marginal CDF."""
-    w, mat = _active_rows(copula, split)
+def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, reduce) -> tuple:
+    """:func:`_row_terms` of ``reduce(gaps, target_w)``, then ``target_w``
+    and ``reference``: the target-marginal cell masses, and the
+    target-marginal CDF at every target cell center, which ``gaps``
+    subtracts from each conditional CDF there."""
+    split.check_covers(copula.dims)
     v_res = tuple(copula.resolutions[a] for a in split.v_axes)
     target_w = _target_marginal_masses(copula, split.v_axes)
     reference = _at_centers(target_w[None, :], v_res)[0]
-    gaps = _at_centers(mat, v_res) / w[:, None] - reference[None, :]
-    return w, gaps, target_w, reference
+
+    def per_row(w, masses, edges, t):
+        rows = np.zeros((w.size, target_w.size))
+        rows[np.arange(w.size), t] = masses
+        return reduce(_at_centers(rows, v_res) / w[:, None] - reference, target_w)
+
+    return _row_terms(_dense_walk(copula, split), per_row), target_w, reference
 
 
 def kendall_cdf(copula: CheckerboardCopula, v_axes) -> KendallCdf:
@@ -777,9 +767,8 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     """
     if len(split.v_axes) < 2:
         raise InvalidArgumentError("group_tau needs a target group; use tau_quadratic")
-    w, gaps, target_w, reference = _center_gaps(copula, split)
-    per_row = (gaps * gaps) @ target_w
-    value = 6.0 * _fsum(w * per_row)
+    terms, target_w, reference = _gap_terms(copula, split, lambda gaps, tw: (gaps * gaps) @ tw)
+    value = 6.0 * _fsum(terms)
     bound = max_bound(_kendall_steps(target_w, reference))
     _warn_above_unit(value / bound if bound > 0 else value, "group_tau / bound")
     return MeasureReport(

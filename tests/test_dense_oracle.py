@@ -25,6 +25,7 @@ from copdep import (
     averaged_dependence,
     conditional_cdf,
     fit_checkerboard,
+    generic_measure,
     group_tau,
     group_tau_normalized,
     kendall_cdf,
@@ -123,6 +124,10 @@ class Dense:
         w, edges = self.edges(split)
         cells = self.gauss(edges, lambda f, v: np.abs(f - v) ** a)
         return (a + 1.0) * (a + 2.0) / 2.0 * math.fsum((w * cells.sum(axis=1)).tolist())
+
+    def custom_phi(self, split, phi):
+        w, edges = self.edges(split)
+        return math.fsum((w * self.gauss(edges, lambda f, v: phi(f - v)).sum(axis=1)).tolist())
 
     def ratio_total(self, split, alpha):
         """Previous entropy kernel: the rule on every cell, then closed forms."""
@@ -242,6 +247,16 @@ def outcome(fn):
         return "error"
 
 
+def assert_outcomes_agree(pairs):
+    """Each (ours, theirs) pair of calls gives close values, or both errors."""
+    for ours, theirs in pairs:
+        got, want = outcome(ours), outcome(theirs)
+        if want == "error":
+            assert got == "error"
+        else:
+            assert got != "error" and close(got, want), (got, want)
+
+
 @st.composite
 def sparse_grids(draw):
     dims = draw(st.integers(2, 4))
@@ -294,12 +309,7 @@ def test_every_measure_matches_the_dense_oracle(case):
     pairs.append(
         (lambda: averaged_dependence(cop, group).value, lambda: dense.averaged_dependence(group))
     )
-    for ours, theirs in pairs:
-        got, want = outcome(ours), outcome(theirs)
-        if want == "error":
-            assert got == "error"
-        else:
-            assert got != "error" and close(got, want), (got, want)
+    assert_outcomes_agree(pairs)
 
     for _ in range(3):
         cell = tuple(int(rng.integers(res[a])) for a in group.u_axes)
@@ -351,11 +361,24 @@ def sparse_rows(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(sparse_rows())
-def test_tau_quadratic_on_sparse_rows_matches_the_dense_oracle(case):
-    # tau_quadratic integrates the runs of empty target cells in closed form
+def test_single_target_measures_on_sparse_rows_match_the_dense_oracle(case):
+    # tau_quadratic integrates the runs of empty target cells in closed form;
+    # the rule kinds hold the conditional CDF constant over them
     res, grid, split = case
-    got = tau_quadratic(CheckerboardCopula(res, grid), split).value
-    assert close(got, Dense(res, grid).tau_quadratic(split))
+    cop, dense = CheckerboardCopula(res, grid), Dense(res, grid)
+    pairs = [
+        (lambda: tau_quadratic(cop, split).value, lambda: dense.tau_quadratic(split)),
+        (lambda: tau_alpha(cop, split, 1.0).value, lambda: dense.tau_alpha(split, 1.0)),
+        (lambda: tau_alpha(cop, split, 3.5).value, lambda: dense.tau_alpha(split, 3.5)),
+        (lambda: renyi_alpha(cop, split, 0.5).value, lambda: dense.renyi_alpha(split, 0.5)),
+        (lambda: renyi_alpha(cop, split, 1.5).value, lambda: dense.renyi_alpha(split, 1.5)),
+        (lambda: renyi_limit(cop, split).value, lambda: dense.renyi_limit(split)),
+        (
+            lambda: generic_measure(cop, split, np.abs).value,
+            lambda: dense.custom_phi(split, np.abs),
+        ),
+    ]
+    assert_outcomes_agree(pairs)
 
 
 def _dense_cdf_terms(dense, point):

@@ -1,18 +1,24 @@
 """Public functions raise the package's typed errors, never a bare ValueError or TypeError."""
 
+import numpy as np
 import pytest
 
 from copdep import (
+    CheckerboardCopula,
+    CopdepError,
     GroupSplit,
     InvalidArgumentError,
     InvalidDataError,
     KendallCdf,
+    MeasureKind,
     PseudoObservations,
     ResolutionPolicy,
     SynthModel,
     assignment_copula,
     comonotone_copula,
+    compute_measure,
     generate,
+    generic_measure,
     identity_coupling,
     make_rng,
     mixture_copula,
@@ -55,3 +61,40 @@ def test_malformed_array_input_raises_a_typed_error(name):
     call, error = NON_NUMERIC_INPUTS[name]
     with pytest.raises(error):
         call()
+
+
+SINGLE, GROUP = GroupSplit((0, 1), (2,)), GroupSplit((0,), (1, 2))
+ON_A_GRID_WITHOUT_MASS = [
+    # kind, alpha, split, and the value, or None where the kind raises a package error
+    ("tau_quadratic", None, SINGLE, 0.0),
+    ("tau_alpha", 1.0, SINGLE, 0.0),
+    ("tau_alpha", 3.5, SINGLE, 0.0),
+    ("renyi_alpha", 0.5, SINGLE, None),
+    ("renyi_limit", None, SINGLE, 0.0),
+    ("mutual_information", None, None, 0.0),
+    ("group_tau", None, GROUP, None),
+    ("group_tau_normalized", None, GROUP, None),
+    ("averaged_dependence", None, GROUP, 0.0),
+    ("custom_phi", None, SINGLE, 0.0),
+    ("custom_phi", None, GROUP, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, alpha, split, want",
+    ON_A_GRID_WITHOUT_MASS,
+    ids=[f"{t}-{a}-{'group' if s is GROUP else 'single'}" for t, a, s, _ in ON_A_GRID_WITHOUT_MASS],
+)
+def test_every_measure_on_a_grid_without_mass_is_zero_or_a_typed_error(tag, alpha, split, want):
+    copula = CheckerboardCopula((4, 4, 4), np.zeros(64))
+
+    def call():
+        if tag == "custom_phi":
+            return generic_measure(copula, split, np.abs)
+        return compute_measure(copula, split, MeasureKind(tag, alpha))
+
+    if want is None:
+        with pytest.raises(CopdepError):
+            call()
+    else:
+        assert call().value == want

@@ -16,10 +16,13 @@ from copdep import (
     GroupSplit,
     comonotone_copula,
     fit_checkerboard,
+    group_tau,
+    independence_copula,
     make_rng,
     mutual_information,
     pseudo_observations,
     renyi_limit,
+    tau_alpha,
     tau_quadratic,
 )
 from copdep.cli import main
@@ -54,20 +57,48 @@ def test_fit_and_tau_at_32_to_the_5th_stay_small():
     assert 0.0 < result["tau"] < 1.0
 
 
-def test_tau_quadratic_at_32_to_the_5th_holds_no_rows_times_m_array():
-    # 87k occupied conditioning cells times 32 target cells would be 22 MB
-    # as float64; the stored cells are ~98k.
+@pytest.fixture(scope="module")
+def correlated_1e5x5():
     rng = make_rng(7)
     z = rng.standard_normal((100_000, 5))
     z[:, 1:] = 0.5 * z[:, :1] + np.sqrt(0.75) * z[:, 1:]
-    copula = fit_checkerboard(pseudo_observations(z), (32,) * 5)
+    return pseudo_observations(z)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [tau_quadratic, lambda c, s: tau_alpha(c, s, 1.0), renyi_limit],
+    ids=["tau_quadratic", "tau_alpha_1", "renyi_limit"],
+)
+def test_measures_at_32_to_the_5th_hold_no_rows_times_m_array(correlated_1e5x5, measure):
+    # 87k occupied conditioning cells times 32 target cells would be 22 MB
+    # as float64; the stored cells are ~98k.
+    copula = fit_checkerboard(correlated_1e5x5, (32,) * 5)
+    # imports and caches fill outside the traced run
+    measure(independence_copula((2, 32)), GroupSplit((0,), (1,)))
     result = {}
 
     def work():
-        result["tau"] = tau_quadratic(copula, GroupSplit((0, 1, 2, 3), (4,))).value
+        result["value"] = measure(copula, GroupSplit((0, 1, 2, 3), (4,))).value
 
     assert peak_bytes(work) < 16 * MB
-    assert 0.0 < result["tau"] < 1.0
+    assert 0.0 < result["value"] < 2.0
+
+
+def test_group_tau_holds_no_rows_times_target_cells_array(correlated_1e5x5):
+    # 4096 conditioning cells times 256 target cells: 8 MB as float64, and
+    # the center contraction holds several arrays of that size.
+    copula = fit_checkerboard(correlated_1e5x5, (16,) * 5)
+    split = GroupSplit((0, 1, 2), (3, 4))
+    # imports and caches fill outside the traced run
+    group_tau(independence_copula((2, 2, 2)), GroupSplit((0,), (1, 2)))
+    result = {}
+
+    def work():
+        result["report"] = group_tau(copula, split)
+
+    assert peak_bytes(work) < 8 * MB
+    assert 0.0 < result["report"].value < result["report"].upper_bound
 
 
 def test_fit_of_heavily_tied_columns_stays_small():

@@ -172,7 +172,7 @@ def cmd_measure(args) -> int:
     if sample_size is not None:
         report = replace(report, sample_size=sample_size)
     payload = report.to_json_dict()
-    if kind.tag == "group_tau" and report.upper_bound is not None:
+    if kind.tag == "group_tau":
         if report.upper_bound >= MIN_KENDALL_BOUND:
             payload["normalized_value"] = report.value / report.upper_bound
         else:

@@ -50,10 +50,10 @@ class EvaluationError(CopdepError):
 
 
 def _convert(value, kind: type, name: str):
-    """``kind(value)`` for ``kind`` int or float; InvalidArgumentError naming
-    ``name`` where the conversion raises."""
+    """``kind(value)`` for ``kind`` int, float or operator.index;
+    InvalidArgumentError naming ``name`` where the conversion raises."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a numeric"
+        noun = "a numeric" if kind is float else "an integer"
         raise InvalidArgumentError(f"expected {noun} {name}, got {value!r}") from exc

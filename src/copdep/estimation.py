@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError, _convert
-from .grid import CheckerboardCopula, _check_resolutions, _compress, _prod, require_valid
+from .grid import CheckerboardCopula, _check_resolutions, _compress, require_valid
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
 MAX_BOX_PARTS = 2**22
@@ -245,10 +246,10 @@ def fit_checkerboard(
     scratch = np.empty((2, n), dtype=np.int64)
     crossing = [_add_axis(first, lo, hi, m, scratch) for (lo, hi), m in zip(pseudo.intervals, res)]
     del scratch
-    if _prod(res) > 2 * n:
+    if math.prod(res) > 2 * n:
         cells, mass = np.unique(first, return_counts=True)
     else:
-        mass = np.bincount(first, minlength=_prod(res))
+        mass = np.bincount(first, minlength=math.prod(res))
         cells = np.flatnonzero(mass)
         mass = mass[cells]
     mass = mass.astype(np.float64)
@@ -297,7 +298,7 @@ def _split_boxes(res, n: int, first, crossing):
     for j, (rows, _, _) in enumerate(crossing):
         bits[rows] += 1 << j
     rows = np.flatnonzero(bits)
-    firsts, rank = _compress(first[rows], _prod(res))
+    firsts, rank = _compress(first[rows], math.prod(res))
     if firsts.size << d >= 2**63:
         raise InvalidArgumentError(
             f"{firsts.size} first cells of split rank boxes on {d} axes overflow an int64 key"

@@ -20,6 +20,8 @@ threads.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,23 +33,30 @@ from .errors import CopulaValidationError, InvalidArgumentError, _convert
 VALIDITY_TOL = 1e-9
 
 
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= int(v)
-    return out
-
-
 def _check_resolutions(resolutions) -> tuple[int, ...]:
     """Resolutions as a tuple of ints; rejects empty, nonpositive and too-large grids."""
     res = tuple(_convert(m, int, "resolution") for m in resolutions)
     if not res or any(m < 1 for m in res):
         raise InvalidArgumentError(f"resolutions must be positive, got {res}")
-    if _prod(res) >= 2**63:
+    if math.prod(res) >= 2**63:
         raise InvalidArgumentError(
-            f"grid {res} has {_prod(res)} cells; a flat cell index needs fewer than 2**63"
+            f"grid {res} has {math.prod(res)} cells; a flat cell index needs fewer than 2**63"
         )
     return res
+
+
+def _check_axes(axes, dims: int | None = None) -> tuple[int, ...]:
+    """``axes`` as a nonempty tuple of distinct nonnegative integers, each below
+    ``dims`` when given.  An integer is whatever ``operator.index`` accepts, so
+    numpy integers pass and floats do not."""
+    try:
+        out = tuple(_convert(a, operator.index, "axis") for a in axes)
+    except TypeError as exc:  # not a sequence
+        raise InvalidArgumentError(f"expected a sequence of axes, got {axes!r}") from exc
+    top = math.inf if dims is None else dims
+    if not out or len(set(out)) < len(out) or min(out) < 0 or max(out) >= top:
+        raise InvalidArgumentError(f"expected one or more distinct axes in 0..{top - 1}, got {out}")
+    return out
 
 
 def _strides(res) -> list[int]:
@@ -109,9 +118,9 @@ class CheckerboardCopula:
     def __init__(self, resolutions, mass):
         res = _check_resolutions(resolutions)
         dense = np.asarray(mass, dtype=np.float64).ravel()
-        if dense.size != _prod(res):
+        if dense.size != math.prod(res):
             raise InvalidArgumentError(
-                f"mass length {dense.size} does not match grid size {_prod(res)}"
+                f"mass length {dense.size} does not match grid size {math.prod(res)}"
             )
         index = np.flatnonzero(dense)
         self._freeze(res, index, dense[index])
@@ -149,7 +158,7 @@ class CheckerboardCopula:
     @property
     def mass(self) -> np.ndarray:
         """Dense flat mass array, row-major; a new read-only copy on each access."""
-        size = _prod(self.resolutions)
+        size = math.prod(self.resolutions)
         try:
             out = _scatter(self.cell_index, self.cell_mass, size)
         except MemoryError as exc:
@@ -182,7 +191,7 @@ class CheckerboardCopula:
         key = self.cell_index // stride if stride > 1 else self.cell_index
         if first == 0:
             return key
-        size = _prod(self.resolutions[first : last + 1])
+        size = math.prod(self.resolutions[first : last + 1])
         return key - (key // size) * size
 
     def _block_sums(self, axes) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +199,7 @@ class CheckerboardCopula:
         the given order), each the sum of its stored cells in stored order,
         and the ``_key`` of every stored cell over ``axes``."""
         key = self._key(axes)
-        size = _prod(self.resolutions[a] for a in axes)
+        size = math.prod(self.resolutions[a] for a in axes)
         return np.bincount(key, weights=self.cell_mass, minlength=size), key
 
     # ------------------------------------------------------------------
@@ -268,15 +277,9 @@ class CheckerboardCopula:
         of the removed axes' own flat index, so the result does not depend
         on where the kept axes sit.
         """
-        kept = tuple(int(a) for a in axes)
-        if not kept:
-            raise InvalidArgumentError("marginal requires at least one axis")
-        if len(set(kept)) != len(kept):
-            raise InvalidArgumentError(f"duplicate axes in {kept}")
-        if any(a < 0 or a >= self.dims for a in kept):
-            raise InvalidArgumentError(f"axes {kept} out of range for {self.dims} dims")
+        kept = _check_axes(axes, self.dims)
         keys, group = _compress(
-            self._key(kept), _prod(self.resolutions[a] for a in kept)
+            self._key(kept), math.prod(self.resolutions[a] for a in kept)
         )
         # bincount adds in stored-cell order, which within a kept cell is
         # the order of the removed axes' own flat index.
@@ -292,8 +295,8 @@ class CheckerboardCopula:
 
     def permute_axes(self, permutation) -> CheckerboardCopula:
         """Relabel axes: new axis ``i`` is old axis ``permutation[i]``."""
-        perm = tuple(int(a) for a in permutation)
-        if sorted(perm) != list(range(self.dims)):
+        perm = _check_axes(permutation, self.dims)
+        if len(perm) != self.dims:
             raise InvalidArgumentError(
                 f"{perm} is not a permutation of 0..{self.dims - 1}"
             )
@@ -301,8 +304,7 @@ class CheckerboardCopula:
 
     def reverse_axis(self, axis: int) -> CheckerboardCopula:
         """Flip the cell order along one axis (a strictly decreasing remap)."""
-        if not 0 <= axis < self.dims:
-            raise InvalidArgumentError(f"axis {axis} out of range")
+        (axis,) = _check_axes((axis,), self.dims)
         m, stride = self.resolutions[axis], _strides(self.resolutions)[axis]
         shift = (m - 1 - 2 * self._key((axis,))) * stride
         return self._rekeyed(self.cell_index + shift, self.resolutions)
@@ -419,16 +421,9 @@ class GroupSplit:
     v_axes: tuple[int, ...]
 
     def __post_init__(self):
-        u = tuple(_convert(a, int, "axis") for a in self.u_axes)
-        v = tuple(_convert(a, int, "axis") for a in self.v_axes)
-        if not u or not v:
-            raise InvalidArgumentError("both blocks must be nonempty")
+        u, v = _check_axes(self.u_axes), _check_axes(self.v_axes)
         if set(u) & set(v):
             raise InvalidArgumentError(f"blocks overlap: {sorted(set(u) & set(v))}")
-        if len(set(u)) != len(u) or len(set(v)) != len(v):
-            raise InvalidArgumentError("duplicate axis in split")
-        if any(a < 0 for a in u + v):
-            raise InvalidArgumentError("negative axis index")
         object.__setattr__(self, "u_axes", u)
         object.__setattr__(self, "v_axes", v)
 
@@ -447,7 +442,7 @@ class GroupSplit:
 def independence_copula(resolutions) -> CheckerboardCopula:
     """Product copula: every cell carries the product of the axis widths."""
     res = _check_resolutions(resolutions)
-    n = _prod(res)
+    n = math.prod(res)
     return require_valid(
         CheckerboardCopula._from_cells(res, np.arange(n), np.full(n, 1.0 / n)),
         "independence_copula",

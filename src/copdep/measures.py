@@ -27,8 +27,11 @@ cell centers.  One helper, ``_at_centers``, gives the mass below every
 center for rows of target-cell masses: the conditional CDF of each
 conditioning row, and the target-marginal CDF, which is the reference for
 the group gap and places the knots of the Kendall distribution behind the
-group bound.  A bound below ``MIN_KENDALL_BOUND`` is too small to normalize
-by.
+group bound.  The knots stay two arrays, t and K, which one reduction,
+``_kendall_bound``, turns into the bound for ``group_tau`` and ``max_bound``;
+only ``kendall_cdf`` wraps them in a ``KendallCdf``.  A target marginal
+whose mass is not 1 raises, and a bound below ``MIN_KENDALL_BOUND`` is too
+small to normalize by.
 
 Conventions that matter for reproducibility:
   * zero-weight conditioning cells contribute zero to every sum;
@@ -57,7 +60,7 @@ from .errors import (
 from .grid import (
     CheckerboardCopula,
     GroupSplit,
-    _prod,
+    _check_axes,
     _scatter,
     _strides,
     _unit_point,
@@ -68,6 +71,9 @@ UNIT_SLACK = 1e-9
 
 #: Smallest Kendall bound that a group value may be divided by.
 MIN_KENDALL_BOUND = 1e-12
+
+#: How far from 1 a Kendall CDF's last level, the target marginal's mass, may be.
+_KENDALL_TOL = 1e-6
 
 #: Points of the Gauss-Legendre rule applied to every target cell.
 _GAUSS_ORDER = 16
@@ -164,7 +170,7 @@ class KendallCdf:
             raise InvalidArgumentError(f"Kendall CDF knots must be finite, got {self.knots!r}")
         if (np.diff(knots, axis=0) < 0.0).any():
             raise InvalidArgumentError("Kendall CDF knots must be nondecreasing")
-        if abs(knots[-1, 1] - 1.0) > 1e-6:
+        if abs(knots[-1, 1] - 1.0) > _KENDALL_TOL:
             raise InvalidArgumentError(f"Kendall CDF must reach 1, got {knots[-1, 1]}")
         object.__setattr__(self, "knots", tuple(map(tuple, knots.tolist())))
 
@@ -221,8 +227,8 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
     order, so it adds in sequence like the cumulative sum of its dense row.
     A column's weight is its last sum, so F reaches 1 exactly.
     """
-    m = _prod(copula.resolutions[a] for a in split.v_axes)
-    n_u = _prod(copula.resolutions[a] for a in split.u_axes)
+    m = math.prod(copula.resolutions[a] for a in split.v_axes)
+    n_u = math.prod(copula.resolutions[a] for a in split.u_axes)
     in_order = split.u_axes + split.v_axes == tuple(range(copula.dims))
     flat = copula._key(split.u_axes + split.v_axes)  # conditioning key * m + t
     mass = copula.cell_mass
@@ -275,7 +281,7 @@ def _dense_walk(copula: CheckerboardCopula, split: GroupSplit):
     cells, so that their dense rows over all m target cells stay small.  An
     array of one column passes whole: it holds target numbers shared by every
     column, or the block has one column."""
-    step = max(1, _BLOCK_CELLS // _prod(copula.resolutions[a] for a in split.v_axes))
+    step = max(1, _BLOCK_CELLS // math.prod(copula.resolutions[a] for a in split.v_axes))
     for block in _target_walk(copula, split):
         for lo in range(0, block[0].size, step):
             yield tuple(x if x.shape[-1] == 1 else x[..., lo : lo + step] for x in block)
@@ -621,11 +627,17 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
     Integrates phi(conditional CDF - reference) against the conditioning
     weights, where the reference is v itself for a single target axis
     (Lebesgue dv) and the target-marginal CDF at cell centers for a target
-    group (target-marginal weights).  ``phi`` must accept numpy arrays;
-    convexity is the caller's responsibility, phi(0) = 0 is recommended.
+    group (target-marginal weights).  ``phi`` must map a numpy array to
+    numbers of the same shape; convexity is the caller's responsibility,
+    phi(0) = 0 is recommended.
     """
     def at(x):
-        return np.asarray(phi(x), dtype=np.float64)
+        out = np.asarray(phi(x))
+        if out.shape != x.shape or out.dtype.kind not in "biuf":
+            raise InvalidArgumentError(
+                f"phi must return numbers shaped {x.shape}, got {out.dtype} shaped {out.shape}"
+            )
+        return out.astype(np.float64, copy=False)
 
     if len(split.v_axes) == 1:
         terms = _rule_terms(copula, split, _gauss_cells(lambda f, v: at(f - v)))
@@ -649,14 +661,13 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
 
 def _target_marginal_masses(copula: CheckerboardCopula, v_axes) -> np.ndarray:
     """Target-block cell masses, each cell summed exactly over the rest."""
-    v_axes = tuple(v_axes)
     keys = copula._key(v_axes)
     order = np.argsort(keys, kind="stable")  # keys come in ascending runs
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     masses = copula.cell_mass[order]
     bounds = starts.tolist() + [masses.size]
-    out = np.zeros(_prod(copula.resolutions[a] for a in v_axes))
+    out = np.zeros(math.prod(copula.resolutions[a] for a in v_axes))
     out[keys[starts]] = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     return out
 
@@ -706,29 +717,32 @@ def kendall_cdf(copula: CheckerboardCopula, v_axes) -> KendallCdf:
     a step function that converges to the true Kendall distribution as the
     grid refines.
     """
-    v_axes = tuple(int(a) for a in v_axes)
-    if not v_axes:
-        raise InvalidArgumentError("need at least one target axis")
-    if len(set(v_axes)) != len(v_axes) or any(
-        a < 0 or a >= copula.dims for a in v_axes
-    ):
-        raise InvalidArgumentError(f"bad target axes {v_axes}")
+    v_axes = _check_axes(v_axes, copula.dims)
     if len(v_axes) == 1:
         return KendallCdf(((0.0, 0.0), (1.0, 1.0)), kind="linear")
     masses = _target_marginal_masses(copula, v_axes)
     v_res = tuple(copula.resolutions[a] for a in v_axes)
-    return _kendall_steps(masses, _at_centers(masses[None, :], v_res)[0])
+    t, k = _kendall_steps(masses, _at_centers(masses[None, :], v_res)[0])
+    return KendallCdf(tuple(zip(t.tolist(), k.tolist())), kind="step")
 
 
-def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> KendallCdf:
-    """Step CDF placing each target cell's mass at its center value ``ts``."""
+def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knots (t, K), t ascending, of the step CDF putting each cell's mass at ``ts``."""
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     cum = np.cumsum(masses[order])  # adds in sequence, one mass at a time
+    if not cum[-1] >= 1.0 - _KENDALL_TOL:
+        raise InvalidArgumentError(f"target marginal has total mass {cum[-1]}, not 1")
     last = np.r_[ts[1:] != ts[:-1], True]  # one knot per distinct t, at its last mass
     # Guard every knot against eps drift past 1, so the knots stay nondecreasing.
     np.minimum(cum, 1.0, out=cum)
-    return KendallCdf(tuple(zip(ts[last].tolist(), cum[last].tolist())), kind="step")
+    return ts[last], cum[last]
+
+
+def _kendall_bound(t: np.ndarray, k: np.ndarray) -> float:
+    """6 * integral of (t - t^2) dK(t) for the step CDF with knots (t, K): a
+    Stieltjes sum over the jumps, added exactly."""
+    return _fsum(6.0 * (t - t * t) * np.diff(k, prepend=0.0))
 
 
 def max_bound(kendall: KendallCdf) -> float:
@@ -746,13 +760,7 @@ def max_bound(kendall: KendallCdf) -> float:
             slope = (k1 - k0) / (t1 - t0)
             total += slope * (3.0 * (t1 * t1 - t0 * t0) - 2.0 * (t1**3 - t0**3))
         return total
-    prev = 0.0
-    terms = []
-    for t, k in kendall.knots:
-        jump = k - prev
-        prev = k
-        terms.append(6.0 * (t - t * t) * jump)
-    return math.fsum(terms)
+    return _kendall_bound(*np.array(kendall.knots).T)
 
 
 def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
@@ -769,7 +777,7 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
         raise InvalidArgumentError("group_tau needs a target group; use tau_quadratic")
     terms, target_w, reference = _gap_terms(copula, split, lambda gaps, tw: (gaps * gaps) @ tw)
     value = 6.0 * _fsum(terms)
-    bound = max_bound(_kendall_steps(target_w, reference))
+    bound = _kendall_bound(*_kendall_steps(target_w, reference))
     _warn_above_unit(value / bound if bound > 0 else value, "group_tau / bound")
     return MeasureReport(
         kind=MeasureKind("group_tau"),
@@ -784,16 +792,14 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
 def group_tau_normalized(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     """group_tau rescaled by its Kendall bound so the maximum is 1."""
     base = group_tau(copula, split)
-    if base.upper_bound is None or base.upper_bound < MIN_KENDALL_BOUND:
+    if base.upper_bound < MIN_KENDALL_BOUND:
         raise DegenerateBoundError(
             f"Kendall bound {base.upper_bound} too small to normalize"
         )
-    return MeasureReport(
+    return replace(
+        base,
         kind=MeasureKind("group_tau_normalized"),
         value=base.value / base.upper_bound,
-        split=split,
-        resolutions=copula.resolutions,
-        upper_bound=base.upper_bound,
         normalizer=base.upper_bound,
     )
 

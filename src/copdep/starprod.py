@@ -14,6 +14,7 @@ and the S axes last; B carries the S axes first and the target axes last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import IncompatibleOperandsError, InvalidArgumentError, _convert
 from .estimation import fit_checkerboard, pseudo_observations
-from .grid import CheckerboardCopula, GroupSplit, _prod, _scatter, require_valid
+from .grid import CheckerboardCopula, GroupSplit, _check_axes, _scatter, require_valid
 from .measures import MeasureKind, compute_measure
 
 #: Slack for the data-processing inequality check.
@@ -85,9 +86,9 @@ def star(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> CheckerboardCo
         raise IncompatibleOperandsError(
             f"operands disagree on the coupling marginal: {comp.summary()}"
         )
-    n_u = _prod(a.resolutions[:n])
-    n_s = _prod(a.resolutions[n:])
-    n_v = _prod(b.resolutions[n:])
+    n_u = math.prod(a.resolutions[:n])
+    n_s = math.prod(a.resolutions[n:])
+    n_v = math.prod(b.resolutions[n:])
     a2 = _scatter(a.cell_index, a.cell_mass, n_u * n_s).reshape(n_u, n_s)
     b2 = _scatter(b.cell_index, b.cell_mass, n_s * n_v).reshape(n_s, n_v)
     weights = b2.sum(axis=1)
@@ -256,7 +257,7 @@ def equitability_suite(
                 raise InvalidArgumentError("column_map transforms need raw data")
             if case.column is None or case.mapping is None:
                 raise InvalidArgumentError("column_map needs column and mapping")
-            col = int(case.column)
+            (col,) = _check_axes((case.column,), data.shape[1])
             mapped = np.array(data, copy=True)
             mapped[:, col] = case.mapping(data[:, col])
             direction = _monotone_direction(data[:, col], mapped[:, col])
@@ -265,10 +266,8 @@ def equitability_suite(
             is_target = col in split.v_axes
             tol = 1e-12 if (is_target and direction < 0) else 0.0
         elif case.kind == "permute_conditioning":
-            if case.permutation is None:
-                raise InvalidArgumentError("permute_conditioning needs a permutation")
-            perm = tuple(int(p) for p in case.permutation)
-            if sorted(perm) != list(range(len(split.u_axes))):
+            perm = _check_axes(case.permutation, len(split.u_axes))
+            if len(perm) != len(split.u_axes):
                 raise InvalidArgumentError(
                     f"{perm} is not a permutation of the conditioning positions"
                 )
@@ -278,9 +277,7 @@ def equitability_suite(
             value = compute_measure(base_cop.permute_axes(full), split, kind).value
             tol = 0.0
         elif case.kind == "reverse_axis":
-            if case.axis is None:
-                raise InvalidArgumentError("reverse_axis needs an axis")
-            axis = int(case.axis)
+            (axis,) = _check_axes((case.axis,), base_cop.dims)
             value = compute_measure(base_cop.reverse_axis(axis), split, kind).value
             tol = 1e-12 if axis in split.v_axes else 0.0
         else:

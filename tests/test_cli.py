@@ -188,7 +188,7 @@ class TestMeasure:
     ):
         import copdep.measures as measures
 
-        monkeypatch.setattr(measures, "max_bound", lambda k: 0.0)
+        monkeypatch.setattr(measures, "_kendall_bound", lambda t, k: 0.0)
         cop_path = tmp_path / "g.json"
         copdep.save_copula(copdep.random_copula((4, 4, 4), copdep.make_rng(2)), cop_path)
         code, out, err = run(

@@ -21,7 +21,6 @@ from copdep import (
     CheckerboardCopula,
     CopdepError,
     GroupSplit,
-    KendallCdf,
     averaged_dependence,
     conditional_cdf,
     fit_checkerboard,
@@ -216,10 +215,19 @@ class Dense:
                 knots.append((float(ts[i]), cum))
         return tuple((t, min(k, 1.0)) for t, k in knots)
 
+    @staticmethod
+    def kendall_bound(knots):
+        """6 * integral of (t - t^2) dK(t), one jump of the step CDF at a time."""
+        prev, terms = 0.0, []
+        for t, k in knots:
+            terms.append(6.0 * (t - t * t) * (k - prev))
+            prev = k
+        return math.fsum(terms)
+
     def group_tau(self, split):
         w, gaps, target_w, ts = self.center_gaps(split)
         value = 6.0 * math.fsum((w * ((gaps * gaps) @ target_w)).tolist())
-        return value, max_bound(KendallCdf(self.kendall_knots(target_w, ts), kind="step"))
+        return value, self.kendall_bound(self.kendall_knots(target_w, ts))
 
     def group_tau_normalized(self, split):
         value, bound = self.group_tau(split)
@@ -297,7 +305,9 @@ def test_every_measure_matches_the_dense_oracle(case):
     ]
     if len(group.v_axes) >= 2:
         _, _, target_w, ts = dense.center_gaps(group)
-        assert kendall_cdf(cop, group.v_axes).knots == Dense.kendall_knots(target_w, ts)
+        kendall = kendall_cdf(cop, group.v_axes)
+        assert kendall.knots == Dense.kendall_knots(target_w, ts)
+        assert max_bound(kendall) == group_tau(cop, group).upper_bound
         pairs += [
             (lambda: group_tau(cop, group).value, lambda: dense.group_tau(group)[0]),
             (lambda: group_tau(cop, group).upper_bound, lambda: dense.group_tau(group)[1]),

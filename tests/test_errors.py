@@ -5,7 +5,7 @@ import pytest
 
 from copdep import (
     CheckerboardCopula,
-    CopdepError,
+    EvaluationError,
     GroupSplit,
     InvalidArgumentError,
     InvalidDataError,
@@ -14,17 +14,24 @@ from copdep import (
     PseudoObservations,
     ResolutionPolicy,
     SynthModel,
+    TransformCase,
     assignment_copula,
     comonotone_copula,
     compute_measure,
+    equitability_suite,
     generate,
     generic_measure,
     identity_coupling,
+    independence_copula,
+    kendall_cdf,
     make_rng,
     mixture_copula,
     pseudo_observations,
     random_star_pair,
 )
+
+COPULA = independence_copula((2, 3, 4))
+SINGLE, GROUP = GroupSplit((0, 1), (2,)), GroupSplit((0,), (1, 2))
 
 NON_NUMBER_ARGUMENTS = {
     "mixture_copula theta": lambda: mixture_copula("x", 4),
@@ -36,6 +43,10 @@ NON_NUMBER_ARGUMENTS = {
     "assignment_copula resolution": lambda: assignment_copula(1, "x", make_rng(0)),
     "generate n_rows": lambda: generate(SynthModel(tag="independent"), "x"),
     "GroupSplit axis": lambda: GroupSplit(("a",), (1,)),
+    "marginal axis": lambda: COPULA.marginal(("x",)),
+    "permute_axes axis": lambda: COPULA.permute_axes(("x", 0)),
+    "reverse_axis axis": lambda: COPULA.reverse_axis("x"),
+    "kendall_cdf axis": lambda: kendall_cdf(COPULA, ("x", 1)),
     "random_star_pair n": lambda: random_star_pair("x", 4, make_rng(0)),
 }
 
@@ -46,6 +57,53 @@ def test_non_number_argument_raises_invalid_argument(name):
         NON_NUMBER_ARGUMENTS[name]()
 
 
+def _column_map(column):
+    data = np.random.default_rng(5).standard_normal((40, 3))
+    case = TransformCase(kind="column_map", column=column, mapping=np.exp)
+    return equitability_suite(data=data, split=SINGLE, transforms=[case], resolutions=(4, 4, 4))
+
+
+AXIS_ARGUMENTS = {
+    # name: a call with a bad axis argument, and the same call with numpy integers
+    "GroupSplit fractional axis": (
+        lambda: GroupSplit((0.9,), (1,)),
+        lambda: GroupSplit((np.int64(0),), np.array([1])),
+    ),
+    "GroupSplit bare int": (lambda: GroupSplit(0, (1,)), lambda: GroupSplit((np.int32(0),), (1,))),
+    "marginal fractional axis": (
+        lambda: COPULA.marginal((1.5,)),
+        lambda: COPULA.marginal((np.int64(1),)),
+    ),
+    "marginal bare int": (lambda: COPULA.marginal(1), lambda: COPULA.marginal(np.array([2, 0]))),
+    "permute_axes None": (
+        lambda: COPULA.permute_axes(None),
+        lambda: COPULA.permute_axes(np.array([2, 0, 1])),
+    ),
+    "reverse_axis fractional axis": (
+        lambda: COPULA.reverse_axis(1.0),
+        lambda: COPULA.reverse_axis(np.uint8(1)),
+    ),
+    "kendall_cdf fractional axis": (
+        lambda: kendall_cdf(COPULA, (0, 1.5)),
+        lambda: kendall_cdf(COPULA, np.array([0, 1])),
+    ),
+    "TransformCase fractional column": (lambda: _column_map(0.5), lambda: _column_map(np.int64(0))),
+    "TransformCase column past the last": (lambda: _column_map(3), lambda: _column_map(np.int64(2))),
+}
+
+
+@pytest.mark.parametrize("name", list(AXIS_ARGUMENTS))
+def test_axis_arguments_are_integers_and_numpy_integers_pass(name):
+    bad, good = AXIS_ARGUMENTS[name]
+    with pytest.raises(InvalidArgumentError):
+        bad()
+    good()
+
+
+def _phi_returning(value, split):
+    return lambda: generic_measure(COPULA, split, lambda x: value)
+
+
 NON_NUMERIC_INPUTS = {
     "pseudo_observations": (lambda: pseudo_observations([["x", "y"], ["1", "2"]]), InvalidDataError),
     "PseudoObservations": (
@@ -53,6 +111,12 @@ NON_NUMERIC_INPUTS = {
         InvalidArgumentError,
     ),
     "KendallCdf knot not a pair": (lambda: KendallCdf(((0.1,),)), InvalidArgumentError),
+    "phi returning a scalar": (_phi_returning(0.0, SINGLE), InvalidArgumentError),
+    "phi returning one value": (_phi_returning([1.0], SINGLE), InvalidArgumentError),
+    "phi returning a string": (_phi_returning("a", SINGLE), InvalidArgumentError),
+    "phi returning a scalar, group target": (_phi_returning(0.0, GROUP), InvalidArgumentError),
+    "phi returning one value, group target": (_phi_returning([1.0], GROUP), InvalidArgumentError),
+    "phi returning a string, group target": (_phi_returning("a", GROUP), InvalidArgumentError),
 }
 
 
@@ -63,20 +127,21 @@ def test_malformed_array_input_raises_a_typed_error(name):
         call()
 
 
-SINGLE, GROUP = GroupSplit((0, 1), (2,)), GroupSplit((0,), (1, 2))
+NO_TARGET_MASS = (InvalidArgumentError, "target marginal has total mass 0.0")
 ON_A_GRID_WITHOUT_MASS = [
-    # kind, alpha, split, and the value, or None where the kind raises a package error
+    # kind, alpha, split, and the value, or the error and message where the kind raises
     ("tau_quadratic", None, SINGLE, 0.0),
     ("tau_alpha", 1.0, SINGLE, 0.0),
     ("tau_alpha", 3.5, SINGLE, 0.0),
-    ("renyi_alpha", 0.5, SINGLE, None),
+    ("renyi_alpha", 0.5, SINGLE, (EvaluationError, "nonpositive integral")),
     ("renyi_limit", None, SINGLE, 0.0),
     ("mutual_information", None, None, 0.0),
-    ("group_tau", None, GROUP, None),
-    ("group_tau_normalized", None, GROUP, None),
+    ("group_tau", None, GROUP, NO_TARGET_MASS),
+    ("group_tau_normalized", None, GROUP, NO_TARGET_MASS),
     ("averaged_dependence", None, GROUP, 0.0),
     ("custom_phi", None, SINGLE, 0.0),
     ("custom_phi", None, GROUP, 0.0),
+    ("kendall_cdf", None, GROUP, NO_TARGET_MASS),
 ]
 
 
@@ -91,10 +156,12 @@ def test_every_measure_on_a_grid_without_mass_is_zero_or_a_typed_error(tag, alph
     def call():
         if tag == "custom_phi":
             return generic_measure(copula, split, np.abs)
+        if tag == "kendall_cdf":
+            return kendall_cdf(copula, split.v_axes)
         return compute_measure(copula, split, MeasureKind(tag, alpha))
 
-    if want is None:
-        with pytest.raises(CopdepError):
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=want[1]):
             call()
     else:
         assert call().value == want

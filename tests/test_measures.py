@@ -440,7 +440,7 @@ class TestGroupTauNormalized:
     def test_degenerate_bound_raises(self, rng, monkeypatch):
         import copdep.measures as measures
 
-        monkeypatch.setattr(measures, "max_bound", lambda k: 0.0)
+        monkeypatch.setattr(measures, "_kendall_bound", lambda t, k: 0.0)
         cop = random_copula((4, 4, 4), rng)
         with pytest.raises(DegenerateBoundError):
             group_tau_normalized(cop, GroupSplit((0,), (1, 2)))

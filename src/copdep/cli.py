@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
     InvalidDataError,
+    _count,
 )
 from .estimation import (
     _select_columns,
@@ -119,7 +120,7 @@ def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
     if args.resolution is None:
         policy = ResolutionPolicy(mode="automatic")
     else:
-        m = int(args.resolution)
+        m = args.resolution
         policy = ResolutionPolicy(mode="fixed", fixed_m=m, max_m=max(128, m))
     res = choose_resolution(pseudo.n_rows, pseudo.n_cols, policy)
     return fit_checkerboard(pseudo, res, max_resolution=policy.max_m), pseudo, names
@@ -224,7 +225,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = _SUITES[args.suite](trials=args.trials, seed=args.seed)
+    checks = _SUITES[args.suite](trials=_count(args.trials, "trials"), seed=args.seed)
     results = []
     for name, passed, detail in checks:
         _note(f"{'PASS' if passed else 'FAIL'}: {name} ({detail})")

@@ -8,6 +8,8 @@ iterative step; only its final validity check can fail numerically.
 
 from __future__ import annotations
 
+import operator
+
 
 class CopdepError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,11 +51,22 @@ class EvaluationError(CopdepError):
     """A user-supplied function produced a non-finite value."""
 
 
-def _convert(value, kind: type, name: str):
-    """``kind(value)`` for ``kind`` int, float or operator.index;
-    InvalidArgumentError naming ``name`` where the conversion raises."""
+def _number(value, name: str) -> float:
+    """``float(value)``; InvalidArgumentError naming ``name`` where it raises."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "a numeric" if kind is float else "an integer"
-        raise InvalidArgumentError(f"expected {noun} {name}, got {value!r}") from exc
+        raise InvalidArgumentError(f"expected a numeric {name}, got {value!r}") from exc
+
+
+def _count(value, name: str, least: float = 1) -> int:
+    """``value`` as an int of at least ``least``.  An integer is whatever
+    ``operator.index`` accepts, so numpy integers pass and floats, strings
+    and None do not; either failure is an InvalidArgumentError naming ``name``."""
+    try:
+        out = operator.index(value)
+    except TypeError as exc:
+        raise InvalidArgumentError(f"expected an integer {name}, got {value!r}") from exc
+    if out < least:
+        raise InvalidArgumentError(f"expected an integer {name} >= {least}, got {out}")
+    return out

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError, _convert
+from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError, _count
 from .grid import CheckerboardCopula, _check_resolutions, _compress, require_valid
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
@@ -125,15 +125,11 @@ class ResolutionPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "automatic"):
             raise InvalidArgumentError(f"unknown resolution mode {self.mode!r}")
-        max_m = _convert(self.max_m, int, "max_m")
-        if max_m < 2:
-            raise InvalidArgumentError(f"need max_m >= 2, got {max_m}")
-        object.__setattr__(self, "max_m", max_m)
+        object.__setattr__(self, "max_m", _count(self.max_m, "max_m", least=2))
         if self.fixed_m is not None:
-            object.__setattr__(self, "fixed_m", _convert(self.fixed_m, int, "fixed_m"))
-        if self.mode == "fixed":
-            if self.fixed_m is None or self.fixed_m < 1:
-                raise InvalidArgumentError("fixed mode requires a positive fixed_m")
+            object.__setattr__(self, "fixed_m", _count(self.fixed_m, "fixed_m"))
+        elif self.mode == "fixed":
+            raise InvalidArgumentError("fixed mode requires a fixed_m")
 
 
 def pseudo_observations(data) -> PseudoObservations:
@@ -213,8 +209,7 @@ def _mid_ranks(intervals: np.ndarray) -> np.ndarray:
 
 def choose_resolution(n_rows: int, dims: int, policy: ResolutionPolicy) -> tuple[int, ...]:
     """Per-axis resolutions under the given policy."""
-    if n_rows < 2 or dims < 2:
-        raise InvalidArgumentError(f"need n_rows >= 2 and dims >= 2, got {n_rows}, {dims}")
+    n_rows, dims = _count(n_rows, "n_rows", least=2), _count(dims, "dims", least=2)
     if policy.mode == "fixed":
         return (policy.fixed_m,) * dims
     # Guard against floor(x ** (1/k)) landing one below an exact power.
@@ -239,7 +234,7 @@ def fit_checkerboard(
     res = _check_resolutions(resolutions)
     if len(res) != pseudo.n_cols:
         raise InvalidArgumentError(f"{len(res)} resolutions for {pseudo.n_cols} columns")
-    if max(res) > max_resolution:
+    if max(res) > _count(max_resolution, "max_resolution"):
         raise InvalidArgumentError(f"resolution {max(res)} exceeds the maximum {max_resolution}")
     n = pseudo.n_rows
     first = np.zeros(n, dtype=np.int64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError, _convert
+from .errors import InsufficientDataError, InvalidArgumentError, _count, _number
 from .grid import (
     CheckerboardCopula,
     _check_resolutions,
@@ -26,8 +26,11 @@ _TAGS = ("independent", "comonotone", "mixture", "functional", "gaussian", "squa
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator with an explicit 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """Counter-based generator keyed by an explicit seed in [0, 2**128)."""
+    seed = _count(seed, "seed", least=0)
+    if seed >= 2**128:
+        raise InvalidArgumentError(f"expected an integer seed below 2**128, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _functional(x: np.ndarray) -> np.ndarray:
@@ -65,12 +68,10 @@ class SynthModel:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise InvalidArgumentError(f"unknown model tag {self.tag!r}")
-        object.__setattr__(self, "dimension", _convert(self.dimension, int, "dimension"))
-        object.__setattr__(self, "sigma", _convert(self.sigma, float, "sigma"))
+        object.__setattr__(self, "dimension", _count(self.dimension, "dimension", least=2))
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
         if self.theta is not None:
-            object.__setattr__(self, "theta", _convert(self.theta, float, "theta"))
-        if self.dimension < 2:
-            raise InvalidArgumentError(f"dimension must be >= 2, got {self.dimension}")
+            object.__setattr__(self, "theta", _number(self.theta, "theta"))
         if self.tag == "mixture":
             if self.theta is None or not 0.0 <= self.theta <= 1.0:
                 raise InvalidArgumentError(f"mixture needs theta in [0, 1], got {self.theta}")
@@ -98,8 +99,8 @@ class SynthModel:
 
 def generate(model: SynthModel, n_rows: int) -> np.ndarray:
     """Draw an (n_rows x dimension) sample; deterministic given the seed."""
-    n_rows = _convert(n_rows, int, "n_rows")
-    if n_rows < 2:
+    n_rows = _count(n_rows, "n_rows", least=-math.inf)
+    if n_rows < 2:  # negative counts too: too few rows, not a malformed argument
         raise InsufficientDataError(f"need at least 2 rows, got {n_rows}")
     rng = make_rng(model.seed)
     d = model.dimension
@@ -137,7 +138,7 @@ def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:
     The quadratic measure of the blend is theta^2 * (1 - 1/m), approaching
     the continuous-limit value theta^2.
     """
-    t = _convert(theta, float, "theta")
+    t = _number(theta, "theta")
     if not 0.0 <= t <= 1.0:
         raise InvalidArgumentError(f"theta must be in [0, 1], got {t}")
     diag = comonotone_copula(2, resolution)
@@ -189,11 +190,8 @@ def assignment_copula(
     uniform and the quadratic measure attains its resolution maximum
     1 - 1/m.  Useful as an exact complete-dependence witness.
     """
-    n_cond = _convert(n_cond, int, "n_cond")
-    m = _convert(resolution, int, "resolution")
+    n_cond, m = _count(n_cond, "n_cond"), _count(resolution, "resolution")
     n_cells = m**n_cond
-    if n_cells % m != 0:
-        raise InvalidArgumentError("conditioning cells must split evenly over targets")
     targets = rng.permutation(np.repeat(np.arange(m), n_cells // m))
     cells = np.arange(n_cells, dtype=np.int64) * m + targets
     return require_valid(
@@ -216,10 +214,7 @@ def random_star_pair(
     and splits it into its (conditioning + middle) and (middle + target)
     marginals, so the two middle-block marginals agree by construction.
     """
-    n = _convert(n, int, "n")
-    target_axes = _convert(target_axes, int, "target_axes")
-    if n < 1 or target_axes < 1:
-        raise InvalidArgumentError("block sizes must be positive")
+    n, target_axes = _count(n, "n"), _count(target_axes, "target_axes")
     dims = 2 * n + target_axes
     joint = random_copula((resolution,) * dims, rng)
     a = joint.marginal(tuple(range(2 * n)))

@@ -21,23 +21,27 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CopulaValidationError, InvalidArgumentError, _convert
+from .errors import CopulaValidationError, InvalidArgumentError, _count
 
 #: Validity tolerance for total mass and marginal uniformity.
 VALIDITY_TOL = 1e-9
 
 
 def _check_resolutions(resolutions) -> tuple[int, ...]:
-    """Resolutions as a tuple of ints; rejects empty, nonpositive and too-large grids."""
-    res = tuple(_convert(m, int, "resolution") for m in resolutions)
-    if not res or any(m < 1 for m in res):
-        raise InvalidArgumentError(f"resolutions must be positive, got {res}")
+    """Resolutions as a tuple of positive ints; rejects empty and too-large grids."""
+    try:
+        res = tuple(_count(m, "resolution") for m in resolutions)
+    except TypeError as exc:  # not a sequence
+        raise InvalidArgumentError(
+            f"expected a sequence of resolutions, got {resolutions!r}"
+        ) from exc
+    if not res:
+        raise InvalidArgumentError("expected one or more resolutions, got none")
     if math.prod(res) >= 2**63:
         raise InvalidArgumentError(
             f"grid {res} has {math.prod(res)} cells; a flat cell index needs fewer than 2**63"
@@ -46,15 +50,14 @@ def _check_resolutions(resolutions) -> tuple[int, ...]:
 
 
 def _check_axes(axes, dims: int | None = None) -> tuple[int, ...]:
-    """``axes`` as a nonempty tuple of distinct nonnegative integers, each below
-    ``dims`` when given.  An integer is whatever ``operator.index`` accepts, so
-    numpy integers pass and floats do not."""
+    """``axes`` as a nonempty tuple of distinct nonnegative integers (see
+    ``_count``), each below ``dims`` when given."""
     try:
-        out = tuple(_convert(a, operator.index, "axis") for a in axes)
+        out = tuple(_count(a, "axis", least=0) for a in axes)
     except TypeError as exc:  # not a sequence
         raise InvalidArgumentError(f"expected a sequence of axes, got {axes!r}") from exc
     top = math.inf if dims is None else dims
-    if not out or len(set(out)) < len(out) or min(out) < 0 or max(out) >= top:
+    if not out or len(set(out)) < len(out) or max(out) >= top:
         raise InvalidArgumentError(f"expected one or more distinct axes in 0..{top - 1}, got {out}")
     return out
 
@@ -83,8 +86,11 @@ def _compress(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_point(point) -> np.ndarray:
-    """``point`` as a flat float array; rejects empty points and points outside [0, 1]^d."""
-    p = np.asarray(point, dtype=np.float64).ravel()
+    """``point`` as a flat float array; rejects non-numeric, empty and off-cube points."""
+    try:
+        p = np.asarray(point, dtype=np.float64).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"expected a numeric point, got {point!r}") from exc
     if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise InvalidArgumentError(f"point {p.tolist()} outside the unit cube")
     return p
@@ -117,7 +123,10 @@ class CheckerboardCopula:
 
     def __init__(self, resolutions, mass):
         res = _check_resolutions(resolutions)
-        dense = np.asarray(mass, dtype=np.float64).ravel()
+        try:
+            dense = np.asarray(mass, dtype=np.float64).ravel()
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"expected numeric masses: {exc}") from exc
         if dense.size != math.prod(res):
             raise InvalidArgumentError(
                 f"mass length {dense.size} does not match grid size {math.prod(res)}"
@@ -206,14 +215,6 @@ class CheckerboardCopula:
     # pointwise evaluation
     # ------------------------------------------------------------------
 
-    def _check_point(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=np.float64).ravel()
-        if p.size != self.dims:
-            raise InvalidArgumentError(
-                f"point has {p.size} coordinates, copula has {self.dims}"
-            )
-        return _unit_point(p)
-
     def _box_share(self, lower, upper) -> float:
         """Sum of stored cell masses, each weighted by the share of its cell
         inside the box [lower, upper]; the share is a product over axes."""
@@ -231,7 +232,10 @@ class CheckerboardCopula:
         Multilinear in each coordinate: the value is the sum of cell masses
         weighted by the fraction of each cell lying below the point.
         """
-        return self._box_share(np.zeros(self.dims), self._check_point(point))
+        p = _unit_point(point)
+        if p.size != self.dims:
+            raise InvalidArgumentError(f"point has {p.size} coordinates, copula has {self.dims}")
+        return self._box_share(np.zeros(self.dims), p)
 
     def box_mass(self, box: GridBox) -> float:
         """Probability mass of an axis-aligned box.
@@ -258,13 +262,12 @@ class CheckerboardCopula:
             raise InvalidArgumentError(
                 f"box must cover 1..{self.dims - 1} leading axes, got {k}"
             )
-        tail = np.asarray(tail_point, dtype=np.float64).ravel()
+        tail = _unit_point(tail_point)
         if tail.size != self.dims - k:
             raise InvalidArgumentError(
                 f"tail point must have {self.dims - k} coordinates, got {tail.size}"
             )
-        upper = self._check_point(box.upper + tuple(tail))
-        return max(self._box_share(box.lower + (0.0,) * tail.size, upper), 0.0)
+        return max(self._box_share(box.lower + (0.0,) * tail.size, box.upper + tuple(tail)), 0.0)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -396,17 +399,11 @@ class GridBox:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        lo = tuple(float(x) for x in self.lower)
-        hi = tuple(float(x) for x in self.upper)
-        if len(lo) != len(hi) or not lo:
-            raise InvalidArgumentError("lower and upper must be nonempty and equal length")
-        for a, b in zip(lo, hi):
-            if not (0.0 <= a <= b <= 1.0):
-                raise InvalidArgumentError(
-                    f"box coordinates must satisfy 0 <= lower <= upper <= 1, got [{a}, {b}]"
-                )
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        lo, hi = _unit_point(self.lower), _unit_point(self.upper)
+        if lo.size != hi.size or np.any(lo > hi):
+            raise InvalidArgumentError(f"expected lower <= upper of equal length, got {lo}, {hi}")
+        object.__setattr__(self, "lower", tuple(lo.tolist()))
+        object.__setattr__(self, "upper", tuple(hi.tolist()))
 
     @property
     def dims(self) -> int:
@@ -456,13 +453,8 @@ def comonotone_copula(dims: int, resolution: int) -> CheckerboardCopula:
     diagonal atom uniformly over one cell, so dependence measures computed
     from it approach their ideal values as the resolution grows.
     """
-    dims = _convert(dims, int, "dims")
-    if dims < 2:
-        raise InvalidArgumentError(f"need at least 2 dims, got {dims}")
-    m = _convert(resolution, int, "resolution")
-    if m < 1:
-        raise InvalidArgumentError(f"resolution must be positive, got {m}")
-    res = _check_resolutions((m,) * dims)
+    res = _check_resolutions((resolution,) * _count(dims, "dims", least=2))
+    m = res[0]
     stride = sum(_strides(res))  # one step along every axis at once
     diagonal = np.arange(m, dtype=np.int64) * stride
     return require_valid(
@@ -501,17 +493,15 @@ def copula_to_dict(copula: CheckerboardCopula) -> dict:
 
 def copula_from_dict(payload: dict) -> CheckerboardCopula:
     try:
-        dims = int(payload["dims"])
-        resolutions = tuple(int(m) for m in payload["resolutions"])
-        mass = np.asarray(payload["mass"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        dims, resolutions, mass = payload["dims"], payload["resolutions"], payload["mass"]
+    except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed copula payload: {exc}") from exc
-    if dims != len(resolutions):
+    resolutions = _check_resolutions(resolutions)
+    if _count(dims, "dims") != len(resolutions):
         raise InvalidArgumentError(
             f"dims {dims} does not match {len(resolutions)} resolutions"
         )
-    copula = CheckerboardCopula(resolutions, mass)
-    return require_valid(copula, "copula payload")
+    return require_valid(CheckerboardCopula(resolutions, mass), "copula payload")
 
 
 def save_copula(copula: CheckerboardCopula, path) -> None:

@@ -55,9 +55,11 @@ from .errors import (
     DegenerateBoundError,
     EvaluationError,
     InvalidArgumentError,
-    _convert,
+    _count,
+    _number,
 )
 from .grid import (
+    VALIDITY_TOL,
     CheckerboardCopula,
     GroupSplit,
     _check_axes,
@@ -105,7 +107,7 @@ class MeasureKind:
             return
         if self.alpha is None:
             raise InvalidArgumentError(f"{self.tag} requires alpha")
-        a = _convert(self.alpha, float, f"alpha for {self.tag}")
+        a = _number(self.alpha, f"alpha for {self.tag}")
         in_range, needs = spec.alpha
         if not in_range(a):
             raise InvalidArgumentError(f"{self.tag} needs {needs}, got {a}")
@@ -367,18 +369,17 @@ def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) ->
     """
     split.check_covers(copula.dims)
     u_res = [copula.resolutions[a] for a in split.u_axes]
-    raw = np.atleast_1d(np.asarray(u_cell))
-    if raw.dtype.kind not in "iu" or raw.ndim != 1:
-        raise InvalidArgumentError(f"cell {u_cell!r} must be a sequence of integer indices")
-    cell = tuple(int(i) for i in raw)
-    if len(cell) != len(u_res) or any(not 0 <= i < m for i, m in zip(cell, u_res)):
+    try:
+        cell = tuple(_count(i, "cell index", least=0) for i in u_cell)
+    except TypeError:  # not a sequence: one bare index
+        cell = (_count(u_cell, "cell index", least=0),)
+    if len(cell) != len(u_res) or any(i >= m for i, m in zip(cell, u_res)):
         raise InvalidArgumentError(f"cell {cell} outside grid {tuple(u_res)}")
-    vs = np.asarray(v, dtype=np.float64).ravel()
+    vs = _unit_point(v)
     if vs.size != len(split.v_axes):
         raise InvalidArgumentError(
             f"target point needs {len(split.v_axes)} coordinates, got {vs.size}"
         )
-    _unit_point(vs)
 
     index = copula.cell_index
     if not index.size:
@@ -660,15 +661,21 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
 
 
 def _target_marginal_masses(copula: CheckerboardCopula, v_axes) -> np.ndarray:
-    """Target-block cell masses, each cell summed exactly over the rest."""
+    """Target-block cell masses, each cell summed exactly over the rest;
+    InvalidArgumentError naming the cell where one is below -VALIDITY_TOL."""
     keys = copula._key(v_axes)
     order = np.argsort(keys, kind="stable")  # keys come in ascending runs
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     masses = copula.cell_mass[order]
     bounds = starts.tolist() + [masses.size]
-    out = np.zeros(math.prod(copula.resolutions[a] for a in v_axes))
+    v_res = tuple(copula.resolutions[a] for a in v_axes)
+    out = np.zeros(math.prod(v_res))
     out[keys[starts]] = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    low = int(out.argmin())
+    if out[low] < -VALIDITY_TOL:
+        cell = tuple(int(i) for i in np.unravel_index(low, v_res))
+        raise InvalidArgumentError(f"target-marginal cell {cell} has negative mass {out[low]:.3g}")
     return out
 
 

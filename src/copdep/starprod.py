@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IncompatibleOperandsError, InvalidArgumentError, _convert
+from .errors import IncompatibleOperandsError, InvalidArgumentError, _count
 from .estimation import fit_checkerboard, pseudo_observations
 from .grid import CheckerboardCopula, GroupSplit, _check_axes, _scatter, require_valid
 from .measures import MeasureKind, compute_measure
@@ -45,8 +45,7 @@ class StarCompatibility:
 
 
 def _check_star_shapes(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> None:
-    if n < 1:
-        raise InvalidArgumentError(f"middle block size must be positive, got {n}")
+    n = _count(n, "middle block size")
     if a.dims != 2 * n:
         raise InvalidArgumentError(
             f"first operand must have {2 * n} axes (conditioning + middle), has {a.dims}"
@@ -111,9 +110,7 @@ def identity_coupling(n: int, m: int) -> CheckerboardCopula:
     grid returns that grid, because each conditioning cell pins down one
     middle cell.
     """
-    n, m = _convert(n, int, "n"), _convert(m, int, "m")
-    if n < 1 or m < 1:
-        raise InvalidArgumentError(f"need n >= 1 and m >= 1, got {n}, {m}")
+    n, m = _count(n, "n"), _count(m, "m")
     n_s = m**n
     diagonal = np.arange(n_s, dtype=np.int64) * (n_s + 1)
     return require_valid(

@@ -135,6 +135,8 @@ UNREADABLE_INPUTS = {
     "latin1.json": b'{"dims": 1, "resolutions": [1], "mass": [1.0]}\xe9',
     "text_mass.json": b'{"dims": 1, "resolutions": [2], "mass": [0.5, "x"]}',
     "ragged.json": b'{"dims": 2, "resolutions": [2, 2], "mass": [[0.5, 0], [0]]}',
+    "float_resolution.json": b'{"dims": 2, "resolutions": [2.0, 2], "mass": [0.5, 0, 0, 0.5]}',
+    "float_dims.json": b'{"dims": 2.0, "resolutions": [2, 2], "mass": [0.5, 0, 0, 0.5]}',
     "latin1_header.csv": b"a\xe9,b\n1,2\n3,4\n",
     "latin1_row.csv": b"a,b\n1,2\n3\xe9,4\n",
     "a_directory": None,
@@ -369,6 +371,13 @@ class TestVerify:
             main(["verify", "--suite", "no_such_suite", "--trials", "5"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--suite", "dpi", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "expected an integer trials >= 1" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "dpi", "--trials", "10", "--seed", "3")

@@ -6,6 +6,7 @@ import pytest
 from copdep import (
     CheckerboardCopula,
     EvaluationError,
+    GridBox,
     GroupSplit,
     InvalidArgumentError,
     InvalidDataError,
@@ -16,11 +17,19 @@ from copdep import (
     SynthModel,
     TransformCase,
     assignment_copula,
+    choose_resolution,
     comonotone_copula,
     compute_measure,
+    conditional_cdf,
+    copula_from_dict,
+    dpi_report,
     equitability_suite,
+    fit_checkerboard,
+    frechet_upper,
     generate,
     generic_measure,
+    group_tau,
+    group_tau_normalized,
     identity_coupling,
     independence_copula,
     kendall_cdf,
@@ -28,6 +37,7 @@ from copdep import (
     mixture_copula,
     pseudo_observations,
     random_star_pair,
+    star,
 )
 
 COPULA = independence_copula((2, 3, 4))
@@ -63,8 +73,19 @@ def _column_map(column):
     return equitability_suite(data=data, split=SINGLE, transforms=[case], resolutions=(4, 4, 4))
 
 
+STAR_A, STAR_B = random_star_pair(1, 4, make_rng(0))
+PSEUDO = pseudo_observations(np.random.default_rng(3).random((20, 2)))
+TAU = MeasureKind("tau_quadratic")
+
+
+def _from_dict(dims, resolutions):
+    cells = int(np.prod(resolutions))
+    return copula_from_dict({"dims": dims, "resolutions": resolutions, "mass": [1 / cells] * cells})
+
+
 AXIS_ARGUMENTS = {
-    # name: a call with a bad axis argument, and the same call with numpy integers
+    # name: a call with a bad axis, size, count or seed argument, and the same
+    # call with numpy integers
     "GroupSplit fractional axis": (
         lambda: GroupSplit((0.9,), (1,)),
         lambda: GroupSplit((np.int64(0),), np.array([1])),
@@ -89,6 +110,65 @@ AXIS_ARGUMENTS = {
     ),
     "TransformCase fractional column": (lambda: _column_map(0.5), lambda: _column_map(np.int64(0))),
     "TransformCase column past the last": (lambda: _column_map(3), lambda: _column_map(np.int64(2))),
+    "independence_copula fractional resolution": (
+        lambda: independence_copula((3.9, 2)),
+        lambda: independence_copula((np.int64(3), np.int32(2))),
+    ),
+    "comonotone_copula fractional resolution": (
+        lambda: comonotone_copula(2, 4.7),
+        lambda: comonotone_copula(np.int32(2), np.int64(4)),
+    ),
+    "ResolutionPolicy fractional fixed_m": (
+        lambda: ResolutionPolicy(mode="fixed", fixed_m=8.6),
+        lambda: ResolutionPolicy(mode="fixed", fixed_m=np.int64(8), max_m=np.int32(16)),
+    ),
+    "generate fractional n_rows": (
+        lambda: generate(SynthModel(tag="independent"), 10.9),
+        lambda: generate(SynthModel(tag="independent", seed=np.int64(1)), np.int32(10)),
+    ),
+    "make_rng fractional seed": (lambda: make_rng(1.5), lambda: make_rng(np.int64(1))),
+    "make_rng negative seed": (lambda: make_rng(-1), lambda: make_rng(np.int32(0))),
+    "make_rng seed of 2**128": (lambda: make_rng(2**128), lambda: make_rng(2**128 - 1)),
+    "copula_from_dict fractional resolution": (
+        lambda: _from_dict(1, [2.5]),
+        lambda: _from_dict(np.int64(2), [np.int32(2), np.int64(3)]),
+    ),
+    "star float middle block": (
+        lambda: star(STAR_A, STAR_B, 1.0),
+        lambda: star(STAR_A, STAR_B, np.int64(1)),
+    ),
+    "dpi_report float middle block": (
+        lambda: dpi_report(STAR_A, STAR_B, 1.0, TAU),
+        lambda: dpi_report(STAR_A, STAR_B, np.int32(1), TAU),
+    ),
+    "choose_resolution string n_rows": (
+        lambda: choose_resolution("a", 2, ResolutionPolicy()),
+        lambda: choose_resolution(np.int64(100), np.int32(2), ResolutionPolicy()),
+    ),
+    "fit_checkerboard max_resolution None": (
+        lambda: fit_checkerboard(PSEUDO, (4, 4), max_resolution=None),
+        lambda: fit_checkerboard(PSEUDO, np.array([4, 4]), max_resolution=np.int64(4)),
+    ),
+    "CheckerboardCopula bare resolution": (
+        lambda: CheckerboardCopula(3, np.full(3, 1 / 3)),
+        lambda: CheckerboardCopula(np.array([3]), np.full(3, 1 / 3)),
+    ),
+    "assignment_copula zero resolution": (
+        lambda: assignment_copula(1, 0, make_rng(0)),
+        lambda: assignment_copula(np.int64(1), np.int32(4), make_rng(0)),
+    ),
+    "identity_coupling fractional m": (
+        lambda: identity_coupling(1, 2.5),
+        lambda: identity_coupling(np.int64(1), np.int32(2)),
+    ),
+    "random_star_pair fractional n": (
+        lambda: random_star_pair(1.7, 4, make_rng(0)),
+        lambda: random_star_pair(np.int64(1), np.int32(4), make_rng(0), np.int64(1)),
+    ),
+    "SynthModel fractional dimension": (
+        lambda: SynthModel(tag="independent", dimension=2.9),
+        lambda: SynthModel(tag="independent", dimension=np.int64(3)),
+    ),
 }
 
 
@@ -98,6 +178,26 @@ def test_axis_arguments_are_integers_and_numpy_integers_pass(name):
     with pytest.raises(InvalidArgumentError):
         bad()
     good()
+
+
+NON_NUMERIC_POINTS = {
+    "cdf": lambda: COPULA.cdf(("a", 0, 0)),
+    "conditional_cdf": lambda: conditional_cdf(COPULA, SINGLE, (0, 0), "a"),
+    "sub_box_mass": lambda: COPULA.sub_box_mass(GridBox((0.1,), (0.5,)), ("a", 0.1)),
+    "frechet_upper": lambda: frechet_upper(("a", 0.5)),
+    "GridBox": lambda: GridBox(("a",), (1,)),
+    "CheckerboardCopula mass": lambda: CheckerboardCopula((2,), ["a", 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMERIC_POINTS))
+def test_non_numeric_point_box_or_mass_raises_invalid_argument(name):
+    with pytest.raises(InvalidArgumentError, match="expected (a numeric point|numeric masses)"):
+        NON_NUMERIC_POINTS[name]()
+
+
+def test_a_box_of_scalar_corners_is_a_one_axis_box_like_a_scalar_point():
+    assert GridBox(0.5, 1.0) == GridBox((0.5,), (1.0,))
 
 
 def _phi_returning(value, split):
@@ -165,3 +265,28 @@ def test_every_measure_on_a_grid_without_mass_is_zero_or_a_typed_error(tag, alph
             call()
     else:
         assert call().value == want
+
+
+def _negative_target_cell():
+    """A 3x3x3 grid of mass 1/27 per cell with 0.2 moved, in every slab of
+    axis 0, from target cell (0, 1) to (0, 2), so the (1, 2) target marginal
+    holds 1/9 - 0.6 at (0, 1)."""
+    mass = np.full((3, 3, 3), 1 / 27)
+    mass[:, 0, 1] -= 0.2
+    mass[:, 0, 2] += 0.2
+    return CheckerboardCopula((3, 3, 3), mass)
+
+
+NEGATIVE_TARGET_CELL = {
+    "group_tau": lambda c: group_tau(c, GROUP),
+    "group_tau_normalized": lambda c: group_tau_normalized(c, GROUP),
+    "kendall_cdf": lambda c: kendall_cdf(c, GROUP.v_axes),
+    "custom_phi": lambda c: generic_measure(c, GROUP, np.abs),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_TARGET_CELL))
+def test_group_kinds_reject_a_negative_target_marginal_cell(name):
+    copula = _negative_target_cell()
+    with pytest.raises(InvalidArgumentError, match=r"cell \(0, 1\) has negative mass -0.489"):
+        NEGATIVE_TARGET_CELL[name](copula)

@@ -87,7 +87,7 @@ class TestConditionalCdf:
         val = conditional_cdf(cop, split, (1,), [0.5, 0.25])
         assert val == pytest.approx(0.125, abs=1e-12)
 
-    @pytest.mark.parametrize("cell", [1.7, (1.7,), "x", ("x",)])
+    @pytest.mark.parametrize("cell", [1.7, (1.7,), "x", ("x",), [(1, 2), 3]])
     def test_non_integer_cell_rejected(self, cell):
         cop = independence_copula((4, 4))
         with pytest.raises(InvalidArgumentError, match="integer"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,55 +41,24 @@ class PseudoObservations:
 
     ``values`` is the (N, d) matrix of mid-ranks (lo + hi) / 2N, strictly
     inside (0, 1): a new read-only array on each access, with contiguous
-    columns.  ``PseudoObservations(values, tie_counts)`` ranks ``values``
-    again and raises InvalidArgumentError naming the first column that is
-    not its own mid-ranks with that tie count.
+    columns.  Only ``pseudo_observations(data)`` builds one, so every
+    instance is a ranking.
     """
 
     intervals: np.ndarray
     tie_counts: tuple[int, ...]
 
-    def __init__(self, values, tie_counts):
-        try:
-            arr = _sample_matrix(values)
-        except InvalidDataError as exc:
-            raise InvalidArgumentError(str(exc)) from exc
-        try:
-            intervals, ties = _rank(arr)
-        except InvalidDataError as exc:
-            raise InvalidArgumentError(
-                f"column {exc.column} holds a non-finite value, so it is not mid-ranks"
-            ) from exc
-        try:
-            counts = tuple(tie_counts)
-        except TypeError as exc:
-            raise InvalidArgumentError(
-                f"expected a sequence of tie counts, got {tie_counts!r}"
-            ) from exc
-        if len(counts) != len(ties):
-            raise InvalidArgumentError(f"{len(counts)} tie counts for {len(ties)} columns")
-        mids = _mid_ranks(intervals)
-        for j, (mid, t) in enumerate(zip(mids, ties)):
-            if not np.array_equal(mid, arr[:, j]):
-                raise InvalidArgumentError(
-                    f"column {j} is not the mid-ranks (lo + hi) / 2N"
-                    " that pseudo_observations returns"
-                )
-            if counts[j] != t:
-                raise InvalidArgumentError(f"column {j} has {t} ties, not {counts[j]!r}")
-        self._freeze(intervals, ties)
+    def __init__(self, *args, **kwargs):
+        raise InvalidArgumentError("build PseudoObservations with pseudo_observations(data)")
 
     @classmethod
     def _from_intervals(cls, intervals: np.ndarray, tie_counts) -> PseudoObservations:
         """From a (d, 2, N) int32 array of rank intervals that no one else holds; no copy."""
         pseudo = object.__new__(cls)
-        pseudo._freeze(intervals, tie_counts)
-        return pseudo
-
-    def _freeze(self, intervals: np.ndarray, tie_counts) -> None:
         intervals.setflags(write=False)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "tie_counts", tuple(tie_counts))
+        object.__setattr__(pseudo, "intervals", intervals)
+        object.__setattr__(pseudo, "tie_counts", tuple(tie_counts))
+        return pseudo
 
     def __repr__(self) -> str:
         return f"PseudoObservations(n_rows={self.n_rows}, n_cols={self.n_cols})"
@@ -115,7 +85,8 @@ class ResolutionPolicy:
     ``automatic`` uses m = clamp(floor(N^(1/(d+1))), 2, max_m) on every
     axis, balancing cell count against per-cell sample count.  No estimator
     theory backs this exponent; it is a documented placeholder that callers
-    can override with ``fixed`` mode.
+    can override with ``fixed`` mode, which uses ``fixed_m`` on every axis.
+    ``fixed_m`` is given in fixed mode and only there.
     """
 
     mode: str = "automatic"
@@ -126,10 +97,13 @@ class ResolutionPolicy:
         if self.mode not in ("fixed", "automatic"):
             raise InvalidArgumentError(f"unknown resolution mode {self.mode!r}")
         object.__setattr__(self, "max_m", _count(self.max_m, "max_m", least=2))
+        if (self.mode == "fixed") != (self.fixed_m is not None):
+            raise InvalidArgumentError(
+                f"fixed_m is required in fixed mode and read nowhere else;"
+                f" got {self.fixed_m!r} in {self.mode} mode"
+            )
         if self.fixed_m is not None:
             object.__setattr__(self, "fixed_m", _count(self.fixed_m, "fixed_m"))
-        elif self.mode == "fixed":
-            raise InvalidArgumentError("fixed mode requires a fixed_m")
 
 
 def pseudo_observations(data) -> PseudoObservations:
@@ -346,17 +320,24 @@ def _header(row: list[str]) -> list[str] | None:
 
 
 def _select_columns(columns, header, width: int) -> list[int]:
-    """0-based indices of the requested columns (all of them when None)."""
+    """0-based indices of the requested columns (all of them when None).  A
+    column is a name, an integer (whatever ``operator.index`` accepts) or a
+    string of digits."""
     if columns is None:
         return list(range(width))
+    if isinstance(columns, str) or not hasattr(columns, "__iter__"):
+        raise InvalidArgumentError(f"expected a sequence of columns, got {columns!r}")
     sel = []
     for c in columns:
-        if isinstance(c, int) or (isinstance(c, str) and c.strip().lstrip("-").isdigit()):
+        if isinstance(c, str) and c.strip().lstrip("-").isdigit():
             j = int(c)
-        elif header is not None and c in header:
+        elif isinstance(c, str) and header is not None and c in header:
             j = header.index(c)
         else:
-            raise InvalidArgumentError(f"unknown column {c!r} (header: {header})")
+            try:
+                j = operator.index(c)
+            except TypeError:
+                raise InvalidArgumentError(f"unknown column {c!r} (header: {header})") from None
         if not 0 <= j < width:
             raise InvalidArgumentError(f"column index {j} out of range 0..{width - 1}")
         sel.append(j)

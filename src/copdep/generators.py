@@ -82,7 +82,12 @@ class SynthModel:
         if self.sigma < 0.0:
             raise InvalidArgumentError(f"sigma must be >= 0, got {self.sigma}")
         if self.tag == "gaussian":
-            corr = np.asarray(self.correlation, dtype=np.float64)
+            try:
+                corr = np.asarray(self.correlation, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgumentError(
+                    f"expected a numeric correlation matrix, got {self.correlation!r}"
+                ) from exc
             if corr.shape != (self.dimension, self.dimension):
                 raise InvalidArgumentError(
                     f"correlation must be {self.dimension}x{self.dimension}"

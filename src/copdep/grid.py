@@ -12,7 +12,7 @@ as grid approximations whose measures converge as the resolution grows.
 Only the cells with nonzero mass are stored: their sorted int64 flat indices
 (row-major, last axis fastest) and their masses.  A copula fitted from N
 samples therefore costs O(N) memory whatever the grid size; the dense mass
-array is built only on request (``mass``, ``grid``, JSON output).  Both
+array is built only on request (``mass``, JSON output).  Both
 arrays are frozen after construction, so values are safe to share across
 threads.
 """
@@ -176,11 +176,6 @@ class CheckerboardCopula:
             ) from exc
         out.setflags(write=False)
         return out
-
-    @property
-    def grid(self) -> np.ndarray:
-        """Dense mass array shaped as the grid; a new read-only copy on each access."""
-        return self.mass.reshape(self.resolutions)
 
     def _key(self, axes) -> np.ndarray:
         """Row-major flat index of every stored cell over ``axes`` alone, in

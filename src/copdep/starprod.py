@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IncompatibleOperandsError, InvalidArgumentError, _count
-from .estimation import fit_checkerboard, pseudo_observations
+from .estimation import _sample_matrix, fit_checkerboard, pseudo_observations
 from .grid import CheckerboardCopula, GroupSplit, _check_axes, _scatter, require_valid
 from .measures import MeasureKind, compute_measure
 
@@ -238,7 +238,7 @@ def equitability_suite(
     if (data is None) == (copula is None):
         raise InvalidArgumentError("provide exactly one of data or copula")
     if data is not None:
-        data = np.asarray(data, dtype=np.float64)
+        data = _sample_matrix(data)
         if resolutions is None:
             raise InvalidArgumentError("raw data requires resolutions")
         base_cop = fit_checkerboard(pseudo_observations(data), resolutions)
@@ -255,8 +255,14 @@ def equitability_suite(
             if case.column is None or case.mapping is None:
                 raise InvalidArgumentError("column_map needs column and mapping")
             (col,) = _check_axes((case.column,), data.shape[1])
+            column = np.asarray(case.mapping(data[:, col]))
+            if column.shape != (len(data),) or column.dtype.kind not in "biuf":
+                raise InvalidArgumentError(
+                    f"column_map mapping must return numbers shaped ({len(data)},),"
+                    f" got {column.dtype} shaped {column.shape}"
+                )
             mapped = np.array(data, copy=True)
-            mapped[:, col] = case.mapping(data[:, col])
+            mapped[:, col] = column
             direction = _monotone_direction(data[:, col], mapped[:, col])
             refit = fit_checkerboard(pseudo_observations(mapped), resolutions)
             value = compute_measure(refit, split, kind).value

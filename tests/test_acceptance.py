@@ -242,7 +242,7 @@ def test_criterion_9_group_independence():
         (4, 4),
     )
     w_u = np.full(4, 0.25)
-    prod = CheckerboardCopula((4, 4, 4), np.einsum("i,jk->ijk", w_u, cv.grid))
+    prod = CheckerboardCopula((4, 4, 4), np.einsum("i,jk->ijk", w_u, cv.mass.reshape(4, 4)))
     val = group_tau(prod, GroupSplit((0,), (1, 2))).value
     report(9, val <= 1e-12, f"product grid group measure {val:.3e}")
 

@@ -204,6 +204,14 @@ def _phi_returning(value, split):
     return lambda: generic_measure(COPULA, split, lambda x: value)
 
 
+def _column_map_returning(mapping):
+    case = TransformCase("column_map", column=0, mapping=mapping)
+    data = make_rng(0).random((20, 3))
+    return lambda: equitability_suite(
+        data=data, split=SINGLE, transforms=(case,), resolutions=(2, 2, 2)
+    )
+
+
 NON_NUMERIC_INPUTS = {
     "pseudo_observations": (lambda: pseudo_observations([["x", "y"], ["1", "2"]]), InvalidDataError),
     "PseudoObservations": (
@@ -211,6 +219,25 @@ NON_NUMERIC_INPUTS = {
         InvalidArgumentError,
     ),
     "KendallCdf knot not a pair": (lambda: KendallCdf(((0.1,),)), InvalidArgumentError),
+    "SynthModel correlation": (
+        lambda: SynthModel(tag="gaussian", correlation=[["a", "b"], ["c", "d"]]),
+        InvalidArgumentError,
+    ),
+    "equitability_suite data": (
+        lambda: equitability_suite(
+            data=[["a", "b"], ["c", "d"]], split=GroupSplit((0,), (1,)), transforms=(),
+            resolutions=(2, 2),
+        ),
+        InvalidDataError,
+    ),
+    "column_map returning strings": (
+        _column_map_returning(lambda x: ["a"] * len(x)),
+        InvalidArgumentError,
+    ),
+    "column_map returning one value too few": (
+        _column_map_returning(lambda x: x[:-1]),
+        InvalidArgumentError,
+    ),
     "phi returning a scalar": (_phi_returning(0.0, SINGLE), InvalidArgumentError),
     "phi returning one value": (_phi_returning([1.0], SINGLE), InvalidArgumentError),
     "phi returning a string": (_phi_returning("a", SINGLE), InvalidArgumentError),

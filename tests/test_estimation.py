@@ -77,13 +77,25 @@ class TestPseudoObservations:
         assert obs.values.min() > 0.0
         assert obs.values.max() < 1.0
 
-    def test_constructor_copies_and_leaves_the_callers_array_writeable(self):
+    def test_ranking_copies_and_leaves_the_callers_array_writeable(self):
         given = np.array([[0.25, 0.75], [0.75, 0.25]])
-        obs = PseudoObservations(given, (0, 0))
+        obs = pseudo_observations(given)
         assert given.flags.writeable
-        assert not obs.values.flags.writeable
-        given[0, 0] = 0.5
+        assert not obs.values.flags.writeable and not obs.intervals.flags.writeable
+        given[0, 0] = 1.0
         assert obs.values[0, 0] == 0.25
+
+    def test_tied_column_shares_one_interval(self):
+        data = np.column_stack([[1.0, 2.0, 3.0, 4.0], [0.1, 0.1, 0.9, 0.9]])
+        with pytest.warns(RuntimeWarning, match="share one rank interval"):
+            obs = pseudo_observations(data)
+        assert np.array_equal(obs.intervals[1], [[0, 0, 2, 2], [2, 2, 4, 4]])
+        assert obs.tie_counts == (0, 2)
+
+    def test_constructor_refused_in_favour_of_pseudo_observations(self):
+        values = np.column_stack([[0.125, 0.375, 0.625, 0.875], [0.25, 0.25, 0.75, 0.75]])
+        with pytest.raises(InvalidArgumentError, match=r"pseudo_observations\(data\)"):
+            PseudoObservations(values, (0, 2))
 
 
 class TestChooseResolution:
@@ -108,12 +120,17 @@ class TestChooseResolution:
         with pytest.raises(InvalidArgumentError):
             ResolutionPolicy(max_m=1)
 
+    def test_fixed_m_rejected_in_automatic_mode(self):
+        # it would be ignored: the automatic rule gives (10, 10) for 1000 rows
+        with pytest.raises(InvalidArgumentError, match="fixed_m"):
+            ResolutionPolicy(mode="automatic", fixed_m=8)
+
 
 class TestFitCheckerboard:
     def test_perfect_diagonal(self):
         obs = pseudo_observations(np.array([[1.0, 1.0], [2, 2], [3, 3], [4, 4]]))
         cop = fit_checkerboard(obs, (2, 2))
-        assert np.allclose(cop.grid, [[0.5, 0.0], [0.0, 0.5]])
+        assert np.allclose(cop.mass.reshape(cop.resolutions), [[0.5, 0.0], [0.0, 0.5]])
 
     def test_direct_counting(self):
         # pseudo-observations (1/8,5/8),(3/8,1/8),(5/8,7/8),(7/8,3/8) at m=2
@@ -188,30 +205,6 @@ class TestFitCheckerboard:
             fit_checkerboard(obs, (128,) * 8)
         assert fit_checkerboard(obs, (2,) * 8).validate().passed
 
-    @pytest.mark.parametrize(
-        "column",
-        [[0.75, 1.0], [0.0, 0.75], [-0.25, 0.75], [np.nan, 0.75], [0.25, 0.4]],
-        ids=["one", "zero", "negative", "nan", "repeated rank"],
-    )
-    def test_tie_free_column_that_is_not_mid_ranks_rejected(self, column):
-        # a 1.0 would map to cell m, whose flat index would alias another cell
-        with pytest.raises(InvalidArgumentError, match="column 1 .*mid-ranks"):
-            PseudoObservations(np.column_stack([[0.25, 0.75], column]), (0, 0))
-
-    def test_tied_column_that_is_not_mid_ranks_rejected(self):
-        # its mid-ranks are 1/4 and 3/4; its raw values would fit a plausible grid
-        ranks = [0.125, 0.375, 0.625, 0.875]
-        with pytest.raises(InvalidArgumentError, match="column 1 .*mid-ranks"):
-            PseudoObservations(np.column_stack([ranks, [0.1, 0.1, 0.9, 0.9]]), (0, 2))
-        obs = PseudoObservations(np.column_stack([ranks, [0.25, 0.25, 0.75, 0.75]]), (0, 2))
-        assert np.array_equal(obs.intervals[1], [[0, 0, 2, 2], [2, 2, 4, 4]])
-
-    @pytest.mark.parametrize("ties", [(0, 1), (1, 2), (0, 2, 0), (0,)], ids=str)
-    def test_tie_counts_that_disagree_with_the_columns_rejected(self, ties):
-        values = np.column_stack([[0.125, 0.375, 0.625, 0.875], [0.25, 0.25, 0.75, 0.75]])
-        with pytest.raises(InvalidArgumentError, match="column|tie counts"):
-            PseudoObservations(values, ties)
-
     def test_tie_free_fit_beyond_int32_cell_arithmetic(self):
         # lo m reaches 1e5 * 42950 > 2**32: int32 products would wrap
         obs = pseudo_observations(make_rng(8).random((100_000, 2)))
@@ -234,7 +227,8 @@ class TestFitCheckerboard:
         data = rng.random((400, 3))
         cop = fit_checkerboard(pseudo_observations(data), (4, 4, 4))
         swapped = fit_checkerboard(pseudo_observations(data[:, [1, 0, 2]]), (4, 4, 4))
-        assert np.array_equal(swapped.grid, np.transpose(cop.grid, (1, 0, 2)))
+        grid = cop.mass.reshape(cop.resolutions)
+        assert np.array_equal(swapped.mass.reshape(grid.shape), np.transpose(grid, (1, 0, 2)))
 
 
 @st.composite
@@ -356,9 +350,9 @@ def test_ranks_match_the_row_major_reference(data):
 @settings(max_examples=200, deadline=None)
 @given(rank_samples(non_finite=False))
 @pytest.mark.filterwarnings("ignore:.*tied value")
-def test_constructor_round_trips_ranked_samples(data):
+def test_ranking_the_mid_ranks_again_round_trips(data):
     obs = pseudo_observations(data)
-    again = PseudoObservations(obs.values, obs.tie_counts)
+    again = pseudo_observations(obs.values)
     assert again.intervals.tobytes() == obs.intervals.tobytes()
     assert again.intervals.shape == obs.intervals.shape
     assert again.tie_counts == obs.tie_counts
@@ -418,6 +412,24 @@ class TestReadCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidArgumentError):
             read_csv(path, ["missing"])
+
+    @pytest.mark.parametrize(
+        "text", ["a,b,c\n1,2,3\n4,5,6\n", 'a,b,c\n"1",2,3\n4,5,6\n'], ids=["loadtxt", "rows"]
+    )
+    def test_numpy_integer_column_indices(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        data, names = read_csv(path, [np.int64(2), np.int32(0)])
+        assert names == ["c", "a"]
+        assert data.tolist() == [[3.0, 1.0], [6.0, 4.0]]
+
+    @pytest.mark.parametrize("columns", ["ab", 3], ids=repr)
+    def test_columns_that_are_not_a_sequence_rejected(self, tmp_path, columns):
+        # a string would be read character by character: columns a and b, not ab
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,ab\n1,2,3\n4,5,6\n")
+        with pytest.raises(InvalidArgumentError, match="sequence of columns"):
+            read_csv(path, columns)
 
     def test_nan_token_flows_to_pseudo_observations(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -144,7 +144,7 @@ class TestExactMarginals:
     @pytest.mark.parametrize("res", SHAPES, ids=str)
     def test_marginals_exact_and_cells_positive(self, res, rng):
         for _ in range(5):
-            mass = random_copula(res, rng).grid
+            mass = random_copula(res, rng).mass.reshape(res)
             assert mass.min() > 0.0
             for axis, m in enumerate(res):
                 others = tuple(a for a in range(len(res)) if a != axis)

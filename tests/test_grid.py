@@ -25,7 +25,7 @@ from copdep import (
 def brute_force_cdf(copula, point):
     """Independent oracle: explicit loop over cells and overlap fractions."""
     total = 0.0
-    grid = copula.grid
+    grid = copula.mass.reshape(copula.resolutions)
     for idx in np.ndindex(*copula.resolutions):
         frac = 1.0
         for axis, i in enumerate(idx):
@@ -54,7 +54,7 @@ class TestConstructors:
 
     def test_comonotone_2x2(self):
         cop = comonotone_copula(2, 2)
-        assert np.allclose(cop.grid, [[0.5, 0.0], [0.0, 0.5]])
+        assert np.allclose(cop.mass.reshape(cop.resolutions), [[0.5, 0.0], [0.0, 0.5]])
 
     def test_comonotone_cdf_equal_coordinates(self):
         cop = comonotone_copula(3, 4)
@@ -93,7 +93,7 @@ class TestCellStorage:
         first, second = cop.mass, cop.mass
         assert first is not second
         assert np.array_equal(first, second)
-        assert not first.flags.writeable and not cop.grid.flags.writeable
+        assert not first.flags.writeable
         assert not cop.cell_index.flags.writeable and not cop.cell_mass.flags.writeable
 
     def test_json_keeps_the_dense_mass_list(self):
@@ -200,7 +200,7 @@ class TestBoxMass:
             i0, i1 = sorted(rng.integers(0, 5, size=2))
             j0, j1 = sorted(rng.integers(0, 7, size=2))
             box = GridBox((i0 / 4, j0 / 6), (i1 / 4, j1 / 6))
-            direct = cop.grid[i0:i1, j0:j1].sum()
+            direct = cop.mass.reshape(cop.resolutions)[i0:i1, j0:j1].sum()
             assert cop.box_mass(box) == pytest.approx(direct, abs=1e-12)
 
     def test_box_validation(self):
@@ -291,8 +291,8 @@ class TestAxisOps:
 
     def test_reverse_one_axis_gives_antidiagonal(self):
         cop = comonotone_copula(2, 4).reverse_axis(1)
-        expected = np.fliplr(comonotone_copula(2, 4).grid)
-        assert np.array_equal(cop.grid, expected)
+        expected = np.fliplr(comonotone_copula(2, 4).mass.reshape(4, 4))
+        assert np.array_equal(cop.mass.reshape(cop.resolutions), expected)
 
     def test_bad_permutation_rejected(self, rng):
         with pytest.raises(InvalidArgumentError):

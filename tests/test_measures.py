@@ -40,9 +40,8 @@ def riemann_tau(copula, split, n_points=10_000):
     u_res = [copula.resolutions[a] for a in split.u_axes]
     vs = (np.arange(n_points) + 0.5) / n_points
     total = 0.0
-    mat = np.transpose(copula.grid, split.u_axes + split.v_axes).reshape(
-        int(np.prod(u_res)), -1
-    )
+    grid = copula.mass.reshape(copula.resolutions)
+    mat = np.transpose(grid, split.u_axes + split.v_axes).reshape(int(np.prod(u_res)), -1)
     m_v = mat.shape[1]
     for row in mat:
         w = row.sum()
@@ -308,7 +307,7 @@ class TestGenericMeasure:
     def test_group_reference_zero_on_product(self, rng):
         cv = comonotone_copula(2, 4)
         prod = CheckerboardCopula(
-            (4, 4, 4), np.einsum("i,jk->ijk", np.full(4, 0.25), cv.grid)
+            (4, 4, 4), np.einsum("i,jk->ijk", np.full(4, 0.25), cv.mass.reshape(4, 4))
         )
         val = generic_measure(prod, GroupSplit((0,), (1, 2)), lambda x: x * x).value
         assert val == pytest.approx(0.0, abs=1e-15)
@@ -390,7 +389,7 @@ class TestGroupTau:
     def test_product_with_dependent_target_is_zero(self):
         cv = comonotone_copula(2, 4)
         prod = CheckerboardCopula(
-            (4, 4, 4), np.einsum("i,jk->ijk", np.full(4, 0.25), cv.grid)
+            (4, 4, 4), np.einsum("i,jk->ijk", np.full(4, 0.25), cv.mass.reshape(4, 4))
         )
         rep = group_tau(prod, GroupSplit((0,), (1, 2)))
         assert rep.value <= 1e-12
@@ -459,7 +458,8 @@ class TestAveragedDependence:
     def test_half_functional_half_independent(self):
         # first target copies the conditioning axis, second is independent
         m = 8
-        mass = np.einsum("ij,k->ijk", comonotone_copula(2, m).grid, np.full(m, 1.0 / m))
+        diagonal = comonotone_copula(2, m).mass.reshape(m, m)
+        mass = np.einsum("ij,k->ijk", diagonal, np.full(m, 1.0 / m))
         cop = CheckerboardCopula((m, m, m), mass)
         val = averaged_dependence(cop, GroupSplit((0,), (1, 2))).value
         assert val == pytest.approx(0.5 * (1.0 - 1.0 / m), abs=1e-12)

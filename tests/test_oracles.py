@@ -34,7 +34,7 @@ def overlap(point, cell, m):
 
 def brute_conditional(copula, split, u_cell, v_point):
     """Conditional CDF from raw cell masses, explicit loops only."""
-    grid = copula.grid
+    grid = copula.mass.reshape(copula.resolutions)
     v_res = [copula.resolutions[a] for a in split.v_axes]
     weight = 0.0
     value = 0.0
@@ -54,7 +54,7 @@ def brute_group_tau(copula, split):
     """Group measure from first principles: loops over every cell pair."""
     u_res = [copula.resolutions[a] for a in split.u_axes]
     v_res = [copula.resolutions[a] for a in split.v_axes]
-    grid = copula.grid
+    grid = copula.mass.reshape(copula.resolutions)
 
     target_mass = {}
     for idx in np.ndindex(*copula.resolutions):
@@ -131,7 +131,7 @@ class TestConditionalOracle:
 
 def riemann_ratio_integral(copula, phi, n_points=200_000):
     """Midpoint Riemann sum of phi(conditional CDF / v) over v, weighted."""
-    mat = np.transpose(copula.grid, (0, 1)).reshape(copula.resolutions[0], -1)
+    mat = copula.mass.reshape(copula.resolutions[0], -1)
     m_v = mat.shape[1]
     vs = (np.arange(n_points) + 0.5) / n_points
     cell = np.minimum((vs * m_v).astype(int), m_v - 1)
@@ -177,7 +177,7 @@ class TestEntropyOracles:
 
     def test_tau_alpha_matches_riemann(self, rng):
         cop = random_copula((6, 6), rng)
-        mat = cop.grid
+        mat = cop.mass.reshape(cop.resolutions)
         n_points = 200_000
         vs = (np.arange(n_points) + 0.5) / n_points
         cell = np.minimum((vs * 6).astype(int), 5)
@@ -266,7 +266,8 @@ def _ratio_cell_terms(w: np.ndarray, mat: np.ndarray, transform: str, alpha: flo
 def adaptive_ratio_total(copula, split, transform, alpha=0.0):
     """Weighted total of phi(F/v) by adaptive quadrature per target cell."""
     nu = int(np.prod([copula.resolutions[a] for a in split.u_axes]))
-    mat = np.transpose(copula.grid, split.u_axes + split.v_axes).reshape(nu, -1)
+    grid = copula.mass.reshape(copula.resolutions)
+    mat = np.transpose(grid, split.u_axes + split.v_axes).reshape(nu, -1)
     w = mat.sum(axis=1)
     live = w > 0.0
     terms = _ratio_cell_terms(w[live], mat[live], transform, alpha)
@@ -308,7 +309,8 @@ class TestEntropyKernelOracle:
     adaptive quadrature, on the total over conditioning cells."""
 
     def test_near_boundary_rows_straddle_the_switch(self, rng):
-        mass = _near_boundary_copula(rng).grid
+        cop = _near_boundary_copula(rng)
+        mass = cop.mass.reshape(cop.resolutions)
         edges = np.cumsum(mass, axis=1) / mass.sum(axis=1, keepdims=True)
         f0, f1 = edges[:, 1], edges[:, 2]
         assert list(3.0 * f0 < f1) == [True, False, True, False]
@@ -332,7 +334,7 @@ class TestEntropyKernelOracle:
 class TestMutualInformationOracle:
     def test_matches_explicit_loop(self, rng):
         cop = random_copula((3, 4, 2), rng)
-        grid = cop.grid
+        grid = cop.mass.reshape(cop.resolutions)
         slabs = [grid.sum(axis=(1, 2)), grid.sum(axis=(0, 2)), grid.sum(axis=(0, 1))]
         slow = 0.0
         for idx in np.ndindex(*cop.resolutions):

@@ -73,7 +73,7 @@ class TestStarLaws:
         out = star(a, b, 1)
         w_u = a.marginal((0,)).mass
         expected = np.outer(w_u, np.full(6, 1.0 / 6))
-        assert np.allclose(out.grid, expected, atol=1e-12)
+        assert np.allclose(out.mass.reshape(out.resolutions), expected, atol=1e-12)
 
     def test_identity_coupling_is_left_identity(self):
         # exact-marginal operand: composing is the identity to 1e-12
@@ -98,7 +98,7 @@ class TestStarLaws:
     def test_identity_coupling_two_blocks(self):
         # n=2, m=2: four cells of mass 1/4, each with matching block indices
         coupling = identity_coupling(2, 2)
-        g = coupling.grid
+        g = coupling.mass.reshape(coupling.resolutions)
         for i in range(2):
             for j in range(2):
                 assert g[i, j, i, j] == 0.25

@@ -25,12 +25,13 @@ from .errors import (
     _count,
 )
 from .estimation import (
+    _column_slots,
+    _rank_slots,
     _select_columns,
     PseudoObservations,
     ResolutionPolicy,
     choose_resolution,
     fit_checkerboard,
-    pseudo_observations,
     read_csv,
 )
 from .generators import (
@@ -115,8 +116,11 @@ def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
     """Read, rank and fit the CSV named by ``--input``: the copula, the
     pseudo-observations and the column names."""
     data, names = read_csv(args.input, _parse_columns(args.columns))
-    pseudo = pseudo_observations(data)
-    del data  # the fit needs only the ranks; the raw matrix would set its peak
+    # pseudo_observations(data) in two steps, so the parsed matrix goes as
+    # soon as it is copied into the interval buffer and no sort runs beside it.
+    slots = _column_slots(data)
+    del data
+    pseudo = _rank_slots(slots)
     if args.resolution is None:
         policy = ResolutionPolicy(mode="automatic")
     else:

@@ -109,21 +109,15 @@ class ResolutionPolicy:
 def pseudo_observations(data) -> PseudoObservations:
     """Column-wise rank intervals; tied rows share one.
 
-    Beside the input and the output it holds a column of sort order, two
-    half columns of interval ends and a boolean column, whatever the ties.
+    Each column is copied into its own slot of the interval buffer and
+    ranked there, so beside the input and the output it holds a column of
+    sort order, one half column of interval ends and a boolean column,
+    whatever the ties.  The caller's array is not changed.
     Raises InsufficientDataError for fewer than two rows, InvalidArgumentError
     for 2**31 rows or more, and InvalidDataError for non-numeric entries and,
     with the offending column, for non-finite ones.
     """
-    intervals, ties = _rank(_sample_matrix(data))
-    total_ties = sum(ties)
-    if total_ties:
-        warnings.warn(
-            f"{total_ties} tied value(s) across columns; tied rows share one rank interval",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return PseudoObservations._from_intervals(intervals, ties)
+    return _rank_slots(_column_slots(data))
 
 
 def _sample_matrix(data) -> np.ndarray:
@@ -134,9 +128,12 @@ def _sample_matrix(data) -> np.ndarray:
         raise InvalidDataError(f"sample is not a numeric matrix: {exc}") from exc
 
 
-def _rank(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The (d, 2, N) int32 rank intervals of a float64 (N, d) sample and each
-    column's tie count."""
+def _column_slots(data) -> np.ndarray:
+    """The first step of ranking: the (d, 2, N) int32 interval buffer of an
+    (N, d) sample, with column j copied into slot j as N float64s (two int32
+    ends take 8 bytes, like one float64).  The buffer holds all that ranking
+    reads, so a caller may drop the sample before ``_rank_slots``."""
+    arr = _sample_matrix(data)
     if arr.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-D sample matrix, got shape {arr.shape}")
     n, d = arr.shape
@@ -145,33 +142,49 @@ def _rank(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
     if n >= 2**31:
         raise InvalidArgumentError(f"{n} rows; int32 rank intervals need fewer than 2**31")
     out = np.empty((d, 2, n), dtype=np.int32)
+    for j, ends in enumerate(out):
+        ends.reshape(-1).view(np.float64)[:] = arr[:, j]
+    return out
+
+
+def _rank_slots(out: np.ndarray) -> PseudoObservations:
+    """The second step of ranking: replaces each slot of ``_column_slots``
+    by its column's rank intervals and warns if any rows are tied."""
+    n = out.shape[2]
     new = np.empty(n, dtype=bool)  # whether each sorted value starts a tie group
     new[0] = True
     ties = []
     for j, ends in enumerate(out):
-        col = arr[:, j]
-        order = np.argsort(col)
-        row = ends.reshape(-1).view(np.float64)  # the sorted values, until the ends overwrite them
-        np.take(col, order, out=row, mode="clip")  # "raise" would buffer a copy
+        row = ends.reshape(-1).view(np.float64)
+        order = np.argsort(row)
+        row.sort()  # in place: np.take over its own input would buffer a copy
         if not (np.isfinite(row[0]) and np.isfinite(row[-1])):  # NaN sorts last
             raise InvalidDataError(f"non-finite value in column {j}", column=j)
         np.not_equal(row[1:], row[:-1], out=new[1:])
         ties.append(n - int(np.count_nonzero(new)))
         # Sorted position k lies in its tie group's interval [lo, hi): lo is the
         # last group start at or before k, and n - hi the same in reversed order.
-        # Both are made after the sort, which copies a strided column, and
-        # ``del`` frees them before the next one.
+        # Once ``new`` holds the groups the slot is free for the ends; each is
+        # scattered before the next is made.
         lo = np.arange(n, dtype=np.int32)
         lo *= new
         np.maximum.accumulate(lo, out=lo)
+        ends[0, order] = lo
+        del lo
         back = np.arange(n, dtype=np.int32)
         back[1:] *= new[:0:-1]
         np.maximum.accumulate(back, out=back)
         np.subtract(n, back, out=back)
-        ends[0, order] = lo
         ends[1, order] = back[::-1]
-        del order, lo, back
-    return out, ties
+        del order, back
+    total_ties = sum(ties)
+    if total_ties:
+        warnings.warn(
+            f"{total_ties} tied value(s) across columns; tied rows share one rank interval",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return PseudoObservations._from_intervals(out, ties)
 
 
 def _mid_ranks(intervals: np.ndarray) -> np.ndarray:

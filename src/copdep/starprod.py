@@ -304,12 +304,20 @@ def equitability_suite(
 
 
 def _monotone_direction(original: np.ndarray, mapped: np.ndarray) -> int:
-    """+1 for rank-preserving, -1 for rank-reversing; otherwise rejects."""
+    """+1 for rank-preserving, -1 for rank-reversing; otherwise rejects.
+
+    The direction is judged across distinct original values: equal values
+    must map to one value, and distinct ones to distinct values.
+    """
     order = np.argsort(original, kind="stable")
-    along = mapped[order]
-    if np.all(np.diff(along) > 0.0):
+    distinct = np.diff(original[order]) > 0.0
+    step = np.diff(mapped[order])
+    if np.any(step[~distinct] != 0.0):
+        raise InvalidArgumentError("mapping sends equal observed values to different values")
+    step = step[distinct]
+    if np.all(step > 0.0):
         return 1
-    if np.all(np.diff(along) < 0.0):
+    if np.all(step < 0.0):
         return -1
     raise InvalidArgumentError(
         "mapping is not strictly monotone on the observed values"

@@ -316,6 +316,39 @@ class TestMeasure:
             values.add(json.loads(out)["value"])
         assert len(values) == 1
 
+    def test_tied_csv_agrees_with_the_library_bit_for_bit(self, capsys, tmp_path):
+        # The CLI ranks in two steps so it can drop the parsed sample between
+        # them; it must give what pseudo_observations gives.
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((3001, 3))
+        data[:, 0] = rng.integers(0, 5, 3001)
+        data[:, 1] = np.round(data[:, 1], 1)
+        csv_path = tmp_path / "tied.csv"
+        np.savetxt(csv_path, data, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+        sample, _ = read_csv(csv_path)
+        with pytest.warns(RuntimeWarning, match="tied"):
+            pseudo = copdep.pseudo_observations(sample)
+        expected = copdep.fit_checkerboard(pseudo, (7, 7, 7))
+        split = copdep.GroupSplit((0, 1), (2,))
+
+        with pytest.warns(RuntimeWarning, match="tied"):
+            code, out, _ = run(capsys, "measure", "--input", str(csv_path), "--resolution", "7")
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert value.hex() == copdep.tau_quadratic(expected, split).value.hex()
+
+        cop_path = tmp_path / "fit.json"
+        with pytest.warns(RuntimeWarning, match="tied"):
+            code, out, _ = run(
+                capsys, "estimate", "--input", str(csv_path), "--output", str(cop_path),
+                "--resolution", "7",
+            )
+        assert code == 0
+        assert json.loads(out)["ties"] == list(pseudo.tie_counts)
+        saved = load_copula(cop_path)
+        assert saved.cell_index.tobytes() == expected.cell_index.tobytes()
+        assert saved.cell_mass.tobytes() == expected.cell_mass.tobytes()
+
 
 class TestStarCommand:
     def test_compose_and_reuse(self, capsys, tmp_path):

@@ -254,6 +254,49 @@ class TestEquitability:
                 resolutions=(5, 5),
             )
 
+    @staticmethod
+    def _tied_sample():
+        # 200 rows; column 0 takes 5 values and the target one decimal place
+        data = generate(SynthModel(tag="functional", dimension=3, seed=82), 200)
+        data[:, 0] = np.searchsorted(np.quantile(data[:, 0], [0.2, 0.4, 0.6, 0.8]), data[:, 0])
+        data[:, 2] = np.round(data[:, 2], 1)
+        return data
+
+    def _tied_suite(self, transform):
+        with pytest.warns(RuntimeWarning, match="tied"):
+            return equitability_suite(
+                data=self._tied_sample(),
+                split=GroupSplit((0, 1), (2,)),
+                transforms=[transform],
+                resolutions=(4, 4, 4),
+            )
+
+    def test_increasing_map_of_a_tied_conditioning_column_exactly_invariant(self):
+        report = self._tied_suite(
+            TransformCase(kind="column_map", column=0, mapping=lambda v: v**3 + 1)
+        )
+        assert report.results[0].deviation == 0.0
+
+    def test_decreasing_map_of_a_tied_target_column_within_tolerance(self):
+        report = self._tied_suite(
+            TransformCase(kind="column_map", column=2, mapping=lambda v: -np.exp(v))
+        )
+        assert report.passed
+        assert report.results[0].tolerance == 1e-12
+
+    def test_map_that_splits_a_tie_rejected(self):
+        # increasing across distinct values, but the tied rows of column 0 part
+        splits = TransformCase(
+            kind="column_map", column=0, mapping=lambda v: v + 1e-6 * np.arange(v.size)
+        )
+        with pytest.raises(InvalidArgumentError, match="equal observed values"):
+            self._tied_suite(splits)
+
+    def test_map_that_merges_distinct_values_rejected(self):
+        merges = TransformCase(kind="column_map", column=0, mapping=lambda v: np.minimum(v, 3))
+        with pytest.raises(InvalidArgumentError, match="not strictly monotone"):
+            self._tied_suite(merges)
+
     def test_requires_exactly_one_input(self, rng):
         with pytest.raises(InvalidArgumentError):
             equitability_suite(

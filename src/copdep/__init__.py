@@ -36,21 +36,17 @@ from .generators import (
 )
 from .grid import (
     CheckerboardCopula,
-    GridBox,
     GroupSplit,
     ValidationReport,
     comonotone_copula,
     copula_from_dict,
     copula_to_dict,
-    frechet_lower,
-    frechet_upper,
     independence_copula,
     load_copula,
     require_valid,
     save_copula,
 )
 from .measures import (
-    KendallCdf,
     MeasureKind,
     MeasureReport,
     averaged_dependence,
@@ -59,8 +55,6 @@ from .measures import (
     generic_measure,
     group_tau,
     group_tau_normalized,
-    kendall_cdf,
-    max_bound,
     mutual_information,
     renyi_alpha,
     renyi_limit,
@@ -88,14 +82,12 @@ __all__ = [
     "DegenerateBoundError",
     "DpiReport",
     "EvaluationError",
-    "GridBox",
     "GroupSplit",
     "IncompatibleOperandsError",
     "InsufficientDataError",
     "InvalidArgumentError",
     "InvalidDataError",
     "InvarianceReport",
-    "KendallCdf",
     "MeasureKind",
     "MeasureReport",
     "PseudoObservations",
@@ -116,18 +108,14 @@ __all__ = [
     "dpi_report",
     "equitability_suite",
     "fit_checkerboard",
-    "frechet_lower",
-    "frechet_upper",
     "generate",
     "generic_measure",
     "group_tau",
     "group_tau_normalized",
     "identity_coupling",
     "independence_copula",
-    "kendall_cdf",
     "load_copula",
     "make_rng",
-    "max_bound",
     "mixture_copula",
     "mutual_information",
     "pseudo_observations",

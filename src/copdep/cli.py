@@ -57,8 +57,6 @@ from .measures import (
     MeasureKind,
     compute_measure,
     group_tau,
-    kendall_cdf,
-    max_bound,
     tau_quadratic,
 )
 from .starprod import TransformCase, dpi_report, equitability_suite, identity_coupling, star
@@ -135,15 +133,24 @@ def _load_measure_input(args) -> tuple[CheckerboardCopula, GroupSplit | None, in
     path = Path(args.input)
     if _looks_like_json(path):
         copula = load_copula(path)
+        _reject_flags(args, ("columns", "resolution"), "a copula file")
         names = None
         sample_size = None
     else:
         copula, pseudo, names = _fit_csv(args)
         sample_size = pseudo.n_rows
-    split = None
-    if _KINDS[args.kind].needs_split:
-        split = _resolve_split(args.u_cols, args.v_cols, names, copula.dims)
-    return copula, split, sample_size
+    if not _KINDS[args.kind].needs_split:
+        _reject_flags(args, ("u_cols", "v_cols"), args.kind)
+        return copula, None, sample_size
+    return copula, _resolve_split(args.u_cols, args.v_cols, names, copula.dims), sample_size
+
+
+def _reject_flags(args, dests, context: str) -> None:
+    """InvalidArgumentError naming the first of ``dests`` that was given,
+    since ``context`` does not read it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise InvalidArgumentError(f"--{dest.replace('_', '-')} does not apply to {context}")
 
 
 # ----------------------------------------------------------------------
@@ -326,9 +333,14 @@ def _suite_equitability(trials: int, seed: int):
 
 def _suite_bounds(trials: int, seed: int):
     checks = []
-    one = max_bound(kendall_cdf(independence_copula((8, 8)), (1,)))
-    checks.append(("single-axis bound is 1", one == 1.0, f"value {one!r}"))
-    five_sixths = max_bound(kendall_cdf(independence_copula((64, 64)), (0, 1)))
+    group = GroupSplit((0,), (1, 2))
+    for m in (8, 16, 64):
+        bound = group_tau(comonotone_copula(3, m), group).upper_bound
+        exact = 1.0 + 1.0 / (8 * m * m)
+        checks.append(
+            (f"comonotone pair bound is 1 + 1/(8m^2) (m={m})", bound == exact, f"value {bound!r}")
+        )
+    five_sixths = group_tau(independence_copula((2, 64, 64)), group).upper_bound
     checks.append(
         (
             "independence pair bound near 5/6",

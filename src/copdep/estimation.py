@@ -86,7 +86,8 @@ class ResolutionPolicy:
     axis, balancing cell count against per-cell sample count.  No estimator
     theory backs this exponent; it is a documented placeholder that callers
     can override with ``fixed`` mode, which uses ``fixed_m`` on every axis.
-    ``fixed_m`` is given in fixed mode and only there.
+    ``fixed_m`` is given in fixed mode and only there; like ``max_m`` it is
+    at least 2, since at m = 1 every measure is 0 whatever the data.
     """
 
     mode: str = "automatic"
@@ -103,7 +104,7 @@ class ResolutionPolicy:
                 f" got {self.fixed_m!r} in {self.mode} mode"
             )
         if self.fixed_m is not None:
-            object.__setattr__(self, "fixed_m", _count(self.fixed_m, "fixed_m"))
+            object.__setattr__(self, "fixed_m", _count(self.fixed_m, "fixed_m", least=2))
 
 
 def pseudo_observations(data) -> PseudoObservations:

@@ -85,17 +85,6 @@ def _compress(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), rank[keys]
 
 
-def _unit_point(point) -> np.ndarray:
-    """``point`` as a flat float array; rejects non-numeric, empty and off-cube points."""
-    try:
-        p = np.asarray(point, dtype=np.float64).ravel()
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"expected a numeric point, got {point!r}") from exc
-    if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-        raise InvalidArgumentError(f"point {p.tolist()} outside the unit cube")
-    return p
-
-
 def _scatter(index: np.ndarray, mass: np.ndarray, size: int) -> np.ndarray:
     """Dense array of ``size`` cells holding ``mass`` at ``index``, zero elsewhere."""
     out = np.zeros(size)
@@ -205,64 +194,6 @@ class CheckerboardCopula:
         key = self._key(axes)
         size = math.prod(self.resolutions[a] for a in axes)
         return np.bincount(key, weights=self.cell_mass, minlength=size), key
-
-    # ------------------------------------------------------------------
-    # pointwise evaluation
-    # ------------------------------------------------------------------
-
-    def _box_share(self, lower, upper) -> float:
-        """Sum of stored cell masses, each weighted by the share of its cell
-        inside the box [lower, upper]; the share is a product over axes."""
-        share = np.ones(self.cell_index.size)
-        for axis, m in enumerate(self.resolutions):
-            key = self._key((axis,))
-            share *= np.clip(upper[axis] * m - key, 0.0, 1.0) - np.clip(
-                lower[axis] * m - key, 0.0, 1.0
-            )
-        return float(self.cell_mass @ share)
-
-    def cdf(self, point) -> float:
-        """CDF at a point of the unit cube.
-
-        Multilinear in each coordinate: the value is the sum of cell masses
-        weighted by the fraction of each cell lying below the point.
-        """
-        p = _unit_point(point)
-        if p.size != self.dims:
-            raise InvalidArgumentError(f"point has {p.size} coordinates, copula has {self.dims}")
-        return self._box_share(np.zeros(self.dims), p)
-
-    def box_mass(self, box: GridBox) -> float:
-        """Probability mass of an axis-aligned box.
-
-        The sum of cell masses weighted by the fraction of each cell inside
-        the box, which equals the sum of contained cell masses whenever the
-        box is grid aligned.
-        """
-        if box.dims != self.dims:
-            raise InvalidArgumentError(
-                f"box has {box.dims} axes, copula has {self.dims}"
-            )
-        return max(self._box_share(box.lower, box.upper), 0.0)
-
-    def sub_box_mass(self, box: GridBox, tail_point) -> float:
-        """Mass of {first k coordinates in ``box``} and {remaining <= tail_point}.
-
-        ``box`` covers the leading ``k < dims`` axes and ``tail_point``, a
-        point of the unit cube, the rest.  Nonnegative and nondecreasing in
-        every tail coordinate.
-        """
-        k = box.dims
-        if not 1 <= k < self.dims:
-            raise InvalidArgumentError(
-                f"box must cover 1..{self.dims - 1} leading axes, got {k}"
-            )
-        tail = _unit_point(tail_point)
-        if tail.size != self.dims - k:
-            raise InvalidArgumentError(
-                f"tail point must have {self.dims - k} coordinates, got {tail.size}"
-            )
-        return max(self._box_share(box.lower + (0.0,) * tail.size, box.upper + tuple(tail)), 0.0)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -387,25 +318,6 @@ def require_valid(copula: CheckerboardCopula, context: str = "") -> Checkerboard
 
 
 @dataclass(frozen=True)
-class GridBox:
-    """Axis-aligned box [lower, upper] inside the unit cube."""
-
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def __post_init__(self):
-        lo, hi = _unit_point(self.lower), _unit_point(self.upper)
-        if lo.size != hi.size or np.any(lo > hi):
-            raise InvalidArgumentError(f"expected lower <= upper of equal length, got {lo}, {hi}")
-        object.__setattr__(self, "lower", tuple(lo.tolist()))
-        object.__setattr__(self, "upper", tuple(hi.tolist()))
-
-    @property
-    def dims(self) -> int:
-        return len(self.lower)
-
-
-@dataclass(frozen=True)
 class GroupSplit:
     """Partition of the axes into a conditioning block and a target block."""
 
@@ -427,7 +339,7 @@ class GroupSplit:
 
 
 # ----------------------------------------------------------------------
-# reference constructions and bound functions
+# reference constructions
 # ----------------------------------------------------------------------
 
 
@@ -456,21 +368,6 @@ def comonotone_copula(dims: int, resolution: int) -> CheckerboardCopula:
         CheckerboardCopula._from_cells(res, diagonal, np.full(m, 1.0 / m)),
         "comonotone_copula",
     )
-
-
-def frechet_lower(point) -> float:
-    """Lower Frechet-Hoeffding envelope max(sum(u) - d + 1, 0).
-
-    A pointwise bound for every copula; not itself a copula beyond two
-    dimensions, so it is exposed only as a function.
-    """
-    p = _unit_point(point)
-    return max(float(p.sum()) - p.size + 1.0, 0.0)
-
-
-def frechet_upper(point) -> float:
-    """Upper Frechet-Hoeffding envelope min(u_1, ..., u_d)."""
-    return float(_unit_point(point).min())
 
 
 # ----------------------------------------------------------------------

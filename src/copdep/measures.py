@@ -27,9 +27,8 @@ cell centers.  One helper, ``_at_centers``, gives the mass below every
 center for rows of target-cell masses: the conditional CDF of each
 conditioning row, and the target-marginal CDF, which is the reference for
 the group gap and places the knots of the Kendall distribution behind the
-group bound.  The knots stay two arrays, t and K, which one reduction,
-``_kendall_bound``, turns into the bound for ``group_tau`` and ``max_bound``;
-only ``kendall_cdf`` wraps them in a ``KendallCdf``.  A target marginal
+group bound.  ``_kendall_steps`` places those knots and ``_kendall_bound``
+reduces them to the bound that ``group_tau`` reports.  A target marginal
 whose mass is not 1 raises, and a bound below ``MIN_KENDALL_BOUND`` is too
 small to normalize by.
 
@@ -62,10 +61,8 @@ from .grid import (
     VALIDITY_TOL,
     CheckerboardCopula,
     GroupSplit,
-    _check_axes,
     _scatter,
     _strides,
-    _unit_point,
 )
 
 #: Slack allowed above the theoretical unit bound before warning.
@@ -142,39 +139,6 @@ class MeasureReport:
             "resolutions": list(self.resolutions),
             "sample_size": self.sample_size,
         }
-
-
-@dataclass(frozen=True)
-class KendallCdf:
-    """Distribution function of the target-marginal CDF of its own vector.
-
-    ``knots`` lists (t, K(t)) pairs with t ascending and K nondecreasing.
-    ``kind`` is "step" (right-continuous jumps at the knots, the grid
-    convention) or "linear" (piecewise linear between knots; used for the
-    single-axis case where the distribution is exactly uniform).
-    """
-
-    knots: tuple[tuple[float, float], ...]
-    kind: str = "step"
-
-    def __post_init__(self):
-        if self.kind not in ("step", "linear"):
-            raise InvalidArgumentError(f"unknown Kendall CDF kind {self.kind!r}")
-        try:
-            knots = np.asarray(self.knots, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"expected numeric knots, got {self.knots!r}") from exc
-        if not knots.size:
-            raise InvalidArgumentError("Kendall CDF needs at least one knot")
-        if knots.ndim != 2 or knots.shape[1] != 2:
-            raise InvalidArgumentError(f"Kendall CDF knots must be (t, K) pairs, got {self.knots!r}")
-        if not np.isfinite(knots).all():
-            raise InvalidArgumentError(f"Kendall CDF knots must be finite, got {self.knots!r}")
-        if (np.diff(knots, axis=0) < 0.0).any():
-            raise InvalidArgumentError("Kendall CDF knots must be nondecreasing")
-        if abs(knots[-1, 1] - 1.0) > _KENDALL_TOL:
-            raise InvalidArgumentError(f"Kendall CDF must reach 1, got {knots[-1, 1]}")
-        object.__setattr__(self, "knots", tuple(map(tuple, knots.tolist())))
 
 
 def _warn_above_unit(value: float, label: str) -> None:
@@ -356,6 +320,17 @@ def _gauss_cells(g):
     """``cells`` function for :func:`_rule_terms`: g(F, v) integrated over every
     target cell by the Gauss-Legendre rule."""
     return lambda f0, f1: _gauss_rule(f0, f1, g, f0.shape[1])
+
+
+def _unit_point(point) -> np.ndarray:
+    """``point`` as a flat float array; rejects non-numeric, empty and off-cube points."""
+    try:
+        p = np.asarray(point, dtype=np.float64).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"expected a numeric point, got {point!r}") from exc
+    if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+        raise InvalidArgumentError(f"point {p.tolist()} outside the unit cube")
+    return p
 
 
 def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) -> float:
@@ -715,24 +690,6 @@ def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, reduce) -> tuple:
     return _row_terms(_dense_walk(copula, split), per_row), target_w, reference
 
 
-def kendall_cdf(copula: CheckerboardCopula, v_axes) -> KendallCdf:
-    """Distribution of the target-marginal CDF evaluated at its own vector.
-
-    For a single target axis the distribution is exactly uniform, returned
-    as a piecewise-linear CDF.  For a group, the grid convention places each
-    target cell's mass at the marginal CDF value of the cell center, giving
-    a step function that converges to the true Kendall distribution as the
-    grid refines.
-    """
-    v_axes = _check_axes(v_axes, copula.dims)
-    if len(v_axes) == 1:
-        return KendallCdf(((0.0, 0.0), (1.0, 1.0)), kind="linear")
-    masses = _target_marginal_masses(copula, v_axes)
-    v_res = tuple(copula.resolutions[a] for a in v_axes)
-    t, k = _kendall_steps(masses, _at_centers(masses[None, :], v_res)[0])
-    return KendallCdf(tuple(zip(t.tolist(), k.tolist())), kind="step")
-
-
 def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knots (t, K), t ascending, of the step CDF putting each cell's mass at ``ts``."""
     order = np.argsort(ts, kind="stable")
@@ -750,24 +707,6 @@ def _kendall_bound(t: np.ndarray, k: np.ndarray) -> float:
     """6 * integral of (t - t^2) dK(t) for the step CDF with knots (t, K): a
     Stieltjes sum over the jumps, added exactly."""
     return _fsum(6.0 * (t - t * t) * np.diff(k, prepend=0.0))
-
-
-def max_bound(kendall: KendallCdf) -> float:
-    """Largest reachable group measure: 6 * integral of (t - t^2) dK(t).
-
-    A Stieltjes sum over the jumps for step CDFs; exact polynomial segment
-    integrals for piecewise-linear CDFs (the single-axis case K(t) = t
-    yields exactly 1).
-    """
-    if kendall.kind == "linear":
-        total = 0.0
-        for (t0, k0), (t1, k1) in zip(kendall.knots, kendall.knots[1:]):
-            if t1 == t0:
-                continue
-            slope = (k1 - k0) / (t1 - t0)
-            total += slope * (3.0 * (t1 * t1 - t0 * t0) - 2.0 * (t1**3 - t0**3))
-        return total
-    return _kendall_bound(*np.array(kendall.knots).T)
 
 
 def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:

@@ -22,9 +22,7 @@ from copdep import (
     group_tau,
     identity_coupling,
     independence_copula,
-    kendall_cdf,
     make_rng,
-    max_bound,
     mixture_copula,
     mutual_information,
     pseudo_observations,
@@ -180,10 +178,11 @@ def test_criterion_6_invariance():
 
 
 def test_criterion_7_kendall_bound():
-    exact_one = max_bound(kendall_cdf(independence_copula((8, 8)), (1,)))
-    ok = exact_one == 1.0
+    group = GroupSplit((0,), (1, 2))
+    comonotone = group_tau(comonotone_copula(3, 16), group).upper_bound
+    ok = comonotone == 1.0 + 1.0 / (8 * 16 * 16)
 
-    grid_bound = max_bound(kendall_cdf(independence_copula((64, 64)), (0, 1)))
+    grid_bound = group_tau(independence_copula((2, 64, 64)), group).upper_bound
     grid_err = abs(grid_bound - 5.0 / 6.0)
     ok = ok and grid_err < 0.01
 
@@ -203,7 +202,7 @@ def test_criterion_7_kendall_bound():
     report(
         7,
         ok,
-        f"m=1 bound {exact_one!r}, grid err {grid_err:.2e}, MC err {mc_err:.2e}, "
+        f"comonotone pair bound {comonotone!r}, grid err {grid_err:.2e}, MC err {mc_err:.2e}, "
         f"worst group excess {worst_excess:.2e}",
     )
 

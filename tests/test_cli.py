@@ -287,6 +287,37 @@ class TestMeasure:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "source, flags",
+        [
+            ("json", ["--resolution", "64"]),
+            ("json", ["--columns", "x0,y"]),
+            ("csv", ["--kind", "mutual_information", "--u-cols", "x0"]),
+            ("csv", ["--kind", "mutual_information", "--v-cols", "y"]),
+        ],
+        ids=["resolution", "columns", "u-cols", "v-cols"],
+    )
+    def test_a_flag_the_input_or_kind_does_not_read_exits_two(
+        self, capsys, tmp_path, source, flags
+    ):
+        if source == "json":
+            path = tmp_path / "fit.json"
+            copdep.save_copula(copdep.independence_copula((8, 8)), path)
+        else:
+            path = write_synth(capsys, tmp_path, rows="200")  # columns x0, y
+        code, out, err = run(capsys, "measure", "--input", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flags[-2]} does not apply" in err
+
+    def test_resolution_one_exits_two(self, capsys, tmp_path):
+        # at m = 1 every measure is 0 whatever the data
+        csv_path = write_synth(capsys, tmp_path, model="gaussian", theta="0.9", rows="200")
+        code, out, err = run(capsys, "measure", "--input", str(csv_path), "--resolution", "1")
+        assert code == 2
+        assert out == ""
+        assert "fixed_m >= 2" in err
+
     def test_97_rows_on_a_50_cubed_grid_exit_zero(self, capsys, tmp_path):
         # binned counts admit no uniform marginals here; the rank boxes do
         csv_path = tmp_path / "short.csv"

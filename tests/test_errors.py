@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+import copdep
 from copdep import (
     CheckerboardCopula,
     EvaluationError,
-    GridBox,
     GroupSplit,
     InvalidArgumentError,
     InvalidDataError,
-    KendallCdf,
     MeasureKind,
     PseudoObservations,
     ResolutionPolicy,
@@ -25,20 +24,41 @@ from copdep import (
     dpi_report,
     equitability_suite,
     fit_checkerboard,
-    frechet_upper,
     generate,
     generic_measure,
     group_tau,
     group_tau_normalized,
     identity_coupling,
     independence_copula,
-    kendall_cdf,
     make_rng,
     mixture_copula,
     pseudo_observations,
     random_star_pair,
     star,
 )
+
+#: The public names README.md lists under "Public API".
+PUBLIC_NAMES = [
+    "CheckerboardCopula", "CopdepError", "CopulaValidationError", "DegenerateBoundError",
+    "DpiReport", "EvaluationError", "GroupSplit", "IncompatibleOperandsError",
+    "InsufficientDataError", "InvalidArgumentError", "InvalidDataError", "InvarianceReport",
+    "MeasureKind", "MeasureReport", "PseudoObservations", "ResolutionPolicy",
+    "StarCompatibility", "SynthModel", "TransformCase", "ValidationReport",
+    "assignment_copula", "averaged_dependence", "choose_resolution", "comonotone_copula",
+    "compatibility_check", "compute_measure", "conditional_cdf", "copula_from_dict",
+    "copula_to_dict", "dpi_report", "equitability_suite", "fit_checkerboard", "generate",
+    "generic_measure", "group_tau", "group_tau_normalized", "identity_coupling",
+    "independence_copula", "load_copula", "make_rng", "mixture_copula", "mutual_information",
+    "pseudo_observations", "random_copula", "random_star_pair", "read_csv", "renyi_alpha",
+    "renyi_limit", "require_valid", "save_copula", "star", "tau_alpha", "tau_quadratic",
+]
+
+
+def test_public_names_are_the_documented_list():
+    assert sorted(copdep.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(copdep, name) is not None
+
 
 COPULA = independence_copula((2, 3, 4))
 SINGLE, GROUP = GroupSplit((0, 1), (2,)), GroupSplit((0,), (1, 2))
@@ -56,7 +76,6 @@ NON_NUMBER_ARGUMENTS = {
     "marginal axis": lambda: COPULA.marginal(("x",)),
     "permute_axes axis": lambda: COPULA.permute_axes(("x", 0)),
     "reverse_axis axis": lambda: COPULA.reverse_axis("x"),
-    "kendall_cdf axis": lambda: kendall_cdf(COPULA, ("x", 1)),
     "random_star_pair n": lambda: random_star_pair("x", 4, make_rng(0)),
 }
 
@@ -104,10 +123,6 @@ AXIS_ARGUMENTS = {
         lambda: COPULA.reverse_axis(1.0),
         lambda: COPULA.reverse_axis(np.uint8(1)),
     ),
-    "kendall_cdf fractional axis": (
-        lambda: kendall_cdf(COPULA, (0, 1.5)),
-        lambda: kendall_cdf(COPULA, np.array([0, 1])),
-    ),
     "TransformCase fractional column": (lambda: _column_map(0.5), lambda: _column_map(np.int64(0))),
     "TransformCase column past the last": (lambda: _column_map(3), lambda: _column_map(np.int64(2))),
     "independence_copula fractional resolution": (
@@ -121,6 +136,10 @@ AXIS_ARGUMENTS = {
     "ResolutionPolicy fractional fixed_m": (
         lambda: ResolutionPolicy(mode="fixed", fixed_m=8.6),
         lambda: ResolutionPolicy(mode="fixed", fixed_m=np.int64(8), max_m=np.int32(16)),
+    ),
+    "ResolutionPolicy fixed_m of 1": (
+        lambda: ResolutionPolicy(mode="fixed", fixed_m=1),
+        lambda: ResolutionPolicy(mode="fixed", fixed_m=np.int64(2)),
     ),
     "generate fractional n_rows": (
         lambda: generate(SynthModel(tag="independent"), 10.9),
@@ -181,11 +200,7 @@ def test_axis_arguments_are_integers_and_numpy_integers_pass(name):
 
 
 NON_NUMERIC_POINTS = {
-    "cdf": lambda: COPULA.cdf(("a", 0, 0)),
     "conditional_cdf": lambda: conditional_cdf(COPULA, SINGLE, (0, 0), "a"),
-    "sub_box_mass": lambda: COPULA.sub_box_mass(GridBox((0.1,), (0.5,)), ("a", 0.1)),
-    "frechet_upper": lambda: frechet_upper(("a", 0.5)),
-    "GridBox": lambda: GridBox(("a",), (1,)),
     "CheckerboardCopula mass": lambda: CheckerboardCopula((2,), ["a", 1]),
 }
 
@@ -194,10 +209,6 @@ NON_NUMERIC_POINTS = {
 def test_non_numeric_point_box_or_mass_raises_invalid_argument(name):
     with pytest.raises(InvalidArgumentError, match="expected (a numeric point|numeric masses)"):
         NON_NUMERIC_POINTS[name]()
-
-
-def test_a_box_of_scalar_corners_is_a_one_axis_box_like_a_scalar_point():
-    assert GridBox(0.5, 1.0) == GridBox((0.5,), (1.0,))
 
 
 def _phi_returning(value, split):
@@ -218,7 +229,6 @@ NON_NUMERIC_INPUTS = {
         lambda: PseudoObservations([["x", "y"], ["1", "2"]], (0, 0)),
         InvalidArgumentError,
     ),
-    "KendallCdf knot not a pair": (lambda: KendallCdf(((0.1,),)), InvalidArgumentError),
     "SynthModel correlation": (
         lambda: SynthModel(tag="gaussian", correlation=[["a", "b"], ["c", "d"]]),
         InvalidArgumentError,
@@ -268,7 +278,6 @@ ON_A_GRID_WITHOUT_MASS = [
     ("averaged_dependence", None, GROUP, 0.0),
     ("custom_phi", None, SINGLE, 0.0),
     ("custom_phi", None, GROUP, 0.0),
-    ("kendall_cdf", None, GROUP, NO_TARGET_MASS),
 ]
 
 
@@ -283,8 +292,6 @@ def test_every_measure_on_a_grid_without_mass_is_zero_or_a_typed_error(tag, alph
     def call():
         if tag == "custom_phi":
             return generic_measure(copula, split, np.abs)
-        if tag == "kendall_cdf":
-            return kendall_cdf(copula, split.v_axes)
         return compute_measure(copula, split, MeasureKind(tag, alpha))
 
     if isinstance(want, tuple):
@@ -307,7 +314,6 @@ def _negative_target_cell():
 NEGATIVE_TARGET_CELL = {
     "group_tau": lambda c: group_tau(c, GROUP),
     "group_tau_normalized": lambda c: group_tau_normalized(c, GROUP),
-    "kendall_cdf": lambda c: kendall_cdf(c, GROUP.v_axes),
     "custom_phi": lambda c: generic_measure(c, GROUP, np.abs),
 }
 

@@ -9,7 +9,6 @@ from copdep import (
     EvaluationError,
     GroupSplit,
     InvalidArgumentError,
-    KendallCdf,
     MeasureKind,
     averaged_dependence,
     comonotone_copula,
@@ -19,8 +18,6 @@ from copdep import (
     group_tau,
     group_tau_normalized,
     independence_copula,
-    kendall_cdf,
-    max_bound,
     mixture_copula,
     mutual_information,
     pseudo_observations,
@@ -318,71 +315,35 @@ class TestGenericMeasure:
             generic_measure(cop, PAIR, lambda x: np.log(x))
 
 
-class TestKendallCdf:
-    def test_single_axis_is_uniform_linear(self):
-        k = kendall_cdf(independence_copula((8, 8)), (1,))
-        assert k.kind == "linear"
-        assert k.knots == ((0.0, 0.0), (1.0, 1.0))
-
-    def test_independence_pair_matches_classical_formula(self):
-        k = kendall_cdf(independence_copula((64, 64)), (0, 1))
-        sup = 0.0
-        prev = 0.0
-        for t, kk in k.knots:
-            true = t - t * math.log(t) if t > 0 else 0.0
-            sup = max(sup, abs(kk - true), abs(prev - true))
-            prev = kk
-        assert sup < 0.01
-
-    def test_comonotone_pair_is_uniform(self):
-        # grid atoms sit at i/m + 1/(4m) (quarter of a diagonal cell lies
-        # below its center), so the gap to K(t) = t shrinks like 3/(4m)
-        cop = comonotone_copula(3, 32)
-        k = kendall_cdf(cop, (1, 2))
-        sup = max(abs(kk - t) for t, kk in k.knots)
-        assert sup <= 1.0 / 32 + 1e-12
-
-    def test_knot_monotonicity_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            KendallCdf(((0.2, 0.5), (0.1, 1.0)))
-
-    @pytest.mark.parametrize(
-        "knots",
-        [((0.0, math.nan),), ((math.nan, 1.0),), ((0.2, 0.5), (math.nan, 1.0))],
-        ids=["nan level", "nan point", "nan second point"],
-    )
-    def test_non_finite_knots_rejected(self, knots):
-        # NaN fails every comparison, so these passed the order and reach-1 checks
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            KendallCdf(knots)
-
-    def test_target_masses_summing_past_one_keep_the_knots_nondecreasing(self):
-        # this fit's target masses reach 1 + 2**-52 before its last, empty
-        # target cell; clamping only the last knot made the knots decrease
-        data = np.random.default_rng(213).standard_normal((97, 3))
-        cop = fit_checkerboard(pseudo_observations(data), (5, 7, 6))
-        knots = kendall_cdf(cop, (1, 2)).knots
-        assert knots[-1][1] == 1.0
-        report = group_tau(cop, GroupSplit((0,), (1, 2)))
-        assert 0.0 <= report.value <= report.upper_bound
-
-
 class TestMaxBound:
-    def test_uniform_kendall_gives_exactly_one(self):
-        assert max_bound(kendall_cdf(independence_copula((8, 8)), (1,))) == 1.0
+    """The largest reachable group value: the Kendall-function bound that
+    ``group_tau`` reports as ``upper_bound``."""
+
+    GROUP = GroupSplit((0,), (1, 2))
+
+    def test_comonotone_target_pair_gives_one_plus_one_over_8_m_squared(self):
+        # the pair's cells sit on the diagonal, each at t = (i + 1/4) / m
+        for m in (8, 16, 64):
+            bound = group_tau(comonotone_copula(3, m), self.GROUP).upper_bound
+            assert bound == 1.0 + 1.0 / (8 * m * m)
 
     def test_independence_pair_five_sixths(self):
-        val = max_bound(kendall_cdf(independence_copula((64, 64)), (0, 1)))
+        val = group_tau(independence_copula((2, 64, 64)), self.GROUP).upper_bound
         assert abs(val - 5.0 / 6.0) < 1e-3
-
-    def test_degenerate_at_zero(self):
-        assert max_bound(KendallCdf(((0.0, 1.0),))) == 0.0
 
     def test_within_documented_cap(self, rng):
         for _ in range(25):
             cop = random_copula((3, 3, 3), rng)
-            val = max_bound(kendall_cdf(cop, (1, 2)))
+            val = group_tau(cop, self.GROUP).upper_bound
             assert 0.0 <= val <= 1.5
+
+    def test_target_masses_summing_past_one_stay_within_the_bound(self):
+        # this fit's target masses reach 1 + 2**-52 before its last, empty
+        # target cell; every Kendall knot is clamped to 1
+        data = np.random.default_rng(213).standard_normal((97, 3))
+        cop = fit_checkerboard(pseudo_observations(data), (5, 7, 6))
+        report = group_tau(cop, self.GROUP)
+        assert 0.0 <= report.value <= report.upper_bound
 
 
 class TestGroupTau:

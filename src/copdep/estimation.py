@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -372,74 +373,68 @@ def _column_names(header, width: int, sel: list[int]) -> list[str]:
 def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     """Read a numeric CSV, optionally selecting columns by name or 0-based index.
 
-    The first row is treated as a header when any of its tokens is not a
-    number.  Returns the selected matrix and the resolved column names; when
-    every column is selected in order, the matrix is the parsed array itself.
+    The first non-blank row is treated as a header when any of its tokens is
+    not a number.  Returns the selected matrix and the resolved column names;
+    when every column is selected in order, the matrix is the parsed array
+    itself.
 
-    Plain files are parsed by ``np.loadtxt``.  Anything it refuses (quoted
-    fields, tokens only ``float`` accepts, ragged or non-numeric rows, a
-    leading blank line) goes through a row-by-row reader, which either
-    accepts the file or raises the typed error naming the row and column.
+    ``csv.reader`` reads the header and the first data row, and ``np.loadtxt``
+    parses the data rows, quoted fields and blank lines included.  When it
+    refuses the file (tokens only ``float`` accepts, ragged or non-numeric
+    rows, invalid UTF-8), the same reader reads on from the first data row,
+    keeping only the selected cells, and either accepts the file or raises the
+    typed error naming the row and column.
     """
     path = Path(path)
-    first = _csv_rows(path, 1)
-    if first and first[0]:
-        header = _header(first[0])
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = filter(None, reader)  # a blank line is an empty row
+            first = next(rows, None)
+            if first is None:
+                raise InsufficientDataError(f"{path} is empty")
+            header = _header(first)
+            skip = 0
+            if header is not None:
+                skip = reader.line_num  # loadtxt skips the blank lines after it
+                first = next(rows, None)
+                if first is None:
+                    raise InsufficientDataError(f"{path} has a header but no data rows")
+            width = len(first)
+            sel = _select_columns(columns, header, width)
+            try:
                 data = np.loadtxt(
                     path,
                     delimiter=",",
-                    skiprows=1 if header is not None else 0,
+                    skiprows=skip,
+                    quotechar='"',
                     comments=None,
                     ndmin=2,
                     encoding="utf-8",
                 )
-        except ValueError:  # also UnicodeDecodeError; the row-by-row reader reports it
-            data = None
-        if data is not None and data.size:
-            width = data.shape[1]
-            sel = _select_columns(columns, header, width)
-            if sel != list(range(width)):
-                data = data.take(sel, axis=1)
-            return data, _column_names(header, width, sel)
-    return _read_csv_rows(path, columns)
-
-
-def _csv_rows(path: Path, limit: int | None = None) -> list[list[str]]:
-    """The first ``limit`` rows of a UTF-8 CSV file (every row when None);
-    a blank line is an empty row."""
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            return list(itertools.islice(csv.reader(fh), limit))
+            except ValueError:  # also UnicodeDecodeError, which reading on meets again
+                data = _float_rows(itertools.chain([first], rows), width, sel, header)
+            else:
+                if sel != list(range(width)):
+                    data = data.take(sel, axis=1)
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path} is not UTF-8 text: {exc}") from exc
+    return data, _column_names(header, width, sel)
 
 
-def _read_csv_rows(path: Path, columns) -> tuple[np.ndarray, list[str]]:
-    """Row-by-row reader behind ``read_csv``; it names the row and column of a bad cell."""
-    rows = [row for row in _csv_rows(path) if row]
-    if not rows:
-        raise InsufficientDataError(f"{path} is empty")
-    header = _header(rows[0])
-    if header is not None:
-        rows = rows[1:]
-    if not rows:
-        raise InsufficientDataError(f"{path} has a header but no data rows")
-    width = len(rows[0])
-    sel = _select_columns(columns, header, width)
-    data = np.empty((len(rows), len(sel)), dtype=np.float64)
+def _float_rows(rows, width: int, sel: list[int], header) -> np.ndarray:
+    """The selected cells of one or more data rows as floats; a ragged row or
+    a cell ``float`` refuses is an InvalidDataError naming its row (and column)."""
+    values = array("d")
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InvalidDataError(f"row {i} has {len(row)} fields, expected {width}")
-        for k, j in enumerate(sel):
+        for j in sel:
             try:
-                data[i, k] = float(row[j])
+                values.append(float(row[j]))
             except ValueError as exc:
                 name = header[j] if header is not None and j < len(header) else str(j)
                 raise InvalidDataError(
-                    f"non-numeric value {row[j]!r} at row {i}, column {name}",
-                    column=name,
+                    f"non-numeric value {row[j]!r} at row {i}, column {name}", column=name
                 ) from exc
-    return data, _column_names(header, width, sel)
+    return np.frombuffer(values).reshape(i + 1, len(sel))

@@ -64,6 +64,17 @@ class TestSynth:
         assert code == 0
         assert p2.read_text() == text1
 
+    @pytest.mark.parametrize("model, flag", [("independent", "--theta"), ("gaussian", "--sigma")])
+    def test_a_knob_the_model_does_not_read_exits_two(self, capsys, tmp_path, model, flag):
+        path = tmp_path / "d.csv"
+        code, out, err = run(
+            capsys, "synth", "--model", model, flag, "0.3", "--output", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to --model {model}\n"
+        assert not path.exists()
+
 
 class TestEstimate:
     def test_round_trip(self, capsys, tmp_path):
@@ -316,7 +327,19 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", "--input", str(csv_path), "--resolution", "1")
         assert code == 2
         assert out == ""
-        assert "fixed_m >= 2" in err
+        assert "--resolution >= 2" in err and "fixed_m" not in err
+
+    def test_resolution_is_checked_before_the_csv_is_read(self, capsys, tmp_path):
+        header_only = tmp_path / "d.csv"
+        header_only.write_text("a,b\n")
+        for command in ("estimate", "measure"):
+            argv = [command, "--input", str(header_only), "--resolution", "1"]
+            if command == "estimate":
+                argv += ["--output", str(tmp_path / "fit.json")]
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: expected an integer --resolution >= 2, got 1\n"
 
     def test_97_rows_on_a_50_cubed_grid_exit_zero(self, capsys, tmp_path):
         # binned counts admit no uniform marginals here; the rank boxes do
@@ -429,6 +452,20 @@ class TestVerify:
         assert payload["passed"] is True
         assert all(r["passed"] for r in payload["results"])
         assert "PASS" in err
+
+    def test_equitability_runs_one_sample_per_trial(self, capsys):
+        details = []
+        for trials in ("1", "3"):
+            code, out, _ = run(
+                capsys, "verify", "--suite", "equitability", "--trials", trials, "--seed", "42"
+            )
+            payload = json.loads(out)
+            assert code == 0 and payload["passed"] is True
+            assert len(payload["results"]) == 4
+            details.append([r["detail"] for r in payload["results"]])
+        assert all("on 1 samples" in detail for detail in details[0])
+        assert all("on 3 samples" in detail for detail in details[1])
+        assert details[0] != details[1]
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

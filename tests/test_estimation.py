@@ -24,6 +24,7 @@ from copdep import (
     read_csv,
     tau_quadratic,
 )
+from copdep import estimation
 from copdep.estimation import MAX_BOX_PARTS
 
 
@@ -551,6 +552,13 @@ DIFFERENTIAL_INPUTS = {
     "index out of range": ("a,b\n1,2\n", ["5"]),
     "invalid utf-8": (b"a,b\n1,\xff\n", None),
     "invalid utf-8 past the first block": (b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n", None),
+    "quoted header after two blank lines": ('\n\n"a","b"\n1,2\n3,4\n', None),
+    "fully quoted numeric file": ('"a","b"\n"1","2"\n"3","4"\n', None),
+    "quoted field holding a comma": ('a,b\n"1,5",2\n3,4\n', None),
+    "numeric first row after blank lines": ("\n\n1,2\n3,4\n", None),
+    "quoted first data row over two lines": ('a,b\n"1\n",2\n3,4\n', None),
+    "underscore digits, selected": ("a,b,c\n1,2,3\n4,1_000,6\n", ["b", "a"]),
+    "underscore digits, unselected": ("a,b,c\n1,2,3\n4,1_000,6\n", ["c", "a"]),
 }
 
 
@@ -560,6 +568,28 @@ def test_read_csv_matches_row_by_row_reference(tmp_path, name):
     path = tmp_path / "d.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert_same_as_reference(path, columns)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"a","b"\n"1","2"\n"3","4"\n',
+        '"1","2"\n"3","4"\n',
+        "\na,b\n1,2\n3,4\n",
+        '\n\n"a","b"\n\n1,2\n3,"4"\n',
+        "\n\n1,2\n3,4\n",
+    ],
+    ids=["quoted", "quoted headerless", "blank-led", "blank-led quoted", "blank-led headerless"],
+)
+def test_quoted_and_blank_led_files_never_reach_the_row_loop(tmp_path, monkeypatch, text):
+    def refuse(*args):
+        raise AssertionError("np.loadtxt should have read this file")
+
+    monkeypatch.setattr(estimation, "_float_rows", refuse)
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    data, _ = read_csv(path)
+    assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 _SPACES = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])

@@ -53,7 +53,6 @@ from .grid import (
 )
 from .measures import (
     _KINDS,
-    MIN_KENDALL_BOUND,
     MeasureKind,
     compute_measure,
     group_tau,
@@ -90,16 +89,10 @@ def _parse_columns(spec: str | None) -> list | None:
     return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
-def _resolve_split(u_spec, v_spec, names: list[str] | None, dims: int) -> GroupSplit:
-    """Column selectors to a split; the default target is the last column and
-    the default conditioning block every other column."""
-
-    def select(spec):
-        return _select_columns(_parse_columns(spec), names, dims)
-
-    v = [dims - 1] if v_spec is None else select(v_spec)
-    u = [j for j in range(dims) if j not in v] if u_spec is None else select(u_spec)
-    return GroupSplit(tuple(u), tuple(v))
+def _resolve_split(v_spec, names: list[str] | None, dims: int) -> GroupSplit:
+    """The ``--v-cols`` target (default: the last column) on every other column, in order."""
+    v = [dims - 1] if v_spec is None else _select_columns(_parse_columns(v_spec), names, dims)
+    return GroupSplit(tuple(j for j in range(dims) if j not in v), tuple(v))
 
 
 def _looks_like_json(path: Path) -> bool:
@@ -116,7 +109,10 @@ def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
     m = args.resolution
     if m is not None:
         m = _count(m, "--resolution", least=2)
-    data, names = read_csv(args.input, _parse_columns(args.columns))
+    columns = _parse_columns(args.columns)
+    if columns is not None and len(columns) < 2:
+        raise InvalidArgumentError(f"--columns must name at least 2 columns, got {columns}")
+    data, names = read_csv(args.input, columns)
     # pseudo_observations(data) in two steps, so the parsed matrix goes as
     # soon as it is copied into the interval buffer and no sort runs beside it.
     slots = _column_slots(data)
@@ -142,9 +138,9 @@ def _load_measure_input(args) -> tuple[CheckerboardCopula, GroupSplit | None, in
         copula, pseudo, names = _fit_csv(args)
         sample_size = pseudo.n_rows
     if not _KINDS[args.kind].needs_split:
-        _reject_flags(args, ("u_cols", "v_cols"), args.kind)
+        _reject_flags(args, ("v_cols",), args.kind)
         return copula, None, sample_size
-    return copula, _resolve_split(args.u_cols, args.v_cols, names, copula.dims), sample_size
+    return copula, _resolve_split(args.v_cols, names, copula.dims), sample_size
 
 
 def _reject_flags(args, dests, context: str) -> None:
@@ -185,15 +181,8 @@ def cmd_measure(args) -> int:
     report = compute_measure(copula, split, kind)
     if sample_size is not None:
         report = replace(report, sample_size=sample_size)
-    payload = report.to_json_dict()
-    if kind.tag == "group_tau":
-        if report.upper_bound >= MIN_KENDALL_BOUND:
-            payload["normalized_value"] = report.value / report.upper_bound
-        else:
-            payload["normalized_value"] = None
-            _note("upper bound is degenerate; normalized value omitted")
     _note(f"{kind.tag}: {report.value:.12g}")
-    _emit(payload)
+    _emit(report.to_json_dict())
     return EXIT_OK
 
 
@@ -214,22 +203,15 @@ def cmd_star(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.model not in ("mixture", "gaussian"):
-        _reject_flags(args, ("theta",), f"--model {args.model}")
-    if args.model != "functional":
-        _reject_flags(args, ("sigma",), f"--model {args.model}")
-    correlation = None
-    if args.model == "gaussian":
-        rho = args.theta if args.theta is not None else 0.5
-        correlation = tuple(
-            tuple(1.0 if i == j else rho for j in range(args.dimension))
-            for i in range(args.dimension)
-        )
+    theta, correlation, axes = args.theta, None, range(args.dimension)
+    if args.model == "gaussian":  # --theta is the common correlation
+        rho = 0.5 if theta is None else theta
+        theta, correlation = None, tuple(tuple(1.0 if i == j else rho for j in axes) for i in axes)
     model = SynthModel(
         tag=args.model,
         dimension=args.dimension,
-        theta=args.theta if args.model == "mixture" else None,
-        sigma=args.sigma or 0.0,
+        theta=theta,
+        sigma=args.sigma,
         correlation=correlation,
         seed=args.seed,
     )
@@ -412,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     mea = sub.add_parser("measure", help="compute a dependence measure")
     mea.add_argument("--input", required=True, help="copula JSON or CSV sample")
     mea.add_argument("--columns", help="CSV only: columns to load")
-    mea.add_argument("--u-cols", help="conditioning columns (names or indices)")
-    mea.add_argument("--v-cols", help="target columns (default: last)")
+    mea.add_argument("--v-cols", help="target columns (default: last); the rest condition")
     mea.add_argument(
         "--kind",
         default="tau_quadratic",

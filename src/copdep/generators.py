@@ -24,6 +24,9 @@ from .grid import (
 
 _TAGS = ("independent", "comonotone", "mixture", "functional", "gaussian", "square_law")
 
+#: Each optional SynthModel field and the one model that reads it.
+_FIELD_MODELS = {"theta": "mixture", "sigma": "functional", "correlation": "gaussian"}
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by an explicit seed in [0, 2**128)."""
@@ -56,31 +59,36 @@ class SynthModel:
       * gaussian: joint normal with the given correlation matrix.
       * square_law: X uniform on (-1, 1), Y = X^2.  Y is a function of X but
         not conversely, so the measure is 1 one way and 1/4 the other.
+
+    Each of theta, sigma and correlation is refused by every other model.
     """
 
     tag: str
     dimension: int = 2
     theta: float | None = None
-    sigma: float = 0.0
+    sigma: float | None = None
     correlation: tuple[tuple[float, ...], ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise InvalidArgumentError(f"unknown model tag {self.tag!r}")
+        for field, reader in _FIELD_MODELS.items():
+            if self.tag != reader and getattr(self, field) is not None:
+                raise InvalidArgumentError(
+                    f"{field} does not apply to the {self.tag} model; only {reader} reads it"
+                )
         object.__setattr__(self, "dimension", _count(self.dimension, "dimension", least=2))
-        object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
-        if self.theta is not None:
-            object.__setattr__(self, "theta", _number(self.theta, "theta"))
+        if self.tag in ("mixture", "square_law") and self.dimension != 2:
+            raise InvalidArgumentError(f"{self.tag} model is bivariate")
         if self.tag == "mixture":
-            if self.theta is None or not 0.0 <= self.theta <= 1.0:
+            object.__setattr__(self, "theta", _number(self.theta, "theta"))
+            if not 0.0 <= self.theta <= 1.0:
                 raise InvalidArgumentError(f"mixture needs theta in [0, 1], got {self.theta}")
-            if self.dimension != 2:
-                raise InvalidArgumentError("mixture model is bivariate")
-        if self.tag == "square_law" and self.dimension != 2:
-            raise InvalidArgumentError("square_law model is bivariate")
-        if self.sigma < 0.0:
-            raise InvalidArgumentError(f"sigma must be >= 0, got {self.sigma}")
+        if self.sigma is not None:
+            object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
+            if not self.sigma >= 0.0:
+                raise InvalidArgumentError(f"sigma must be >= 0, got {self.sigma}")
         if self.tag == "gaussian":
             try:
                 corr = np.asarray(self.correlation, dtype=np.float64)
@@ -122,7 +130,7 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
     if model.tag == "functional":
         x = rng.uniform(-2.0, 2.0, size=(n_rows, d - 1))
         y = _functional(x)
-        if model.sigma > 0.0:
+        if model.sigma:  # None or 0: no noise
             y = y + model.sigma * rng.standard_normal(n_rows)
         return np.column_stack([x, y])
     if model.tag == "gaussian":
@@ -131,10 +139,8 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
         from scipy.special import ndtr
 
         return ndtr(z)
-    if model.tag == "square_law":
-        x = rng.uniform(-1.0, 1.0, n_rows)
-        return np.column_stack([x, x * x])
-    raise InvalidArgumentError(f"unknown model tag {model.tag!r}")
+    x = rng.uniform(-1.0, 1.0, n_rows)  # square_law, the last tag SynthModel accepts
+    return np.column_stack([x, x * x])
 
 
 def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:

@@ -618,7 +618,7 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
     if len(split.v_axes) == 1:
         terms = _rule_terms(copula, split, _gauss_cells(lambda f, v: at(f - v)))
     else:
-        terms = _gap_terms(copula, split, lambda gaps, tw: (at(gaps) * tw).sum(axis=1))[0]
+        terms = _gap_terms(copula, split, at)[0]
     if not np.all(np.isfinite(terms)):
         raise EvaluationError("phi produced a non-finite value")
     value = _fsum(terms)
@@ -672,11 +672,12 @@ def _at_centers(rows: np.ndarray, v_res: tuple[int, ...]) -> np.ndarray:
     return out.reshape(rows.shape[0], -1)
 
 
-def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, reduce) -> tuple:
-    """:func:`_row_terms` of ``reduce(gaps, target_w)``, then ``target_w``
-    and ``reference``: the target-marginal cell masses, and the
-    target-marginal CDF at every target cell center, which ``gaps``
-    subtracts from each conditional CDF there."""
+def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, phi) -> tuple:
+    """:func:`_row_terms` of the ``target_w``-weighted row sums of ``phi(gaps)``
+    (each row alone: a BLAS matrix-vector product rounds a row by its place in
+    the block), then ``target_w`` and ``reference``: the target-marginal cell
+    masses, and the target-marginal CDF at every target cell center, which
+    ``gaps`` subtracts from each conditional CDF there."""
     split.check_covers(copula.dims)
     v_res = tuple(copula.resolutions[a] for a in split.v_axes)
     target_w = _target_marginal_masses(copula, split.v_axes)
@@ -685,7 +686,7 @@ def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, reduce) -> tuple:
     def per_row(w, masses, edges, t):
         rows = np.zeros((w.size, target_w.size))
         rows[np.arange(w.size), t] = masses
-        return reduce(_at_centers(rows, v_res) / w[:, None] - reference, target_w)
+        return (phi(_at_centers(rows, v_res) / w[:, None] - reference) * target_w).sum(axis=1)
 
     return _row_terms(_dense_walk(copula, split), per_row), target_w, reference
 
@@ -721,7 +722,7 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     """
     if len(split.v_axes) < 2:
         raise InvalidArgumentError("group_tau needs a target group; use tau_quadratic")
-    terms, target_w, reference = _gap_terms(copula, split, lambda gaps, tw: (gaps * gaps) @ tw)
+    terms, target_w, reference = _gap_terms(copula, split, np.square)
     value = 6.0 * _fsum(terms)
     bound = _kendall_bound(*_kendall_steps(target_w, reference))
     _warn_above_unit(value / bound if bound > 0 else value, "group_tau / bound")

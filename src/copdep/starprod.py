@@ -171,6 +171,14 @@ def dpi_report(
 # ----------------------------------------------------------------------
 
 
+#: The fields each TransformCase kind reads.
+_TRANSFORM_FIELDS = {
+    "column_map": ("column", "mapping"),
+    "permute_conditioning": ("permutation",),
+    "reverse_axis": ("axis",),
+}
+
+
 @dataclass(frozen=True)
 class TransformCase:
     """One invariance probe.
@@ -186,6 +194,8 @@ class TransformCase:
         Exact invariance.
       * "reverse_axis": flip grid axis ``axis``.  Exact invariance for
         conditioning axes, 1e-12 for the target axis.
+
+    A kind needs the fields it reads (``_TRANSFORM_FIELDS``) and refuses the rest.
     """
 
     kind: str
@@ -194,6 +204,16 @@ class TransformCase:
     mapping: Callable | None = None
     permutation: tuple[int, ...] | None = None
     axis: int | None = None
+
+    def __post_init__(self):
+        reads = _TRANSFORM_FIELDS.get(self.kind)
+        if reads is None:
+            raise InvalidArgumentError(f"unsupported transform kind {self.kind!r}")
+        for field in ("column", "mapping", "permutation", "axis"):
+            given = getattr(self, field) is not None
+            if given != (field in reads):
+                verb = "does not read" if given else "needs"
+                raise InvalidArgumentError(f"{self.kind} {verb} {field}")
 
 
 @dataclass(frozen=True)
@@ -210,15 +230,6 @@ class InvarianceReport:
     results: tuple[InvarianceResult, ...]
     max_deviation: float
     passed: bool
-
-    def summary(self) -> str:
-        lines = [f"baseline value {self.baseline:.12f}"]
-        for r in self.results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"{status}: {r.label} deviation {r.deviation:.3e} (tol {r.tolerance:.0e})"
-            )
-        return "\n".join(lines)
 
 
 def equitability_suite(
@@ -252,8 +263,6 @@ def equitability_suite(
         if case.kind == "column_map":
             if data is None:
                 raise InvalidArgumentError("column_map transforms need raw data")
-            if case.column is None or case.mapping is None:
-                raise InvalidArgumentError("column_map needs column and mapping")
             (col,) = _check_axes((case.column,), data.shape[1])
             column = np.asarray(case.mapping(data[:, col]))
             if column.shape != (len(data),) or column.dtype.kind not in "biuf":
@@ -279,12 +288,10 @@ def equitability_suite(
                 full[split.u_axes[pos]] = split.u_axes[src]
             value = compute_measure(base_cop.permute_axes(full), split, kind).value
             tol = 0.0
-        elif case.kind == "reverse_axis":
+        else:  # reverse_axis
             (axis,) = _check_axes((case.axis,), base_cop.dims)
             value = compute_measure(base_cop.reverse_axis(axis), split, kind).value
             tol = 1e-12 if axis in split.v_axes else 0.0
-        else:
-            raise InvalidArgumentError(f"unsupported transform kind {case.kind!r}")
         deviation = abs(value - baseline)
         results.append(
             InvarianceResult(

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from copdep import assignment_copula, make_rng
-
-
-def balanced_assignment_copula(n_cond: int, m: int, rng):
-    return assignment_copula(n_cond, m, rng)
+from copdep import make_rng
 
 
 def dense_rebalance(resolutions, grid, sweeps=1000, tol=1e-10):

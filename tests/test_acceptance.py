@@ -13,6 +13,7 @@ from copdep import (
     GroupSplit,
     MeasureKind,
     SynthModel,
+    assignment_copula,
     comonotone_copula,
     compute_measure,
     copula_to_dict,
@@ -33,7 +34,6 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
-from conftest import balanced_assignment_copula
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -101,7 +101,7 @@ def test_criterion_5_data_processing_inequality():
     # on operands whose middle marginal is exact (assignment and blend grids)
     worst_eq = 0.0
     for n in (1, 2):
-        b = balanced_assignment_copula(n, 8, rng)
+        b = assignment_copula(n, 8, rng)
         for kind in kinds:
             rep = dpi_report(identity_coupling(n, 8), b, n, kind)
             worst_eq = max(worst_eq, abs(rep.tau_chain - rep.tau_direct))

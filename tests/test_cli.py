@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import copdep
 from copdep import SynthModel, generate, load_copula, read_csv
 from copdep.cli import main
+from copdep.measures import _KINDS
 
 
 def run(capsys, *argv):
@@ -64,15 +66,23 @@ class TestSynth:
         assert code == 0
         assert p2.read_text() == text1
 
-    @pytest.mark.parametrize("model, flag", [("independent", "--theta"), ("gaussian", "--sigma")])
+    @pytest.mark.parametrize(
+        "model, flag",
+        [("independent", "--theta"), ("gaussian", "--sigma"), ("mixture", "--sigma")],
+    )
     def test_a_knob_the_model_does_not_read_exits_two(self, capsys, tmp_path, model, flag):
+        # SynthModel refuses the field; the CLI passes its message through.
         path = tmp_path / "d.csv"
+        mixing = ["--theta", "0.5"] if model == "mixture" else []
         code, out, err = run(
-            capsys, "synth", "--model", model, flag, "0.3", "--output", str(path)
+            capsys, "synth", "--model", model, *mixing, flag, "0.3", "--output", str(path)
         )
+        field, reader = {"--theta": ("theta", "mixture"), "--sigma": ("sigma", "functional")}[flag]
         assert code == 2
         assert out == ""
-        assert err == f"error: {flag} does not apply to --model {model}\n"
+        assert err == (
+            f"error: {field} does not apply to the {model} model; only {reader} reads it\n"
+        )
         assert not path.exists()
 
 
@@ -185,36 +195,78 @@ class TestMeasure:
         x = rng.random((2000, 1))
         data = np.column_stack([x, x + 0.01 * rng.random((2000, 1)), rng.random((2000, 1))])
         np.savetxt(csv_path, data, delimiter=",", header="a,b,c", comments="")
-        code, out, _ = run(
-            capsys, "measure", "--input", str(csv_path), "--kind", "group_tau",
-            "--u-cols", "a", "--v-cols", "b,c", "--resolution", "5",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["upper_bound"] is not None
-        assert payload["normalized_value"] == pytest.approx(
-            payload["value"] / payload["upper_bound"]
-        )
+        payloads = {}
+        for kind in ("group_tau", "group_tau_normalized"):
+            code, out, _ = run(
+                capsys, "measure", "--input", str(csv_path), "--kind", kind,
+                "--v-cols", "b,c", "--resolution", "5",
+            )
+            assert code == 0
+            payloads[kind] = json.loads(out)
+        bound = payloads["group_tau"]["upper_bound"]
+        assert payloads["group_tau"]["u_axes"] == [0]
+        assert payloads["group_tau_normalized"]["value"] == payloads["group_tau"]["value"] / bound
+        assert payloads["group_tau_normalized"]["normalizer"] == bound
 
-    def test_degenerate_group_bound_gives_a_null_normalized_value(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_degenerate_group_bound_exits_three(self, capsys, tmp_path, monkeypatch):
         import copdep.measures as measures
 
         monkeypatch.setattr(measures, "_kendall_bound", lambda t, k: 0.0)
         cop_path = tmp_path / "g.json"
         copdep.save_copula(copdep.random_copula((4, 4, 4), copdep.make_rng(2)), cop_path)
         code, out, err = run(
-            capsys, "measure", "--input", str(cop_path), "--kind", "group_tau",
-            "--u-cols", "0", "--v-cols", "1,2",
+            capsys, "measure", "--input", str(cop_path), "--kind", "group_tau_normalized",
+            "--v-cols", "1,2",
         )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["upper_bound"] == 0.0
-        assert payload["normalized_value"] is None
-        assert "normalized value omitted" in err
+        assert code == 3
+        assert out == ""
+        assert err == "error: Kendall bound 0.0 too small to normalize\n"
 
-    @pytest.mark.parametrize("flag", ["--u-cols", "--v-cols"])
+    @pytest.mark.parametrize("kind", [k for k, spec in _KINDS.items() if spec.compute is not None])
+    def test_stdout_is_the_library_report(self, capsys, tmp_path, kind):
+        csv_path = tmp_path / "d.csv"
+        np.savetxt(csv_path, np.random.default_rng(4).random((300, 3)), delimiter=",")
+        alpha = {"tau_alpha": 1.5, "renyi_alpha": 0.5}.get(kind)
+        argv = ["measure", "--input", str(csv_path), "--kind", kind, "--resolution", "4"]
+        if alpha is not None:
+            argv += ["--alpha", str(alpha)]
+        split = copdep.GroupSplit((0, 1), (2,))
+        if kind.startswith("group_tau"):
+            argv += ["--v-cols", "1,2"]
+            split = copdep.GroupSplit((0,), (1, 2))
+        elif kind == "mutual_information":
+            split = None
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data, _ = read_csv(csv_path)
+        cop = copdep.fit_checkerboard(copdep.pseudo_observations(data), (4, 4, 4))
+        report = copdep.compute_measure(cop, split, copdep.MeasureKind(kind, alpha))
+        assert out == json.dumps(replace(report, sample_size=300).to_json_dict()) + "\n"
+
+    @pytest.mark.parametrize("spec", ["x0", "x1,x0", "0,1"])
+    def test_u_cols_is_not_a_flag(self, capsys, tmp_path, spec):
+        # the conditioning block is every column outside --v-cols
+        csv_path = write_synth(capsys, tmp_path, rows="200")
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--input", str(csv_path), "--u-cols", spec])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --u-cols" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "measure"])
+    @pytest.mark.parametrize("columns", ["a", ","])
+    def test_fewer_than_two_columns_name_the_flag(self, capsys, tmp_path, command, columns):
+        csv_path = tmp_path / "ab.csv"
+        csv_path.write_text("a,b\n1,2\n3,1\n2,3\n")
+        argv = [command, "--input", str(csv_path), "--columns", columns]
+        if command == "estimate":
+            argv += ["--output", str(tmp_path / "fit.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --columns must name at least 2 columns")
+        assert "dims" not in err
+
+    @pytest.mark.parametrize("flag", ["--v-cols"])
     @pytest.mark.parametrize("selector", ["3", "-1", "nope"])
     def test_bad_split_selector_exits_two(self, capsys, tmp_path, flag, selector):
         csv_path = tmp_path / "abc.csv"
@@ -239,8 +291,8 @@ class TestMeasure:
         assert "columns: ['b', 'c']" in err
         for u_cols, v_cols in (("1,2", "0"), ("0,2", "1")):
             code, out, _ = run(
-                capsys, "measure", "--input", str(csv_path), "--u-cols", u_cols,
-                "--v-cols", v_cols, "--resolution", "4",
+                capsys, "measure", "--input", str(csv_path), "--v-cols", v_cols,
+                "--resolution", "4",
             )
             assert code == 0
             payload = json.loads(out)
@@ -303,10 +355,9 @@ class TestMeasure:
         [
             ("json", ["--resolution", "64"]),
             ("json", ["--columns", "x0,y"]),
-            ("csv", ["--kind", "mutual_information", "--u-cols", "x0"]),
             ("csv", ["--kind", "mutual_information", "--v-cols", "y"]),
         ],
-        ids=["resolution", "columns", "u-cols", "v-cols"],
+        ids=["resolution", "columns", "v-cols"],
     )
     def test_a_flag_the_input_or_kind_does_not_read_exits_two(
         self, capsys, tmp_path, source, flags

@@ -102,9 +102,16 @@ def _from_dict(dims, resolutions):
     return copula_from_dict({"dims": dims, "resolutions": resolutions, "mass": [1 / cells] * cells})
 
 
+def _equitability(transform=None, resolutions=None):
+    return equitability_suite(
+        data=make_rng(1).random((40, 3)), split=SINGLE,
+        transforms=() if transform is None else (transform,), resolutions=resolutions,
+    )
+
+
 AXIS_ARGUMENTS = {
-    # name: a call with a bad axis, size, count or seed argument, and the same
-    # call with numpy integers
+    # name: a call with a bad axis, size, count, seed or value, and the same
+    # call with good ones, numpy integers where it takes integers
     "GroupSplit fractional axis": (
         lambda: GroupSplit((0.9,), (1,)),
         lambda: GroupSplit((np.int64(0),), np.array([1])),
@@ -188,6 +195,77 @@ AXIS_ARGUMENTS = {
         lambda: SynthModel(tag="independent", dimension=2.9),
         lambda: SynthModel(tag="independent", dimension=np.int64(3)),
     ),
+    "SynthModel mixture at dimension 3": (
+        lambda: SynthModel(tag="mixture", theta=0.5, dimension=3),
+        lambda: SynthModel(tag="mixture", theta=0.5, dimension=np.int64(2)),
+    ),
+    "SynthModel square_law at dimension 3": (
+        lambda: SynthModel(tag="square_law", dimension=3),
+        lambda: SynthModel(tag="square_law", dimension=np.int32(2)),
+    ),
+    "SynthModel negative sigma": (
+        lambda: SynthModel(tag="functional", sigma=-0.5),
+        lambda: SynthModel(tag="functional", sigma=np.int64(0)),
+    ),
+    "mixture_copula theta above 1": (
+        lambda: mixture_copula(1.5, 4),
+        lambda: mixture_copula(np.int64(1), np.int32(4)),
+    ),
+    "independence_copula no resolutions": (
+        lambda: independence_copula(()),
+        lambda: independence_copula(np.array([2])),
+    ),
+    "permute_axes too few axes": (
+        lambda: COPULA.permute_axes((0, 1)),
+        lambda: COPULA.permute_axes((np.int64(0), 2, 1)),
+    ),
+    "copula_from_dict dims unlike the resolutions": (
+        lambda: _from_dict(3, [2, 2]),
+        lambda: _from_dict(np.int64(2), [2, 2]),
+    ),
+    "conditional_cdf cell outside the grid": (
+        lambda: conditional_cdf(COPULA, SINGLE, (0, 3), 0.5),
+        lambda: conditional_cdf(COPULA, SINGLE, (np.int64(1), np.int32(2)), 0.5),
+    ),
+    "compute_measure custom_phi": (
+        lambda: compute_measure(COPULA, SINGLE, MeasureKind("custom_phi")),
+        lambda: generic_measure(COPULA, SINGLE, np.abs),
+    ),
+    "compute_measure without a split": (
+        lambda: compute_measure(COPULA, None, TAU),
+        lambda: compute_measure(COPULA, None, MeasureKind("mutual_information")),
+    ),
+    "ResolutionPolicy unknown mode": (
+        lambda: ResolutionPolicy(mode="x"),
+        lambda: ResolutionPolicy(mode="fixed", fixed_m=np.int64(4)),
+    ),
+    "fit_checkerboard a resolution per column": (
+        lambda: fit_checkerboard(PSEUDO, (4, 4, 4)),
+        lambda: fit_checkerboard(PSEUDO, (np.int64(4), 4)),
+    ),
+    "star second operand with too few axes": (
+        lambda: star(STAR_A, STAR_B.marginal((0,)), 1),
+        lambda: star(STAR_A, STAR_B, np.int64(1)),
+    ),
+    "equitability_suite raw data without resolutions": (
+        lambda: _equitability(),
+        lambda: _equitability(resolutions=np.array([2, 2, 2])),
+    ),
+    "equitability_suite column_map on a copula": (
+        lambda: equitability_suite(
+            copula=COPULA, split=SINGLE,
+            transforms=(TransformCase("column_map", column=0, mapping=np.exp),),
+        ),
+        lambda: _equitability(
+            TransformCase("column_map", column=np.int64(0), mapping=np.exp), (2, 2, 2)
+        ),
+    ),
+    "equitability_suite permutation of the wrong length": (
+        lambda: _equitability(TransformCase("permute_conditioning", permutation=(0,)), (2, 2, 2)),
+        lambda: _equitability(
+            TransformCase("permute_conditioning", permutation=(np.int64(1), 0)), (2, 2, 2)
+        ),
+    ),
 }
 
 
@@ -231,6 +309,30 @@ NON_NUMERIC_INPUTS = {
     ),
     "SynthModel correlation": (
         lambda: SynthModel(tag="gaussian", correlation=[["a", "b"], ["c", "d"]]),
+        InvalidArgumentError,
+    ),
+    "SynthModel correlation of the wrong shape": (
+        lambda: SynthModel(tag="gaussian", correlation=((1.0,),)),
+        InvalidArgumentError,
+    ),
+    "SynthModel asymmetric correlation": (
+        lambda: SynthModel(tag="gaussian", correlation=((1.0, 0.3), (0.2, 1.0))),
+        InvalidArgumentError,
+    ),
+    "pseudo_observations 1-D sample": (
+        lambda: pseudo_observations(np.arange(5.0)),
+        InvalidArgumentError,
+    ),
+    "copula_from_dict missing key": (
+        lambda: copula_from_dict({"dims": 2, "resolutions": [2, 2]}),
+        InvalidArgumentError,
+    ),
+    "conditional_cdf point off the cube": (
+        lambda: conditional_cdf(COPULA, SINGLE, (0, 0), 1.5),
+        InvalidArgumentError,
+    ),
+    "conditional_cdf two coordinates for one target axis": (
+        lambda: conditional_cdf(COPULA, SINGLE, (0, 0), (0.5, 0.5)),
         InvalidArgumentError,
     ),
     "equitability_suite data": (

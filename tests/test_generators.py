@@ -106,6 +106,21 @@ class TestModels:
         with pytest.raises(InvalidArgumentError):
             SynthModel(tag="mixture", theta=1.5)
 
+    @pytest.mark.parametrize(
+        "tag, field, value",
+        [
+            ("independent", "theta", 0.3),
+            ("gaussian", "theta", 0.3),
+            ("mixture", "sigma", 2.0),
+            ("square_law", "sigma", 0.0),
+            ("functional", "correlation", ((1.0, 0.0), (0.0, 1.0))),
+        ],
+    )
+    def test_a_field_the_model_does_not_read_is_refused(self, tag, field, value):
+        fields = {"theta": 0.5} if tag == "mixture" else {}
+        with pytest.raises(InvalidArgumentError, match=f"^{field} does not apply to the {tag} "):
+            SynthModel(tag=tag, **fields, **{field: value})
+
 
 class TestMixtureCopula:
     def test_theta_zero_is_independence(self):

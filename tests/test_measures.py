@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from copdep import (
     GroupSplit,
     InvalidArgumentError,
     MeasureKind,
+    assignment_copula,
     averaged_dependence,
     comonotone_copula,
     conditional_cdf,
@@ -18,6 +20,7 @@ from copdep import (
     group_tau,
     group_tau_normalized,
     independence_copula,
+    make_rng,
     mixture_copula,
     mutual_information,
     pseudo_observations,
@@ -27,7 +30,6 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
-from conftest import balanced_assignment_copula
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -157,7 +159,7 @@ class TestTauQuadratic:
         # conditional mass concentrated in one target cell per conditioning
         # cell attains the resolution maximum exactly
         for n_cond in (1, 2):
-            cop = balanced_assignment_copula(n_cond, 8, rng)
+            cop = assignment_copula(n_cond, 8, rng)
             split = GroupSplit(tuple(range(n_cond)), (n_cond,))
             val = tau_quadratic(cop, split).value
             assert val == pytest.approx(1.0 - 1.0 / 8, abs=1e-12)
@@ -379,13 +381,24 @@ class TestGroupTau:
         with pytest.raises(InvalidArgumentError):
             group_tau(independence_copula((4, 4)), PAIR)
 
-    def test_conditioning_permutation_bit_identical(self, rng):
-        cop = random_copula((3, 3, 3, 3), rng)
-        split = GroupSplit((0, 1), (2, 3))
-        base = group_tau(cop, split)
-        perm = group_tau(cop.permute_axes((1, 0, 2, 3)), split)
-        assert perm.value == base.value
-        assert perm.upper_bound == base.upper_bound
+    def test_conditioning_permutation_bit_identical(self):
+        # Relabeling the conditioning axes, in the split or in the grid,
+        # changes no bit of the value or the bound.
+        shapes = [
+            ((3, 2), (5, 4, 3)), ((3, 3), (3, 3)), ((2, 4, 3), (3, 2)), ((4, 2, 3), (2, 3, 2))
+        ]
+        for (u_res, v_res), seed in itertools.product(shapes, range(21, 27)):
+            cop = random_copula(u_res + v_res, make_rng(seed))
+            u_axes = tuple(range(len(u_res)))
+            v_axes = tuple(range(len(u_res), cop.dims))
+            base = group_tau(cop, GroupSplit(u_axes, v_axes))
+            for perm in itertools.permutations(u_axes):
+                for rep in (
+                    group_tau(cop, GroupSplit(perm, v_axes)),
+                    group_tau(cop.permute_axes(perm + v_axes), GroupSplit(u_axes, v_axes)),
+                ):
+                    assert rep.value == base.value, (u_res, v_res, seed, perm)
+                    assert rep.upper_bound == base.upper_bound, (u_res, v_res, seed, perm)
 
 
 class TestGroupTauNormalized:

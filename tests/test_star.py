@@ -8,6 +8,7 @@ from copdep import (
     InvalidArgumentError,
     MeasureKind,
     TransformCase,
+    assignment_copula,
     comonotone_copula,
     compatibility_check,
     dpi_report,
@@ -23,7 +24,6 @@ from copdep import (
     tau_quadratic,
     SynthModel,
 )
-from conftest import balanced_assignment_copula
 
 
 class TestCompatibility:
@@ -146,7 +146,7 @@ class TestDpi:
         # exact-equality case: the second operand has an exactly uniform
         # middle block, so composing with the identity coupling returns it
         for n in (1, 2):
-            b = balanced_assignment_copula(n, 8, rng)
+            b = assignment_copula(n, 8, rng)
             for kind in (MeasureKind("tau_quadratic"), MeasureKind("tau_alpha", 1.0)):
                 rep = dpi_report(identity_coupling(n, 8), b, n, kind)
                 assert rep.tau_chain == rep.tau_direct
@@ -240,6 +240,26 @@ class TestEquitability:
                 resolutions=(8, 8, 8),
             )
             assert report.max_deviation == 0.0, kind.tag
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"kind": "reverse_axis", "axis": 0, "mapping": np.exp},
+                "reverse_axis does not read mapping",
+            ),
+            (
+                {"kind": "column_map", "column": 0, "mapping": np.exp, "permutation": (1, 0)},
+                "column_map does not read permutation",
+            ),
+            ({"kind": "column_map", "column": 0}, "column_map needs mapping"),
+            ({"kind": "permute_conditioning"}, "permute_conditioning needs permutation"),
+            ({"kind": "flip"}, "unsupported transform kind 'flip'"),
+        ],
+    )
+    def test_a_transform_takes_exactly_the_fields_its_kind_reads(self, fields, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            TransformCase(**fields)
 
     def test_non_monotone_map_rejected(self):
         # squaring folds a sign-spanning column, so ranks are not preserved

@@ -113,6 +113,8 @@ def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
     if columns is not None and len(columns) < 2:
         raise InvalidArgumentError(f"--columns must name at least 2 columns, got {columns}")
     data, names = read_csv(args.input, columns)
+    if len(names) < 2:  # a one-column file read without --columns
+        raise InvalidArgumentError(f"{args.input} has 1 column; a copula needs at least 2")
     # pseudo_observations(data) in two steps, so the parsed matrix goes as
     # soon as it is copied into the interval buffer and no sort runs beside it.
     slots = _column_slots(data)

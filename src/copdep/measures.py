@@ -151,7 +151,9 @@ def _warn_above_unit(value: float, label: str) -> None:
 
 
 def _fsum(values) -> float:
-    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
+    """Exact sum of ``values``, read as float64 through a memoryview, so no
+    list of Python floats is built."""
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=np.float64).ravel()))
 
 
 # ----------------------------------------------------------------------
@@ -646,7 +648,8 @@ def _target_marginal_masses(copula: CheckerboardCopula, v_axes) -> np.ndarray:
     bounds = starts.tolist() + [masses.size]
     v_res = tuple(copula.resolutions[a] for a in v_axes)
     out = np.zeros(math.prod(v_res))
-    out[keys[starts]] = [math.fsum(masses[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    view = memoryview(masses)
+    out[keys[starts]] = [math.fsum(view[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     low = int(out.argmin())
     if out[low] < -VALIDITY_TOL:
         cell = tuple(int(i) for i in np.unravel_index(low, v_res))

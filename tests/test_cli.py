@@ -158,6 +158,10 @@ UNREADABLE_INPUTS = {
     "ragged.json": b'{"dims": 2, "resolutions": [2, 2], "mass": [[0.5, 0], [0]]}',
     "float_resolution.json": b'{"dims": 2, "resolutions": [2.0, 2], "mass": [0.5, 0, 0, 0.5]}',
     "float_dims.json": b'{"dims": 2.0, "resolutions": [2, 2], "mass": [0.5, 0, 0, 0.5]}',
+    "nan.json": b'{"dims": 1, "resolutions": [2], "mass": [NaN, 0.5]}',
+    "infinity.json": b'{"dims": 1, "resolutions": [2], "mass": [Infinity, 0.5]}',
+    # deep enough to overflow the C stack if it reached the parser
+    "deep.json": b'{"dims": 1, "resolutions": [1], "mass": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
     "latin1_header.csv": b"a\xe9,b\n1,2\n3,4\n",
     "latin1_row.csv": b"a,b\n1,2\n3\xe9,4\n",
     "a_directory": None,
@@ -265,6 +269,18 @@ class TestMeasure:
         assert out == ""
         assert err.startswith("error: --columns must name at least 2 columns")
         assert "dims" not in err
+
+    @pytest.mark.parametrize("command", ["estimate", "measure"])
+    def test_a_one_column_file_names_its_column_count(self, capsys, tmp_path, command):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("a\n1\n3\n2\n")
+        argv = [command, "--input", str(csv_path)]
+        if command == "estimate":
+            argv += ["--output", str(tmp_path / "fit.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {csv_path} has 1 column; a copula needs at least 2\n"
 
     @pytest.mark.parametrize("flag", ["--v-cols"])
     @pytest.mark.parametrize("selector", ["3", "-1", "nope"])
@@ -545,11 +561,13 @@ def test_import_and_tau_measure_leave_scipy_unloaded(tmp_path):
         "import sys\n"
         "import copdep\n"
         "assert 'scipy' not in sys.modules, 'import copdep loaded scipy'\n"
+        "assert 'orjson' not in sys.modules, 'import copdep loaded orjson'\n"
         "from copdep.cli import main\n"
         f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'tau_quadratic',"
         " '--resolution', '4'])\n"
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'measure --kind tau_quadratic loaded scipy'\n"
+        "assert 'orjson' not in sys.modules, 'measuring a CSV loaded orjson'\n"
         f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'renyi_limit',"
         " '--resolution', '4'])\n"
         "assert code == 0, code\n"

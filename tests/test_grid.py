@@ -8,15 +8,20 @@ from copdep import (
     CopulaValidationError,
     GroupSplit,
     InvalidArgumentError,
+    SynthModel,
     comonotone_copula,
     copula_from_dict,
     copula_to_dict,
+    fit_checkerboard,
+    generate,
     independence_copula,
     load_copula,
+    pseudo_observations,
     random_copula,
     require_valid,
     save_copula,
 )
+from copdep.grid import MAX_JSON_DEPTH
 
 
 def brute_force_cdf(copula, points):
@@ -258,13 +263,17 @@ class TestGroupSplit:
 
 
 class TestSerialization:
+    @staticmethod
+    def cell_bytes(copula):
+        return copula.cell_index.tobytes(), copula.cell_mass.tobytes()
+
     def test_round_trip(self, rng, tmp_path):
         cop = random_copula((3, 4), rng)
         path = tmp_path / "cop.json"
         save_copula(cop, path)
         back = load_copula(path)
         assert back.resolutions == cop.resolutions
-        assert np.array_equal(back.mass, cop.mass)
+        assert self.cell_bytes(back) == self.cell_bytes(cop)
 
     def test_rejects_wrong_mass_length(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -281,6 +290,67 @@ class TestSerialization:
         path.write_text("not json")
         with pytest.raises(InvalidArgumentError):
             load_copula(path)
+
+    def test_a_fitted_copula_round_trips_bit_identical(self, tmp_path):
+        sample = generate(SynthModel(tag="gaussian", correlation=((1, 0.6), (0.6, 1))), 500)
+        cop = fit_checkerboard(pseudo_observations(sample), (7, 9))
+        path = tmp_path / "cop.json"
+        save_copula(cop, path)
+        assert self.cell_bytes(load_copula(path)) == self.cell_bytes(cop)
+
+    def test_a_file_json_dumps_wrote_loads_to_the_same_cells(self, tmp_path):
+        # json.dumps writes spaces and exponents such as 1e-05, which the
+        # compact files save_copula writes spell differently
+        tiny = 1e-5
+        cop = CheckerboardCopula((2, 2), [0.5 - tiny, tiny, tiny, 0.5 - tiny])
+        dumped, saved = tmp_path / "dumped.json", tmp_path / "saved.json"
+        dumped.write_text(json.dumps(copula_to_dict(cop), indent=1))
+        save_copula(cop, saved)
+        assert "1e-05" in dumped.read_text() and " " in dumped.read_text()
+        assert " " not in saved.read_text()
+        assert self.cell_bytes(load_copula(dumped)) == self.cell_bytes(load_copula(saved))
+
+    @pytest.mark.parametrize("token", ["0.5", "5e-1", "5E-01", "0.05e+1", "0.5e+0", "5" + "0" * 21 + "e-22"])
+    def test_number_spellings_load_the_same_mass(self, tmp_path, token):
+        path = tmp_path / "cop.json"
+        path.write_text(f'{{"dims": 1, "resolutions": [2], "mass": [{token}, 0.5]}}')
+        assert load_copula(path).cell_mass.tobytes() == np.array([0.5, 0.5]).tobytes()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tokens_are_not_json(self, tmp_path, token):
+        path = tmp_path / "cop.json"
+        path.write_text(f'{{"dims": 1, "resolutions": [2], "mass": [{token}, 0.5]}}')
+        with pytest.raises(InvalidArgumentError, match="not valid JSON"):
+            load_copula(path)
+
+    @pytest.mark.parametrize("mass", [np.nan, np.inf])
+    def test_save_refuses_a_non_finite_mass(self, tmp_path, mass):
+        path = tmp_path / "cop.json"
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            save_copula(CheckerboardCopula((2,), [mass, 0.5]), path)
+        assert not path.exists()
+
+    @staticmethod
+    def nested(depth):
+        # the payload object is one level, and the mass arrays the rest
+        arrays = depth - 1
+        return '{"dims": 1, "resolutions": [1], "mass": ' + "[" * arrays + "1.0" + "]" * arrays + "}"
+
+    def test_depth_beyond_the_limit_is_refused_before_parsing(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.nested(MAX_JSON_DEPTH + 1))
+        with pytest.raises(InvalidArgumentError, match=f"{MAX_JSON_DEPTH + 1} deep.*at most"):
+            load_copula(path)
+        path.write_text(self.nested(MAX_JSON_DEPTH))  # parsed, then too many axes for numpy
+        with pytest.raises(InvalidArgumentError, match="expected numeric masses"):
+            load_copula(path)
+
+    def test_brackets_inside_strings_do_not_count_toward_depth(self, tmp_path):
+        payload = copula_to_dict(independence_copula((2, 2)))
+        payload["note"] = '\\"\\\\' + "[" * (2 * MAX_JSON_DEPTH) + "\n\u00e9"
+        path = tmp_path / "cop.json"
+        path.write_text(json.dumps(payload))
+        assert self.cell_bytes(load_copula(path)) == self.cell_bytes(independence_copula((2, 2)))
 
 
 def test_mass_is_immutable():

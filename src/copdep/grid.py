@@ -416,7 +416,10 @@ def save_copula(copula: CheckerboardCopula, path) -> None:
 #: leaves its strings, escapes and brackets as they were.
 _SCALAR_BYTES = b"0123456789+-.eE,: \t\r\n"
 #: A JSON string, escapes included, so brackets inside one are not counted.
-_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+#: The closing quote is optional so that every match attempt succeeds and the
+#: scan stays linear; an unterminated string swallows the rest of the file,
+#: which orjson then rejects at that string, before any bracket it hides.
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 #: Keeps only the bracket bytes, as +1 (opening) and -1 (closing) int8 steps.
 _NOT_BRACKET = bytes(b for b in range(256) if b not in b"[]{}")
 _BRACKET_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")

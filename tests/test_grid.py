@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -344,6 +345,24 @@ class TestSerialization:
         path.write_text(self.nested(MAX_JSON_DEPTH))  # parsed, then too many axes for numpy
         with pytest.raises(InvalidArgumentError, match="expected numeric masses"):
             load_copula(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # the unterminated string hides the brackets after it; orjson stops at the string
+            (b'"\\' * 200_000 + b"[" * (MAX_JSON_DEPTH + 1), "not valid JSON"),
+            (b"[" * (MAX_JSON_DEPTH + 1) + b'"\\' * 200_000, "at most"),
+        ],
+    )
+    def test_unterminated_escapes_are_refused_in_linear_time(self, tmp_path, data, message):
+        # a string pattern that must find its closing quote rescans the rest
+        # of the file from every quote here: minutes, not milliseconds
+        path = tmp_path / "escapes.json"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match=message):
+            load_copula(path)
+        assert time.perf_counter() - start < 5.0
 
     def test_brackets_inside_strings_do_not_count_toward_depth(self, tmp_path):
         payload = copula_to_dict(independence_copula((2, 2)))

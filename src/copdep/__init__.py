@@ -39,8 +39,6 @@ from .grid import (
     GroupSplit,
     ValidationReport,
     comonotone_copula,
-    copula_from_dict,
-    copula_to_dict,
     independence_copula,
     load_copula,
     require_valid,
@@ -64,9 +62,7 @@ from .measures import (
 from .starprod import (
     DpiReport,
     InvarianceReport,
-    StarCompatibility,
     TransformCase,
-    compatibility_check,
     dpi_report,
     equitability_suite,
     identity_coupling,
@@ -92,7 +88,6 @@ __all__ = [
     "MeasureReport",
     "PseudoObservations",
     "ResolutionPolicy",
-    "StarCompatibility",
     "SynthModel",
     "TransformCase",
     "ValidationReport",
@@ -100,11 +95,8 @@ __all__ = [
     "averaged_dependence",
     "choose_resolution",
     "comonotone_copula",
-    "compatibility_check",
     "compute_measure",
     "conditional_cdf",
-    "copula_from_dict",
-    "copula_to_dict",
     "dpi_report",
     "equitability_suite",
     "fit_checkerboard",

@@ -20,7 +20,6 @@ threads.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,11 +29,6 @@ from .errors import CopulaValidationError, InvalidArgumentError, _count
 
 #: Validity tolerance for total mass and marginal uniformity.
 VALIDITY_TOL = 1e-9
-
-#: Deepest nesting of arrays and objects a copula file may have.  orjson sets
-#: no limit of its own, and a file nested 200,000 levels deep overflows
-#: the C stack while it builds the Python objects.
-MAX_JSON_DEPTH = 1000
 
 
 def _check_resolutions(resolutions) -> tuple[int, ...]:
@@ -380,25 +374,8 @@ def comonotone_copula(dims: int, resolution: int) -> CheckerboardCopula:
 # ----------------------------------------------------------------------
 
 
-def copula_to_dict(copula: CheckerboardCopula) -> dict:
-    return {
-        "dims": copula.dims,
-        "resolutions": list(copula.resolutions),
-        "mass": copula.mass.tolist(),
-    }
-
-
-def copula_from_dict(payload: dict) -> CheckerboardCopula:
-    try:
-        dims, resolutions, mass = payload["dims"], payload["resolutions"], payload["mass"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"malformed copula payload: {exc}") from exc
-    resolutions = _check_resolutions(resolutions)
-    if _count(dims, "dims") != len(resolutions):
-        raise InvalidArgumentError(
-            f"dims {dims} does not match {len(resolutions)} resolutions"
-        )
-    return require_valid(CheckerboardCopula(resolutions, mass), "copula payload")
+#: The keys of a copula file, which are the only strings it holds (see README).
+_FIELDS = ("dims", "resolutions", "mass")
 
 
 def save_copula(copula: CheckerboardCopula, path) -> None:
@@ -408,44 +385,68 @@ def save_copula(copula: CheckerboardCopula, path) -> None:
 
     if not np.isfinite(copula.cell_mass).all():
         raise InvalidArgumentError("cannot save a copula with a non-finite mass")
-    Path(path).write_bytes(orjson.dumps(copula_to_dict(copula)))
+    payload = {
+        "dims": copula.dims,
+        "resolutions": list(copula.resolutions),
+        "mass": copula.mass.tolist(),
+    }
+    Path(path).write_bytes(orjson.dumps(payload))
 
 
-#: Bytes that, outside a string, are digits, signs, exponents, separators or
-#: whitespace.  No JSON escape ends in one, so deleting them from a valid file
-#: leaves its strings, escapes and brackets as they were.
-_SCALAR_BYTES = b"0123456789+-.eE,: \t\r\n"
-#: A JSON string, escapes included, so brackets inside one are not counted.
-#: The closing quote is optional so that every match attempt succeeds and the
-#: scan stays linear; an unterminated string swallows the rest of the file,
-#: which orjson then rejects at that string, before any bracket it hides.
-_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
-#: Keeps only the bracket bytes, as +1 (opening) and -1 (closing) int8 steps.
-_NOT_BRACKET = bytes(b for b in range(256) if b not in b"[]{}")
-_BRACKET_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
-
-
-def _check_depth(data: bytes, path) -> None:
-    """InvalidArgumentError if the JSON in ``data`` nests arrays and objects
-    deeper than MAX_JSON_DEPTH.  Exact for valid JSON, which is the only
-    kind orjson turns into Python objects."""
-    skeleton = _JSON_STRING.sub(b"", data.translate(None, _SCALAR_BYTES))
-    steps = np.frombuffer(skeleton.translate(_BRACKET_STEP, _NOT_BRACKET), dtype=np.int8)
-    depth = int(np.cumsum(steps, dtype=np.int64).max(initial=0))
-    if depth > MAX_JSON_DEPTH:
-        raise InvalidArgumentError(
-            f"{path} nests arrays and objects {depth} deep; "
-            f"a copula file may nest at most {MAX_JSON_DEPTH}"
-        )
+def _json_int(value) -> bool:
+    """Whether ``value`` is what orjson reads from a JSON integer below 2**63;
+    orjson reads an integer past 64 bits as a float."""
+    return type(value) is int and value < 2**63
 
 
 def load_copula(path) -> CheckerboardCopula:
+    """Read a copula file: a JSON object with exactly the keys ``dims``,
+    ``resolutions`` and ``mass``, the mass a flat list of numbers.
+
+    Anything else is an InvalidArgumentError naming the file; a mass that
+    fails validation is a CopulaValidationError.
+    """
     import orjson  # here, so importing the package does not load it (~7 ms, ~0.6 MB)
 
     data = Path(path).read_bytes()
-    _check_depth(data, path)
+    # The schema's only strings are its three keys, so a file of it holds one
+    # "{" and two "[".  Refusing more keeps deep nesting away from orjson,
+    # which has no depth limit and overflows the C stack.
+    brackets = data.count(b"[") + data.count(b"{")
+    if brackets > 3:
+        raise InvalidArgumentError(
+            f"{path} is not a copula file: it holds {brackets} '[' and '{{' bytes, where"
+            " one object with flat resolutions and mass lists holds 3"
+        )
     try:
         payload = orjson.loads(data)
     except orjson.JSONDecodeError as exc:  # not UTF-8, or not JSON
         raise InvalidArgumentError(f"{path} is not valid JSON: {exc}") from exc
-    return copula_from_dict(payload)
+    if not isinstance(payload, dict):
+        raise InvalidArgumentError(
+            f"{path} is not a copula file: expected a JSON object with keys {', '.join(_FIELDS)}"
+        )
+    problems = [f"unknown key {key!r}" for key in sorted(payload.keys() - set(_FIELDS))]
+    problems += [f"missing key {key!r}" for key in _FIELDS if key not in payload]
+    if problems:
+        raise InvalidArgumentError(f"{path} is not a copula file: {', '.join(problems)}")
+    dims, resolutions, mass = (payload[key] for key in _FIELDS)
+    if not _json_int(dims):
+        raise InvalidArgumentError(
+            f"{path}: dims must be a JSON integer below 2**63, got {dims!r}"
+        )
+    if not isinstance(resolutions, list) or not all(map(_json_int, resolutions)):
+        raise InvalidArgumentError(
+            f"{path}: resolutions must be a list of JSON integers below 2**63, got {resolutions!r}"
+        )
+    cells = np.asarray(mass) if isinstance(mass, list) else None
+    if cells is None or cells.ndim != 1 or cells.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{path}: mass must be a flat list of JSON numbers")
+    try:
+        res = _check_resolutions(resolutions)
+        if dims != len(res):
+            raise InvalidArgumentError(f"dims {dims} does not match {len(res)} resolutions")
+        copula = CheckerboardCopula(res, cells)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
+    return require_valid(copula, str(path))

@@ -32,19 +32,17 @@ DPI_SLACK = 1e-9
 COUPLING_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class StarCompatibility:
-    """Agreement report for the shared middle-block marginals."""
+def star(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> CheckerboardCopula:
+    """Compose two grids through their shared middle block of ``n`` axes.
 
-    passed: bool
-    max_discrepancy: float
+    Cell masses of the product: sum over middle cells of
+    mass_A(u, s) * mass_B(s, v) / weight(s), with zero-weight middle cells
+    contributing nothing.  The result is a valid copula whose conditioning
+    marginal equals A's and whose target marginal equals B's.
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{status}: max coupling-marginal discrepancy {self.max_discrepancy:.3e}"
-
-
-def _check_star_shapes(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> None:
+    The middle-block marginals of A and B must agree cellwise within
+    COUPLING_TOL, else IncompatibleOperandsError.
+    """
     n = _count(n, "middle block size")
     if a.dims != 2 * n:
         raise InvalidArgumentError(
@@ -54,36 +52,16 @@ def _check_star_shapes(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> 
         raise InvalidArgumentError(
             f"second operand must have at least {n + 1} axes, has {b.dims}"
         )
-    s_res_a = a.resolutions[n:]
-    s_res_b = b.resolutions[:n]
-    if s_res_a != s_res_b:
+    if a.resolutions[n:] != b.resolutions[:n]:
         raise InvalidArgumentError(
-            f"middle-block resolutions differ: {s_res_a} vs {s_res_b}"
+            f"middle-block resolutions differ: {a.resolutions[n:]} vs {b.resolutions[:n]}"
         )
-
-
-def compatibility_check(
-    a: CheckerboardCopula, b: CheckerboardCopula, n: int
-) -> StarCompatibility:
-    """Compare the middle-block marginals of the two operands cellwise."""
-    _check_star_shapes(a, b, n)
     middle = a._block_sums(range(n, 2 * n))[0] - b._block_sums(range(n))[0]
-    disc = float(np.abs(middle).max())
-    return StarCompatibility(passed=disc < COUPLING_TOL, max_discrepancy=disc)
-
-
-def star(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> CheckerboardCopula:
-    """Compose two grids through their shared middle block of ``n`` axes.
-
-    Cell masses of the product: sum over middle cells of
-    mass_A(u, s) * mass_B(s, v) / weight(s), with zero-weight middle cells
-    contributing nothing.  The result is a valid copula whose conditioning
-    marginal equals A's and whose target marginal equals B's.
-    """
-    comp = compatibility_check(a, b, n)
-    if not comp.passed:
+    discrepancy = float(np.abs(middle).max())
+    if not discrepancy < COUPLING_TOL:
         raise IncompatibleOperandsError(
-            f"operands disagree on the coupling marginal: {comp.summary()}"
+            f"operands disagree on the coupling marginal by up to {discrepancy:.3e};"
+            f" star needs less than {COUPLING_TOL:g}"
         )
     n_u = math.prod(a.resolutions[:n])
     n_s = math.prod(a.resolutions[n:])

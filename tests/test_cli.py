@@ -162,6 +162,13 @@ UNREADABLE_INPUTS = {
     "infinity.json": b'{"dims": 1, "resolutions": [2], "mass": [Infinity, 0.5]}',
     # deep enough to overflow the C stack if it reached the parser
     "deep.json": b'{"dims": 1, "resolutions": [1], "mass": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    "unknown_key.json": b'{"dims": 2, "resolutions": [2, 2], "mass": [0.25, 0.25, 0.25, 0.25], "note": "x"}',
+    "missing_key.json": b'{"dims": 1, "resolutions": [1]}',
+    "string_mass.json": b'{"dims": 2, "resolutions": [2, 2], "mass": ["0.25", "0.25", "0.25", "0.25"]}',
+    "boolean_mass.json": b'{"dims": 2, "resolutions": [1, 1], "mass": [true]}',
+    "nested_mass.json": b'{"dims": 2, "resolutions": [1, 4], "mass": [[0.25, 0.25], [0.25, 0.25]]}',
+    "top_level_list.json": b"[0.5, 0.5]",
+    "huge_resolution.json": b'{"dims": 2, "resolutions": [2, 18446744073709551616], "mass": [1.0]}',
     "latin1_header.csv": b"a\xe9,b\n1,2\n3,4\n",
     "latin1_row.csv": b"a,b\n1,2\n3\xe9,4\n",
     "a_directory": None,
@@ -364,7 +371,8 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", "--input", str(path), "--resolution", "2")
         assert code == 2
         assert out == ""
-        assert "error:" in err
+        assert "error:" in err and str(path) in err
+        assert "does not apply" not in err  # refused on reading, not for the flag
 
     @pytest.mark.parametrize(
         "source, flags",
@@ -573,10 +581,24 @@ def test_import_and_tau_measure_leave_scipy_unloaded(tmp_path):
         "assert code == 0, code\n"
         "assert 'scipy.integrate' not in sys.modules, 'renyi_limit loaded scipy.integrate'\n"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _child_env() -> dict:
+    """The environment, with this copdep first on PYTHONPATH."""
     src = str(Path(copdep.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def test_the_console_script_checks_pass_through_the_module():
+    # CI runs the same script with the installed copdep entry point
+    script = Path(__file__).with_name("cli_smoke.sh")
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        ["sh", str(script), sys.executable, "-m", "copdep.cli"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,9 @@
 """Public functions raise the package's typed errors, never a bare ValueError or TypeError."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,6 @@ from copdep import (
     comonotone_copula,
     compute_measure,
     conditional_cdf,
-    copula_from_dict,
     dpi_report,
     equitability_suite,
     fit_checkerboard,
@@ -30,6 +33,7 @@ from copdep import (
     group_tau_normalized,
     identity_coupling,
     independence_copula,
+    load_copula,
     make_rng,
     mixture_copula,
     pseudo_observations,
@@ -42,15 +46,14 @@ PUBLIC_NAMES = [
     "CheckerboardCopula", "CopdepError", "CopulaValidationError", "DegenerateBoundError",
     "DpiReport", "EvaluationError", "GroupSplit", "IncompatibleOperandsError",
     "InsufficientDataError", "InvalidArgumentError", "InvalidDataError", "InvarianceReport",
-    "MeasureKind", "MeasureReport", "PseudoObservations", "ResolutionPolicy",
-    "StarCompatibility", "SynthModel", "TransformCase", "ValidationReport",
-    "assignment_copula", "averaged_dependence", "choose_resolution", "comonotone_copula",
-    "compatibility_check", "compute_measure", "conditional_cdf", "copula_from_dict",
-    "copula_to_dict", "dpi_report", "equitability_suite", "fit_checkerboard", "generate",
-    "generic_measure", "group_tau", "group_tau_normalized", "identity_coupling",
-    "independence_copula", "load_copula", "make_rng", "mixture_copula", "mutual_information",
-    "pseudo_observations", "random_copula", "random_star_pair", "read_csv", "renyi_alpha",
-    "renyi_limit", "require_valid", "save_copula", "star", "tau_alpha", "tau_quadratic",
+    "MeasureKind", "MeasureReport", "PseudoObservations", "ResolutionPolicy", "SynthModel",
+    "TransformCase", "ValidationReport", "assignment_copula", "averaged_dependence",
+    "choose_resolution", "comonotone_copula", "compute_measure", "conditional_cdf", "dpi_report",
+    "equitability_suite", "fit_checkerboard", "generate", "generic_measure", "group_tau",
+    "group_tau_normalized", "identity_coupling", "independence_copula", "load_copula", "make_rng",
+    "mixture_copula", "mutual_information", "pseudo_observations", "random_copula",
+    "random_star_pair", "read_csv", "renyi_alpha", "renyi_limit", "require_valid", "save_copula",
+    "star", "tau_alpha", "tau_quadratic",
 ]
 
 
@@ -97,9 +100,17 @@ PSEUDO = pseudo_observations(np.random.default_rng(3).random((20, 2)))
 TAU = MeasureKind("tau_quadratic")
 
 
-def _from_dict(dims, resolutions):
+def _load(payload):
+    """load_copula on a file holding ``payload`` as JSON."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "cop.json"
+        path.write_text(json.dumps(payload))
+        return load_copula(path)
+
+
+def _uniform(dims, resolutions):
     cells = int(np.prod(resolutions))
-    return copula_from_dict({"dims": dims, "resolutions": resolutions, "mass": [1 / cells] * cells})
+    return {"dims": dims, "resolutions": resolutions, "mass": [1 / cells] * cells}
 
 
 def _equitability(transform=None, resolutions=None):
@@ -155,9 +166,9 @@ AXIS_ARGUMENTS = {
     "make_rng fractional seed": (lambda: make_rng(1.5), lambda: make_rng(np.int64(1))),
     "make_rng negative seed": (lambda: make_rng(-1), lambda: make_rng(np.int32(0))),
     "make_rng seed of 2**128": (lambda: make_rng(2**128), lambda: make_rng(2**128 - 1)),
-    "copula_from_dict fractional resolution": (
-        lambda: _from_dict(1, [2.5]),
-        lambda: _from_dict(np.int64(2), [np.int32(2), np.int64(3)]),
+    "load_copula fractional resolution": (
+        lambda: _load(_uniform(1, [2.5])),
+        lambda: _load(_uniform(2, [2, 3])),
     ),
     "star float middle block": (
         lambda: star(STAR_A, STAR_B, 1.0),
@@ -219,9 +230,9 @@ AXIS_ARGUMENTS = {
         lambda: COPULA.permute_axes((0, 1)),
         lambda: COPULA.permute_axes((np.int64(0), 2, 1)),
     ),
-    "copula_from_dict dims unlike the resolutions": (
-        lambda: _from_dict(3, [2, 2]),
-        lambda: _from_dict(np.int64(2), [2, 2]),
+    "load_copula dims unequal to the resolution count": (
+        lambda: _load(_uniform(3, [2, 2])),
+        lambda: _load(_uniform(2, [2, 2])),
     ),
     "conditional_cdf cell outside the grid": (
         lambda: conditional_cdf(COPULA, SINGLE, (0, 3), 0.5),
@@ -323,8 +334,8 @@ NON_NUMERIC_INPUTS = {
         lambda: pseudo_observations(np.arange(5.0)),
         InvalidArgumentError,
     ),
-    "copula_from_dict missing key": (
-        lambda: copula_from_dict({"dims": 2, "resolutions": [2, 2]}),
+    "load_copula missing key": (
+        lambda: _load({"dims": 2, "resolutions": [2, 2]}),
         InvalidArgumentError,
     ),
     "conditional_cdf point off the cube": (

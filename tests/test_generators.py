@@ -6,7 +6,6 @@ from copdep import (
     InsufficientDataError,
     InvalidArgumentError,
     SynthModel,
-    compatibility_check,
     comonotone_copula,
     fit_checkerboard,
     generate,
@@ -16,6 +15,7 @@ from copdep import (
     pseudo_observations,
     random_copula,
     random_star_pair,
+    star,
     tau_quadratic,
 )
 
@@ -140,11 +140,9 @@ class TestRandomCopulas:
             assert random_copula((3, 4, 5), rng).validate().passed
 
     def test_star_pair_compatible_by_construction(self, rng):
-        from copdep import compatibility_check
-
         for n in (1, 2):
             a, b = random_star_pair(n, 4, rng)
-            assert compatibility_check(a, b, n).passed
+            assert star(a, b, n).validate().passed
 
     def test_star_pair_shapes(self, rng):
         a, b = random_star_pair(2, 3, rng, target_axes=2)
@@ -179,7 +177,6 @@ class TestExactMarginals:
     @pytest.mark.parametrize("n, m, target_axes", [(1, 8, 1), (2, 4, 1), (1, 3, 2), (1, 1, 1)])
     def test_star_pair_middle_marginals_agree(self, n, m, target_axes, rng):
         a, b = random_star_pair(n, m, rng, target_axes=target_axes)
-        assert compatibility_check(a, b, n).passed
         middle_a = a.marginal(tuple(range(n, 2 * n))).mass
         middle_b = b.marginal(tuple(range(n))).mass
         assert np.abs(middle_a - middle_b).max() <= 1e-14

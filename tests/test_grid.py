@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -11,8 +12,6 @@ from copdep import (
     InvalidArgumentError,
     SynthModel,
     comonotone_copula,
-    copula_from_dict,
-    copula_to_dict,
     fit_checkerboard,
     generate,
     independence_copula,
@@ -22,7 +21,6 @@ from copdep import (
     require_valid,
     save_copula,
 )
-from copdep.grid import MAX_JSON_DEPTH
 
 
 def brute_force_cdf(copula, points):
@@ -104,13 +102,10 @@ class TestCellStorage:
         assert not first.flags.writeable
         assert not cop.cell_index.flags.writeable and not cop.cell_mass.flags.writeable
 
-    def test_json_keeps_the_dense_mass_list(self):
-        cop = comonotone_copula(2, 2)
-        assert copula_to_dict(cop) == {
-            "dims": 2,
-            "resolutions": [2, 2],
-            "mass": [0.5, 0.0, 0.0, 0.5],
-        }
+    def test_json_keeps_the_dense_mass_list(self, tmp_path):
+        path = tmp_path / "cop.json"
+        save_copula(comonotone_copula(2, 2), path)
+        assert path.read_bytes() == b'{"dims":2,"resolutions":[2,2],"mass":[0.5,0.0,0.0,0.5]}'
 
     @pytest.mark.parametrize(
         "build",
@@ -282,9 +277,11 @@ class TestSerialization:
         with pytest.raises(InvalidArgumentError):
             load_copula(path)
 
-    def test_rejects_invalid_mass(self):
-        with pytest.raises(CopulaValidationError):
-            copula_from_dict({"dims": 1, "resolutions": [2], "mass": [0.9, 0.1]})
+    def test_rejects_invalid_mass(self, tmp_path):
+        path = tmp_path / "cop.json"
+        path.write_text('{"dims": 1, "resolutions": [2], "mass": [0.9, 0.1]}')
+        with pytest.raises(CopulaValidationError, match=f"^{re.escape(str(path))}: FAIL"):
+            load_copula(path)
 
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -305,8 +302,8 @@ class TestSerialization:
         tiny = 1e-5
         cop = CheckerboardCopula((2, 2), [0.5 - tiny, tiny, tiny, 0.5 - tiny])
         dumped, saved = tmp_path / "dumped.json", tmp_path / "saved.json"
-        dumped.write_text(json.dumps(copula_to_dict(cop), indent=1))
         save_copula(cop, saved)
+        dumped.write_text(json.dumps(json.loads(saved.read_bytes()), indent=1))
         assert "1e-05" in dumped.read_text() and " " in dumped.read_text()
         assert " " not in saved.read_text()
         assert self.cell_bytes(load_copula(dumped)) == self.cell_bytes(load_copula(saved))
@@ -332,31 +329,32 @@ class TestSerialization:
         assert not path.exists()
 
     @staticmethod
-    def nested(depth):
-        # the payload object is one level, and the mass arrays the rest
-        arrays = depth - 1
-        return '{"dims": 1, "resolutions": [1], "mass": ' + "[" * arrays + "1.0" + "]" * arrays + "}"
+    def refusal(path, detail):
+        """The start of the message load_copula raises for ``path``."""
+        return "^" + re.escape(f"{path}{detail}")
 
     def test_depth_beyond_the_limit_is_refused_before_parsing(self, tmp_path):
+        # a copula file nests one object and a flat list; orjson has no depth
+        # limit, and 200,000 levels would overflow the C stack
         path = tmp_path / "deep.json"
-        path.write_text(self.nested(MAX_JSON_DEPTH + 1))
-        with pytest.raises(InvalidArgumentError, match=f"{MAX_JSON_DEPTH + 1} deep.*at most"):
-            load_copula(path)
-        path.write_text(self.nested(MAX_JSON_DEPTH))  # parsed, then too many axes for numpy
-        with pytest.raises(InvalidArgumentError, match="expected numeric masses"):
-            load_copula(path)
+        for arrays in (2, 200_000):
+            mass = "[" * arrays + "1.0" + "]" * arrays
+            path.write_text('{"dims": 1, "resolutions": [1], "mass": ' + mass + "}")
+            detail = f" is not a copula file: it holds {arrays + 2} '[' and '{{' bytes"
+            with pytest.raises(InvalidArgumentError, match=self.refusal(path, detail)):
+                load_copula(path)
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            # the unterminated string hides the brackets after it; orjson stops at the string
-            (b'"\\' * 200_000 + b"[" * (MAX_JSON_DEPTH + 1), "not valid JSON"),
-            (b"[" * (MAX_JSON_DEPTH + 1) + b'"\\' * 200_000, "at most"),
+            (b'"\\' * 200_000 + b"[" * 1001, "is not a copula file"),
+            (b"[" * 1001 + b'"\\' * 200_000, "is not a copula file"),
+            (b'"\\' * 200_000, "is not valid JSON"),
         ],
     )
     def test_unterminated_escapes_are_refused_in_linear_time(self, tmp_path, data, message):
-        # a string pattern that must find its closing quote rescans the rest
-        # of the file from every quote here: minutes, not milliseconds
+        # 200,000 unterminated escapes, with and without brackets: a scan
+        # that restarts at every quote would take minutes here
         path = tmp_path / "escapes.json"
         path.write_bytes(data)
         start = time.perf_counter()
@@ -364,12 +362,66 @@ class TestSerialization:
             load_copula(path)
         assert time.perf_counter() - start < 5.0
 
-    def test_brackets_inside_strings_do_not_count_toward_depth(self, tmp_path):
-        payload = copula_to_dict(independence_copula((2, 2)))
-        payload["note"] = '\\"\\\\' + "[" * (2 * MAX_JSON_DEPTH) + "\n\u00e9"
+    def test_an_unknown_key_is_refused_and_named(self, tmp_path):
         path = tmp_path / "cop.json"
+        save_copula(independence_copula((2, 2)), path)
+        payload = json.loads(path.read_bytes())
+        payload["note"] = "fitted on 2,000 rows"
         path.write_text(json.dumps(payload))
-        assert self.cell_bytes(load_copula(path)) == self.cell_bytes(independence_copula((2, 2)))
+        detail = " is not a copula file: unknown key 'note'"
+        with pytest.raises(InvalidArgumentError, match=self.refusal(path, detail)):
+            load_copula(path)
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ('{"dims": 1, "resolutions": [2]}', " is not a copula file: missing key 'mass'"),
+            (
+                '{"dims": 1, "mass": [1], "Mass": [1]}',
+                " is not a copula file: unknown key 'Mass', missing key 'resolutions'",
+            ),
+            ("[1, 2]", " is not a copula file: expected a JSON object"),
+            ("null", " is not a copula file: expected a JSON object"),
+            ('{"dims": 1.0, "resolutions": [2], "mass": [0.5, 0.5]}', ": dims must be a JSON integer below 2**63, got 1.0"),
+            ('{"dims": true, "resolutions": [2], "mass": [0.5, 0.5]}', ": dims must be a JSON integer below 2**63, got True"),
+            (
+                '{"dims": 9223372036854775808, "resolutions": [2], "mass": [0.5, 0.5]}',
+                ": dims must be a JSON integer below 2**63",
+            ),
+            ('{"dims": 1, "resolutions": 2, "mass": [0.5, 0.5]}', ": resolutions must be a list of JSON integers"),
+            ('{"dims": 1, "resolutions": [true], "mass": [1.0]}', ": resolutions must be a list of JSON integers"),
+            (
+                '{"dims": 1, "resolutions": [18446744073709551616], "mass": [1.0]}',
+                ": resolutions must be a list of JSON integers below 2**63, got [1.8446744073709552e+19]",
+            ),
+            ('{"dims": 1, "resolutions": [2], "mass": ["0.5", "0.5"]}', ": mass must be a flat list of JSON numbers"),
+            ('{"dims": 1, "resolutions": [1], "mass": [true]}', ": mass must be a flat list of JSON numbers"),
+            ('{"dims": 1, "resolutions": [1], "mass": [null]}', ": mass must be a flat list of JSON numbers"),
+            ('{"dims": 1, "resolutions": [1], "mass": 1.0}', ": mass must be a flat list of JSON numbers"),
+            ('{"dims": 1, "resolutions": [0], "mass": []}', ": expected an integer resolution >= 1, got 0"),
+            ('{"dims": 0, "resolutions": [1], "mass": [1]}', ": dims 0 does not match 1 resolutions"),
+            ('{"dims": 2, "resolutions": [1], "mass": [1]}', ": dims 2 does not match 1 resolutions"),
+        ],
+    )
+    def test_a_file_outside_the_schema_is_refused_and_named(self, tmp_path, text, detail):
+        path = tmp_path / "cop.json"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=self.refusal(path, detail)):
+            load_copula(path)
+
+    def test_integer_masses_load_as_floats(self, tmp_path):
+        path = tmp_path / "cop.json"
+        path.write_text('{"dims": 2, "resolutions": [1, 1], "mass": [1]}')
+        assert load_copula(path).cell_mass.tobytes() == np.array([1.0]).tobytes()
+
+    def test_every_truncation_of_a_saved_file_is_refused(self, tmp_path):
+        path = tmp_path / "cop.json"
+        save_copula(comonotone_copula(2, 2), path)
+        data = path.read_bytes()
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(InvalidArgumentError):
+                load_copula(path)
 
 
 def test_mass_is_immutable():

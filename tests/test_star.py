@@ -10,7 +10,6 @@ from copdep import (
     TransformCase,
     assignment_copula,
     comonotone_copula,
-    compatibility_check,
     dpi_report,
     equitability_suite,
     fit_checkerboard,
@@ -30,33 +29,35 @@ class TestCompatibility:
     def test_product_operands_compatible(self):
         a = independence_copula((4, 4))
         b = independence_copula((4, 4))
-        assert compatibility_check(a, b, 1).passed
+        assert star(a, b, 1).validate().passed
 
     def test_disagreeing_marginals_fail(self):
         a = independence_copula((4, 4, 4, 4))  # middle marginal is the product grid
         b = comonotone_copula(3, 4)  # middle marginal is the diagonal pair
-        report = compatibility_check(a, b, 2)
-        assert not report.passed
-        assert report.max_discrepancy > 0.01
+        middle_a, middle_b = a.marginal((2, 3)).mass, b.marginal((0, 1)).mass
+        assert np.abs(middle_a - middle_b).max() > 0.01
+        with pytest.raises(IncompatibleOperandsError, match="by up to 1.875e-01"):
+            star(a, b, 2)
 
     def test_same_source_marginals_compatible(self, rng):
         a, b = random_star_pair(2, 4, rng)
-        assert compatibility_check(a, b, 2).passed
+        assert star(a, b, 2).validate().passed
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            compatibility_check(independence_copula((4, 4, 4)), independence_copula((4, 4)), 1)
+        with pytest.raises(InvalidArgumentError, match="first operand must have 2 axes"):
+            star(independence_copula((4, 4, 4)), independence_copula((4, 4)), 1)
 
     def test_coupling_resolution_mismatch_rejected(self):
         # shared middle axes must agree in resolution, never silently resample
-        with pytest.raises(InvalidArgumentError):
-            compatibility_check(independence_copula((4, 4)), independence_copula((8, 8)), 1)
+        with pytest.raises(InvalidArgumentError, match="middle-block resolutions differ"):
+            star(independence_copula((4, 4)), independence_copula((8, 8)), 1)
 
     def test_incompatible_operands_raise_in_star(self):
-        a = independence_copula((4, 4, 4, 4))
-        b = comonotone_copula(3, 4)
-        with pytest.raises(IncompatibleOperandsError):
-            star(a, b, 2)
+        # the middle marginals differ by 1e-6 in each cell, far above 1e-9
+        a = independence_copula((2, 2))
+        b = CheckerboardCopula((2, 2), [0.25 + 1e-6, 0.25, 0.25 - 1e-6, 0.25])
+        with pytest.raises(IncompatibleOperandsError, match="by up to 1.000e-06; star needs less than 1e-09"):
+            star(a, b, 1)
 
 
 class TestStarLaws:

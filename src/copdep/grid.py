@@ -216,11 +216,6 @@ class CheckerboardCopula:
             tuple(self.resolutions[a] for a in kept), keys, sums
         )
 
-    def _rekeyed(self, index: np.ndarray, res) -> CheckerboardCopula:
-        """The same cell masses moved to flat indices ``index`` of grid ``res``."""
-        order = np.argsort(index)
-        return CheckerboardCopula._from_cells(res, index[order], self.cell_mass[order])
-
     def permute_axes(self, permutation) -> CheckerboardCopula:
         """Relabel axes: new axis ``i`` is old axis ``permutation[i]``."""
         perm = _check_axes(permutation, self.dims)
@@ -228,14 +223,11 @@ class CheckerboardCopula:
             raise InvalidArgumentError(
                 f"{perm} is not a permutation of 0..{self.dims - 1}"
             )
-        return self._rekeyed(self._key(perm), tuple(self.resolutions[a] for a in perm))
-
-    def reverse_axis(self, axis: int) -> CheckerboardCopula:
-        """Flip the cell order along one axis (a strictly decreasing remap)."""
-        (axis,) = _check_axes((axis,), self.dims)
-        m, stride = self.resolutions[axis], _strides(self.resolutions)[axis]
-        shift = (m - 1 - 2 * self._key((axis,))) * stride
-        return self._rekeyed(self.cell_index + shift, self.resolutions)
+        index = self._key(perm)
+        order = np.argsort(index)
+        return CheckerboardCopula._from_cells(
+            tuple(self.resolutions[a] for a in perm), index[order], self.cell_mass[order]
+        )
 
     def validate(self) -> ValidationReport:
         """Diagnostics for nonnegativity, total mass, and marginal uniformity.
@@ -377,6 +369,10 @@ def comonotone_copula(dims: int, resolution: int) -> CheckerboardCopula:
 #: The keys of a copula file, which are the only strings it holds (see README).
 _FIELDS = ("dims", "resolutions", "mass")
 
+#: Every byte but the marks ``load_copula`` counts: brackets, quotes, the
+#: first letters of ``true`` and ``false``, and the escape character.
+_UNMARKED = bytes(sorted(set(range(256)) - set(b'[{"tf\\')))
+
 
 def save_copula(copula: CheckerboardCopula, path) -> None:
     """Write ``copula`` as compact JSON; InvalidArgumentError if a mass is
@@ -410,9 +406,11 @@ def load_copula(path) -> CheckerboardCopula:
 
     data = Path(path).read_bytes()
     # The schema's only strings are its three keys, so a file of it holds one
-    # "{" and two "[".  Refusing more keeps deep nesting away from orjson,
-    # which has no depth limit and overflows the C stack.
-    brackets = data.count(b"[") + data.count(b"{")
+    # "{", two "[", six '"' and, unless a key is spelled with escapes, the one
+    # "t" of "resolutions".  Refusing more brackets keeps deep nesting away
+    # from orjson, which has no depth limit and overflows the C stack.
+    marks = data.translate(None, _UNMARKED)
+    brackets = marks.count(b"[") + marks.count(b"{")
     if brackets > 3:
         raise InvalidArgumentError(
             f"{path} is not a copula file: it holds {brackets} '[' and '{{' bytes, where"
@@ -442,6 +440,22 @@ def load_copula(path) -> CheckerboardCopula:
     cells = np.asarray(mass) if isinstance(mass, list) else None
     if cells is None or cells.ndim != 1 or cells.dtype.kind not in "iuf":
         raise InvalidArgumentError(f"{path}: mass must be a flat list of JSON numbers")
+    # Past the checks above every string is a key, so more than six quotes
+    # mean a key given twice, whose last value orjson keeps.
+    if marks.count(b'"') > 6:
+        twice = [f"key {key!r}" for key in _FIELDS if data.count(b'"%s"' % key.encode()) > 1]
+        raise InvalidArgumentError(
+            f"{path} is not a copula file: {', '.join(twice) or 'a key'} given more than once"
+        )
+    # np.asarray reads a true or false among numbers as 1 or 0.  Outside the
+    # keys a "t" or "f" begins one; a key spelled with escapes may hide the
+    # "t" of "resolutions", so then look at the parsed values.
+    if b"\\" in marks:
+        booleans = any(type(value) is bool for value in mass)
+    else:
+        booleans = b"f" in marks or marks.count(b"t") > 1
+    if booleans:
+        raise InvalidArgumentError(f"{path}: mass must be JSON numbers, not true or false")
     try:
         res = _check_resolutions(resolutions)
         if dims != len(res):

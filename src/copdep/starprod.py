@@ -106,13 +106,6 @@ class DpiReport:
     tau_direct: float
     holds: bool
 
-    def summary(self) -> str:
-        status = "pass" if self.holds else "FAIL"
-        return (
-            f"{status}: chain {self.tau_chain:.12f} <= direct {self.tau_direct:.12f}"
-            f" ({self.kind.tag}{'' if self.kind.alpha is None else f', alpha={self.kind.alpha}'})"
-        )
-
 
 def dpi_report(
     a: CheckerboardCopula,
@@ -153,7 +146,6 @@ def dpi_report(
 _TRANSFORM_FIELDS = {
     "column_map": ("column", "mapping"),
     "permute_conditioning": ("permutation",),
-    "reverse_axis": ("axis",),
 }
 
 
@@ -170,8 +162,6 @@ class TransformCase:
       * "permute_conditioning": relabel the conditioning axes by
         ``permutation`` (a permutation of positions within the block).
         Exact invariance.
-      * "reverse_axis": flip grid axis ``axis``.  Exact invariance for
-        conditioning axes, 1e-12 for the target axis.
 
     A kind needs the fields it reads (``_TRANSFORM_FIELDS``) and refuses the rest.
     """
@@ -181,13 +171,12 @@ class TransformCase:
     column: int | None = None
     mapping: Callable | None = None
     permutation: tuple[int, ...] | None = None
-    axis: int | None = None
 
     def __post_init__(self):
         reads = _TRANSFORM_FIELDS.get(self.kind)
         if reads is None:
             raise InvalidArgumentError(f"unsupported transform kind {self.kind!r}")
-        for field in ("column", "mapping", "permutation", "axis"):
+        for field in ("column", "mapping", "permutation"):
             given = getattr(self, field) is not None
             if given != (field in reads):
                 verb = "does not read" if given else "needs"
@@ -212,35 +201,25 @@ class InvarianceReport:
 
 def equitability_suite(
     *,
-    data=None,
-    copula: CheckerboardCopula | None = None,
+    data,
     split: GroupSplit,
     transforms,
+    resolutions,
     kind: MeasureKind = MeasureKind("tau_quadratic"),
-    resolutions=None,
 ) -> InvarianceReport:
-    """Recompute a measure under rank-preserving transformations.
+    """Recompute a measure under rank-preserving transformations of a sample.
 
-    Provide either raw ``data`` (column maps allowed, fitted at
-    ``resolutions``) or a ``copula`` (axis permutations and reversals only).
+    ``data`` is fitted at ``resolutions``; each transform refits or relabels
+    that fit and recomputes the measure.
     """
-    if (data is None) == (copula is None):
-        raise InvalidArgumentError("provide exactly one of data or copula")
-    if data is not None:
-        data = _sample_matrix(data)
-        if resolutions is None:
-            raise InvalidArgumentError("raw data requires resolutions")
-        base_cop = fit_checkerboard(pseudo_observations(data), resolutions)
-    else:
-        base_cop = copula
+    data = _sample_matrix(data)
+    base_cop = fit_checkerboard(pseudo_observations(data), resolutions)
     baseline = compute_measure(base_cop, split, kind).value
 
     results = []
     for case in transforms:
         label = case.label or case.kind
         if case.kind == "column_map":
-            if data is None:
-                raise InvalidArgumentError("column_map transforms need raw data")
             (col,) = _check_axes((case.column,), data.shape[1])
             column = np.asarray(case.mapping(data[:, col]))
             if column.shape != (len(data),) or column.dtype.kind not in "biuf":
@@ -255,7 +234,7 @@ def equitability_suite(
             value = compute_measure(refit, split, kind).value
             is_target = col in split.v_axes
             tol = 1e-12 if (is_target and direction < 0) else 0.0
-        elif case.kind == "permute_conditioning":
+        else:  # permute_conditioning
             perm = _check_axes(case.permutation, len(split.u_axes))
             if len(perm) != len(split.u_axes):
                 raise InvalidArgumentError(
@@ -266,10 +245,6 @@ def equitability_suite(
                 full[split.u_axes[pos]] = split.u_axes[src]
             value = compute_measure(base_cop.permute_axes(full), split, kind).value
             tol = 0.0
-        else:  # reverse_axis
-            (axis,) = _check_axes((case.axis,), base_cop.dims)
-            value = compute_measure(base_cop.reverse_axis(axis), split, kind).value
-            tol = 1e-12 if axis in split.v_axes else 0.0
         deviation = abs(value - baseline)
         results.append(
             InvarianceResult(

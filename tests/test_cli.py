@@ -166,6 +166,10 @@ UNREADABLE_INPUTS = {
     "missing_key.json": b'{"dims": 1, "resolutions": [1]}',
     "string_mass.json": b'{"dims": 2, "resolutions": [2, 2], "mass": ["0.25", "0.25", "0.25", "0.25"]}',
     "boolean_mass.json": b'{"dims": 2, "resolutions": [1, 1], "mass": [true]}',
+    "boolean_among_masses.json": b'{"dims": 2, "resolutions": [2, 2], "mass": [0.5, false, false, 0.5]}',
+    "escaped_key_boolean_mass.json": b'{"dims": 2, "resolu\\u0074ions": [2, 2], "mass": [false, 0.5, 0.5, false]}',
+    "duplicate_key.json": b'{"dims": 7, "dims": 2, "resolutions": [2, 2], "mass": [0.5, 0, 0, 0.5]}',
+    "escaped_duplicate_key.json": b'{"dims": 2, "d\\u0069ms": 2, "resolutions": [2, 2], "mass": [0.5, 0, 0, 0.5]}',
     "nested_mass.json": b'{"dims": 2, "resolutions": [1, 4], "mass": [[0.25, 0.25], [0.25, 0.25]]}',
     "top_level_list.json": b"[0.5, 0.5]",
     "huge_resolution.json": b'{"dims": 2, "resolutions": [2, 18446744073709551616], "mass": [1.0]}',

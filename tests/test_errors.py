@@ -78,7 +78,6 @@ NON_NUMBER_ARGUMENTS = {
     "GroupSplit axis": lambda: GroupSplit(("a",), (1,)),
     "marginal axis": lambda: COPULA.marginal(("x",)),
     "permute_axes axis": lambda: COPULA.permute_axes(("x", 0)),
-    "reverse_axis axis": lambda: COPULA.reverse_axis("x"),
     "random_star_pair n": lambda: random_star_pair("x", 4, make_rng(0)),
 }
 
@@ -136,10 +135,6 @@ AXIS_ARGUMENTS = {
     "permute_axes None": (
         lambda: COPULA.permute_axes(None),
         lambda: COPULA.permute_axes(np.array([2, 0, 1])),
-    ),
-    "reverse_axis fractional axis": (
-        lambda: COPULA.reverse_axis(1.0),
-        lambda: COPULA.reverse_axis(np.uint8(1)),
     ),
     "TransformCase fractional column": (lambda: _column_map(0.5), lambda: _column_map(np.int64(0))),
     "TransformCase column past the last": (lambda: _column_map(3), lambda: _column_map(np.int64(2))),
@@ -261,15 +256,6 @@ AXIS_ARGUMENTS = {
     "equitability_suite raw data without resolutions": (
         lambda: _equitability(),
         lambda: _equitability(resolutions=np.array([2, 2, 2])),
-    ),
-    "equitability_suite column_map on a copula": (
-        lambda: equitability_suite(
-            copula=COPULA, split=SINGLE,
-            transforms=(TransformCase("column_map", column=0, mapping=np.exp),),
-        ),
-        lambda: _equitability(
-            TransformCase("column_map", column=np.int64(0), mapping=np.exp), (2, 2, 2)
-        ),
     ),
     "equitability_suite permutation of the wrong length": (
         lambda: _equitability(TransformCase("permute_conditioning", permutation=(0,)), (2, 2, 2)),

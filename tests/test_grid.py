@@ -194,21 +194,6 @@ class TestAxisOps:
         cop = random_copula((3, 3), rng)
         assert np.array_equal(cop.permute_axes((0, 1)).mass, cop.mass)
 
-    def test_double_reverse_is_identity(self, rng):
-        cop = random_copula((3, 4), rng)
-        back = cop.reverse_axis(1).reverse_axis(1)
-        assert np.array_equal(back.mass, cop.mass)
-
-    def test_reverse_both_axes_of_comonotone(self):
-        cop = comonotone_copula(2, 4)
-        flipped = cop.reverse_axis(0).reverse_axis(1)
-        assert np.array_equal(flipped.mass, cop.mass)
-
-    def test_reverse_one_axis_gives_antidiagonal(self):
-        cop = comonotone_copula(2, 4).reverse_axis(1)
-        expected = np.fliplr(comonotone_copula(2, 4).mass.reshape(4, 4))
-        assert np.array_equal(cop.mass.reshape(cop.resolutions), expected)
-
     def test_bad_permutation_rejected(self, rng):
         with pytest.raises(InvalidArgumentError):
             random_copula((2, 2), rng).permute_axes((0, 0))
@@ -231,6 +216,7 @@ class TestValidate:
         assert not report.passed
         assert report.max_negative_mass == pytest.approx(0.1)
         assert report.negative_cell == (1, 0)
+        assert report.summary().startswith("FAIL: max negative mass 1.000e-01 at cell (1, 0), ")
 
     def test_nonuniform_marginal_flagged(self):
         report = CheckerboardCopula((2, 2), [0.4, 0.2, 0.2, 0.2]).validate()
@@ -396,6 +382,27 @@ class TestSerialization:
             ),
             ('{"dims": 1, "resolutions": [2], "mass": ["0.5", "0.5"]}', ": mass must be a flat list of JSON numbers"),
             ('{"dims": 1, "resolutions": [1], "mass": [true]}', ": mass must be a flat list of JSON numbers"),
+            (
+                '{"dims": 2, "resolutions": [2, 2], "mass": [0.5, false, false, 0.5]}',
+                ": mass must be JSON numbers, not true or false",
+            ),
+            ('{"dims": 1, "resolutions": [2], "mass": [1, true]}', ": mass must be JSON numbers, not true or false"),
+            (
+                '{"dims": 1, "resolu\\u0074ions": [2], "mass": [true, 0.5]}',
+                ": mass must be JSON numbers, not true or false",
+            ),
+            (
+                '{"dims": 3, "dims": 1, "resolutions": [2], "mass": [0.5, 0.5]}',
+                " is not a copula file: key 'dims' given more than once",
+            ),
+            (
+                '{"dims": 1, "d\\u0069ms": 1, "resolutions": [2], "mass": [0.5, 0.5]}',
+                " is not a copula file: a key given more than once",
+            ),
+            (
+                '{"dims": 1, "resolutions": [2], "resolutions": [2], "mass": [0.5, 0.5]}',
+                " is not a copula file: it holds 4 '[' and '{' bytes",
+            ),
             ('{"dims": 1, "resolutions": [1], "mass": [null]}', ": mass must be a flat list of JSON numbers"),
             ('{"dims": 1, "resolutions": [1], "mass": 1.0}', ": mass must be a flat list of JSON numbers"),
             ('{"dims": 1, "resolutions": [0], "mass": []}', ": expected an integer resolution >= 1, got 0"),
@@ -408,6 +415,11 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(InvalidArgumentError, match=self.refusal(path, detail)):
             load_copula(path)
+
+    def test_keys_spelled_with_escapes_load(self, tmp_path):
+        path = tmp_path / "cop.json"
+        path.write_text('{"d\\u0069ms": 1, "resolu\\u0074ions": [2], "\\u006dass": [0.5, 0.5]}')
+        assert load_copula(path).cell_mass.tobytes() == np.array([0.5, 0.5]).tobytes()
 
     def test_integer_masses_load_as_floats(self, tmp_path):
         path = tmp_path / "cop.json"

@@ -14,12 +14,16 @@ Only the cells with nonzero mass are stored: their sorted int64 flat indices
 samples therefore costs O(N) memory whatever the grid size; the dense mass
 array is built only on request (``mass``, JSON output).  Both
 arrays are frozen after construction, so values are safe to share across
-threads.
+threads.  Each copula also keeps a private memo, filled lazily and holding
+only pure results of its cells (such as group_tau's value and bound per
+split), so sharing stays safe: two threads that miss at once store the same
+result.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,6 +148,16 @@ class CheckerboardCopula:
         object.__setattr__(self, "resolutions", res)
         object.__setattr__(self, "cell_index", index)
         object.__setattr__(self, "cell_mass", mass)
+        object.__setattr__(self, "_memo", {})
+
+    def _memoized(self, key, compute):
+        """``compute()``, run at most once per ``key`` for this copula; the
+        result must depend on the cells and ``key`` alone."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def __repr__(self) -> str:
         return f"CheckerboardCopula(resolutions={self.resolutions})"
@@ -395,6 +409,16 @@ def _json_int(value) -> bool:
     return type(value) is int and value < 2**63
 
 
+def _repeated_keys(data: bytes) -> str:
+    """The schema keys that ``data`` spells, without escapes, before a colon
+    more than once, as "key 'mass', ..."; empty when there is none."""
+    return ", ".join(
+        f"key {key!r}"
+        for key in _FIELDS
+        if len(re.findall(rb'"%s"[ \t\n\r]*:' % key.encode(), data)) > 1
+    )
+
+
 def load_copula(path) -> CheckerboardCopula:
     """Read a copula file: a JSON object with exactly the keys ``dims``,
     ``resolutions`` and ``mass``, the mass a flat list of numbers.
@@ -412,6 +436,11 @@ def load_copula(path) -> CheckerboardCopula:
     marks = data.translate(None, _UNMARKED)
     brackets = marks.count(b"[") + marks.count(b"{")
     if brackets > 3:
+        # Only a list-valued key given twice adds brackets to a schema file;
+        # say so rather than count them.
+        twice = _repeated_keys(data)
+        if twice:
+            raise InvalidArgumentError(f"{path} is not a copula file: {twice} given more than once")
         raise InvalidArgumentError(
             f"{path} is not a copula file: it holds {brackets} '[' and '{{' bytes, where"
             " one object with flat resolutions and mass lists holds 3"
@@ -443,9 +472,8 @@ def load_copula(path) -> CheckerboardCopula:
     # Past the checks above every string is a key, so more than six quotes
     # mean a key given twice, whose last value orjson keeps.
     if marks.count(b'"') > 6:
-        twice = [f"key {key!r}" for key in _FIELDS if data.count(b'"%s"' % key.encode()) > 1]
         raise InvalidArgumentError(
-            f"{path} is not a copula file: {', '.join(twice) or 'a key'} given more than once"
+            f"{path} is not a copula file: {_repeated_keys(data) or 'a key'} given more than once"
         )
     # np.asarray reads a true or false among numbers as 1 or 0.  Outside the
     # keys a "t" or "f" begins one; a key spelled with escapes may hide the

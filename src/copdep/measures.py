@@ -16,11 +16,12 @@ cells between them; tau_quadratic integrates (F - v)^2 over each piece in
 closed form, so its work scales with the stored cells.  The other kinds
 take the walk in blocks of about ``_BLOCK_CELLS`` dense cells.  The rule
 kinds read CDF rows off it and integrate every target cell with one
-16-point Gauss-Legendre rule, which the entropy family replaces by closed
-forms where it would not be exact to rounding: cells where the integrand is
-constant, and cells whose conditional CDF vanishes within half a cell below
-them (Gauss-Jacobi in the ratio variable for the power kind, a dilogarithm
-for x log x).
+16-point Gauss-Legendre rule; tau_alpha and single-target custom_phi build
+F - v at the nodes once per block, in one array, and work on it in place.
+The entropy family replaces the rule by closed forms where it would not be
+exact to rounding: cells where the integrand is constant, and cells whose
+conditional CDF vanishes within half a cell below them (Gauss-Jacobi in the
+ratio variable for the power kind, a dilogarithm for x log x).
 
 The group kinds scatter the walk's masses into dense rows and work at target
 cell centers.  One helper, ``_at_centers``, gives the mass below every
@@ -30,7 +31,10 @@ the group gap and places the knots of the Kendall distribution behind the
 group bound.  ``_kendall_steps`` places those knots and ``_kendall_bound``
 reduces them to the bound that ``group_tau`` reports.  A target marginal
 whose mass is not 1 raises, and a bound below ``MIN_KENDALL_BOUND`` is too
-small to normalize by.
+small to normalize by.  group_tau's value and bound are computed once per
+copula and split and kept in the copula's memo, where
+``group_tau_normalized`` finds them; the warning and the errors still come
+on every call.
 
 Conventions that matter for reproducibility:
   * zero-weight conditioning cells contribute zero to every sum;
@@ -318,10 +322,26 @@ def _gauss_rule(f0: np.ndarray, f1: np.ndarray, g, m: int, first: int = 0) -> np
     return g(f0[..., None] + (f1 - f0)[..., None] * nodes, v_at) @ weights / m
 
 
-def _gauss_cells(g):
-    """``cells`` function for :func:`_rule_terms`: g(F, v) integrated over every
-    target cell by the Gauss-Legendre rule."""
-    return lambda f0, f1: _gauss_rule(f0, f1, g, f0.shape[1])
+def _gap_cells(g):
+    """``cells`` function for :func:`_rule_terms`: g(F - v) integrated over
+    every target cell by the Gauss-Legendre rule.
+
+    On target cell j, F - v at node x is (f0 - j/m) + ((f1 - f0) - 1/m) x.
+    ``g`` gets it at every node in one new array, shape (nodes, rows, cells),
+    which it may overwrite and return.  Nodes lead so that every step runs
+    along whole rows: with nodes last the two broadcasts took three times
+    as long.
+    """
+    nodes, weights = _unit_nodes(0.0)
+
+    def cells(f0, f1):
+        m = f0.shape[1]
+        gaps = np.empty(nodes.shape + f0.shape)
+        np.multiply(nodes[:, None, None], f1 - f0 - 1.0 / m, out=gaps)
+        gaps += f0 - np.arange(m) / m
+        return (weights @ g(gaps).reshape(nodes.size, -1)).reshape(f0.shape) / m
+
+    return cells
 
 
 def _unit_point(point) -> np.ndarray:
@@ -445,7 +465,14 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
     if a == 2.0:
         return replace(tau_quadratic(copula, split), kind=kind)
     normalizer = (a + 1.0) * (a + 2.0) / 2.0
-    terms = _rule_terms(copula, split, _gauss_cells(lambda f, v: np.abs(f - v) ** a))
+
+    def power(gaps):
+        np.abs(gaps, out=gaps)
+        if a != 1.0:
+            gaps **= a
+        return gaps
+
+    terms = _rule_terms(copula, split, _gap_cells(power))
     value = normalizer * _fsum(terms)
     _warn_above_unit(value, "tau_alpha")
     return MeasureReport(
@@ -618,7 +645,7 @@ def generic_measure(copula: CheckerboardCopula, split: GroupSplit, phi) -> Measu
         return out.astype(np.float64, copy=False)
 
     if len(split.v_axes) == 1:
-        terms = _rule_terms(copula, split, _gauss_cells(lambda f, v: at(f - v)))
+        terms = _rule_terms(copula, split, _gap_cells(at))
     else:
         terms = _gap_terms(copula, split, at)[0]
     if not np.all(np.isfinite(terms)):
@@ -725,9 +752,12 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
     """
     if len(split.v_axes) < 2:
         raise InvalidArgumentError("group_tau needs a target group; use tau_quadratic")
-    terms, target_w, reference = _gap_terms(copula, split, np.square)
-    value = 6.0 * _fsum(terms)
-    bound = _kendall_bound(*_kendall_steps(target_w, reference))
+
+    def compute():
+        terms, target_w, reference = _gap_terms(copula, split, np.square)
+        return 6.0 * _fsum(terms), _kendall_bound(*_kendall_steps(target_w, reference))
+
+    value, bound = copula._memoized(("group_tau", split), compute)
     _warn_above_unit(value / bound if bound > 0 else value, "group_tau / bound")
     return MeasureReport(
         kind=MeasureKind("group_tau"),

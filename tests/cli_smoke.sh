@@ -3,8 +3,8 @@
 # afterwards: every verify suite, synth, estimate and measure on a CSV (a
 # quoted, blank-led file included) and on a saved copula file, and invalid
 # calls that must exit 2 (a NaN token, a file nested 200,000 levels deep, an
-# unknown key, a nested mass, a boolean among the masses and a key given twice
-# among them).
+# unknown key, a nested mass, a boolean among the masses, and dims, resolutions
+# or mass given twice).
 #
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
@@ -63,3 +63,7 @@ printf '{"dims": 2, "resolutions": [2, 2], "mass": [0.5, false, false, 0.5]}' > 
 exits_two measure --input boolean_mass.json
 printf '{"dims": 7, "dims": 2, "resolutions": [2, 2], "mass": [0.5, 0, 0, 0.5]}' > duplicate_key.json
 exits_two measure --input duplicate_key.json
+printf '{"dims": 1, "resolutions": [2], "resolutions": [2], "mass": [0.5, 0.5]}' > duplicate_resolutions.json
+exits_two measure --input duplicate_resolutions.json
+printf '{"dims": 1, "resolutions": [2], "mass": [0.5, 0.5], "mass": [0.5, 0.5]}' > duplicate_mass.json
+exits_two measure --input duplicate_mass.json

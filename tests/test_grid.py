@@ -401,6 +401,14 @@ class TestSerialization:
             ),
             (
                 '{"dims": 1, "resolutions": [2], "resolutions": [2], "mass": [0.5, 0.5]}',
+                " is not a copula file: key 'resolutions' given more than once",
+            ),
+            (
+                '{"dims": 1, "resolutions": [2], "mass": [0.5, 0.5], "mass": [0.5, 0.5]}',
+                " is not a copula file: key 'mass' given more than once",
+            ),
+            (
+                '{"dims": 1, "resolutions": [2], "mass": [0.5, 0.5], "note": ["mass"]}',
                 " is not a copula file: it holds 4 '[' and '{' bytes",
             ),
             ('{"dims": 1, "resolutions": [1], "mass": [null]}', ": mass must be a flat list of JSON numbers"),

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -404,6 +406,57 @@ class TestGroupTau:
                     assert rep.value == base.value, (u_res, v_res, seed, perm)
                     assert rep.upper_bound == base.upper_bound, (u_res, v_res, seed, perm)
 
+    def test_each_split_and_relabeled_copy_gets_its_own_value(self):
+        # group_tau keeps its value and bound per copula and split: a second
+        # split, or a copy with its axes relabeled, must not read them.
+        cop = random_copula((3, 4, 2, 3), make_rng(31))
+        swapped = cop.permute_axes((2, 3, 0, 1))
+        splits = (GroupSplit((0, 1), (2, 3)), GroupSplit((3,), (0, 1, 2)))
+        got = [(group_tau(c, s), c, s) for _ in range(2) for c in (cop, swapped) for s in splits]
+        for rep, c, s in got:
+            fresh = group_tau(CheckerboardCopula(c.resolutions, c.mass), s)
+            assert rep.value.hex() == fresh.value.hex(), (c.resolutions, s)
+            assert rep.upper_bound.hex() == fresh.upper_bound.hex(), (c.resolutions, s)
+        assert len({rep.value for rep, _, _ in got}) == 4
+        assert len({rep.upper_bound for rep, _, _ in got}) == 4
+
+    def test_threads_sharing_one_copula_get_fresh_values(self):
+        # The memo is filled without a lock: threads that miss at once each
+        # compute and store the same pure result.
+        cop = random_copula((3, 3, 2, 2), make_rng(32))
+        splits = [GroupSplit((a,), tuple(b for b in range(4) if b != a)) for a in range(4)]
+        expected = [group_tau(CheckerboardCopula(cop.resolutions, cop.mass), s) for s in splits]
+        shared = CheckerboardCopula(cop.resolutions, cop.mass)
+        got, interval = [], sys.getswitchinterval()
+
+        def work(offset):
+            for i in range(40):
+                s = splits[(i + offset) % 4]
+                got.append((s, group_tau(shared, s).value))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 6 * 40
+        want = {s: rep.value for s, rep in zip(splits, expected)}
+        assert all(value == want[s] for s, value in got)
+
+    def test_warns_on_every_call(self, rng, monkeypatch):
+        import copdep.measures as measures
+
+        monkeypatch.setattr(measures, "_kendall_bound", lambda t, k: 1e-300)
+        cop = random_copula((4, 4, 4), rng)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="exceeds the unit bound"):
+                group_tau(cop, GroupSplit((0,), (1, 2)))
+
 
 class TestGroupTauNormalized:
     def test_normalization(self, rng):
@@ -419,8 +472,25 @@ class TestGroupTauNormalized:
 
         monkeypatch.setattr(measures, "_kendall_bound", lambda t, k: 0.0)
         cop = random_copula((4, 4, 4), rng)
-        with pytest.raises(DegenerateBoundError):
-            group_tau_normalized(cop, GroupSplit((0,), (1, 2)))
+        for _ in range(2):  # on every call, not only the one that computes the bound
+            with pytest.raises(DegenerateBoundError):
+                group_tau_normalized(cop, GroupSplit((0,), (1, 2)))
+
+    def test_reuses_group_tau_on_the_same_copula_and_split(self, rng, monkeypatch):
+        import copdep.measures as measures
+
+        calls = []
+        gap_terms = measures._gap_terms
+        monkeypatch.setattr(
+            measures, "_gap_terms", lambda *args: calls.append(args) or gap_terms(*args)
+        )
+        cop = random_copula((4, 3, 5), rng)
+        split = GroupSplit((0,), (1, 2))
+        base = group_tau(cop, split)
+        norm = group_tau_normalized(cop, split)
+        assert len(calls) == 1
+        assert norm.value == base.value / base.upper_bound
+        assert norm.normalizer == base.upper_bound
 
 
 class TestAveragedDependence:

@@ -409,14 +409,25 @@ def _json_int(value) -> bool:
     return type(value) is int and value < 2**63
 
 
+#: A JSON string, its body as group 1 and the colon after it, if any, as
+#: group 2.  An unterminated string runs to the end, so no quote starts a
+#: second scan of the bytes after it.
+_STRING = re.compile(rb'"([^"\\]*(?:\\.[^"\\]*)*)"?([ \t\n\r]*:)?', re.S)
+
+
 def _repeated_keys(data: bytes) -> str:
-    """The schema keys that ``data`` spells, without escapes, before a colon
-    more than once, as "key 'mass', ..."; empty when there is none."""
-    return ", ".join(
-        f"key {key!r}"
-        for key in _FIELDS
-        if len(re.findall(rb'"%s"[ \t\n\r]*:' % key.encode(), data)) > 1
-    )
+    """The schema keys that ``data`` gives before a colon more than once,
+    escapes decoded, as "key 'mass', ..."; empty when there is none."""
+    import orjson
+
+    keys = []
+    for match in _STRING.finditer(data):
+        if match.group(2):
+            try:
+                keys.append(orjson.loads(b'"%s"' % match.group(1)))
+            except orjson.JSONDecodeError:  # not UTF-8, or a bad escape
+                pass
+    return ", ".join(f"key {key!r}" for key in _FIELDS if keys.count(key) > 1)
 
 
 def load_copula(path) -> CheckerboardCopula:
@@ -473,7 +484,7 @@ def load_copula(path) -> CheckerboardCopula:
     # mean a key given twice, whose last value orjson keeps.
     if marks.count(b'"') > 6:
         raise InvalidArgumentError(
-            f"{path} is not a copula file: {_repeated_keys(data) or 'a key'} given more than once"
+            f"{path} is not a copula file: {_repeated_keys(data)} given more than once"
         )
     # np.asarray reads a true or false among numbers as 1 or 0.  Outside the
     # keys a "t" or "f" begins one; a key spelled with escapes may hide the

@@ -16,8 +16,10 @@ cells between them; tau_quadratic integrates (F - v)^2 over each piece in
 closed form, so its work scales with the stored cells.  The other kinds
 take the walk in blocks of about ``_BLOCK_CELLS`` dense cells.  The rule
 kinds read CDF rows off it and integrate every target cell with one
-16-point Gauss-Legendre rule; tau_alpha and single-target custom_phi build
-F - v at the nodes once per block, in one array, and work on it in place.
+16-point Gauss-Legendre rule, through one helper, ``_gauss_cells``: it
+builds the integrand's argument at the nodes once per block, in one array
+that the kind works on in place (F - v for tau_alpha and single-target
+custom_phi, F / v for the entropy family).
 The entropy family replaces the rule by closed forms where it would not be
 exact to rounding: cells where the integrand is constant, and cells whose
 conditional CDF vanishes within half a cell below them (Gauss-Jacobi in the
@@ -301,45 +303,30 @@ def _unit_nodes(power: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@lru_cache(maxsize=64)
-def _node_positions(m: int) -> np.ndarray:
-    """v at the Gauss-Legendre nodes of every target cell, shape (m, nodes)."""
-    out = (np.arange(m)[:, None] + _unit_nodes(0.0)[0][None, :]) / m
-    out.setflags(write=False)
-    return out
+def _gauss_cells(lo: np.ndarray, slope: np.ndarray, g) -> np.ndarray:
+    """Per (row, target cell), the 16-point Gauss-Legendre mean over x in
+    [0, 1] of g(y), where y = lo + slope x on the cell.
 
-
-def _gauss_rule(f0: np.ndarray, f1: np.ndarray, g, m: int, first: int = 0) -> np.ndarray:
-    """Integral of g(F, v) over target cells ``first``, ``first + 1``, ... of
-    width 1/m, one value per (row, cell), by the 16-point Gauss-Legendre rule.
-
-    F is linear on each cell from ``f0`` to ``f1``, shape (rows, cells).
-    ``g`` takes F at the nodes, shape (rows, cells, nodes), and v at the
-    nodes, shape (cells, nodes), and must return an array of the first shape.
-    """
-    nodes, weights = _unit_nodes(0.0)
-    v_at = _node_positions(m)[first : first + f0.shape[1]]
-    return g(f0[..., None] + (f1 - f0)[..., None] * nodes, v_at) @ weights / m
-
-
-def _gap_cells(g):
-    """``cells`` function for :func:`_rule_terms`: g(F - v) integrated over
-    every target cell by the Gauss-Legendre rule.
-
-    On target cell j, F - v at node x is (f0 - j/m) + ((f1 - f0) - 1/m) x.
-    ``g`` gets it at every node in one new array, shape (nodes, rows, cells),
+    ``g`` gets y at every node in one new array, shape (nodes, rows, cells),
     which it may overwrite and return.  Nodes lead so that every step runs
     along whole rows: with nodes last the two broadcasts took three times
     as long.
     """
     nodes, weights = _unit_nodes(0.0)
+    y = np.empty(nodes.shape + lo.shape)
+    np.multiply(nodes[:, None, None], slope, out=y)
+    y += lo
+    return (weights @ g(y).reshape(nodes.size, -1)).reshape(lo.shape)
+
+
+def _gap_cells(g):
+    """``cells`` function for :func:`_rule_terms`: g(F - v) integrated over
+    every target cell by :func:`_gauss_cells`, where on target cell j,
+    F - v at node x is (f0 - j/m) + ((f1 - f0) - 1/m) x."""
 
     def cells(f0, f1):
         m = f0.shape[1]
-        gaps = np.empty(nodes.shape + f0.shape)
-        np.multiply(nodes[:, None, None], f1 - f0 - 1.0 / m, out=gaps)
-        gaps += f0 - np.arange(m) / m
-        return (weights @ g(gaps).reshape(nodes.size, -1)).reshape(f0.shape) / m
+        return _gauss_cells(f0 - np.arange(m) / m, f1 - f0 - 1.0 / m, g) / m
 
     return cells
 
@@ -488,7 +475,8 @@ def _ratio_cells(alpha: float | None):
     """``cells`` function for :func:`_rule_terms`: per (row, target cell), the
     integral over the cell of phi(conditional CDF / v).
 
-    phi is r**alpha, or r*log(r) (with 0 log 0 = 0) when ``alpha`` is None.
+    phi is r**alpha, or r*log(r) (with 0 log 0 = 0) when ``alpha`` is None,
+    and may overwrite its argument.
     On a cell [v0, v1] the conditional CDF is F(v) = c + B v, with edge
     values f0 and f1, and each cell takes one of these cases:
 
@@ -508,13 +496,17 @@ def _ratio_cells(alpha: float | None):
 
     The rule runs only on the span of target cells from the first to the
     last one that some row of the block needs it for; every cell outside
-    that span takes one of the closed forms.
+    that span takes one of the closed forms.  On that span
+    :func:`_gauss_cells` builds F at the nodes, from f0 with slope f1 - f0,
+    and the integrand divides it in place by v = (j + x)/m.
     """
     from scipy.special import spence, xlogy
 
     if alpha is None:
         def phi(r):
-            return r * np.log(np.where(r > 0.0, r, 1.0))
+            out = np.log(r, out=np.zeros_like(r), where=r > 0.0)
+            out *= r
+            return out
 
         def p(s):
             return s / (1.0 - s) + np.log1p(-s)
@@ -529,16 +521,14 @@ def _ratio_cells(alpha: float | None):
         t, wt = _unit_nodes(alpha)
 
         def phi(r):
-            return r**alpha
+            r **= alpha
+            return r
 
         def j(s):
             return s ** (alpha + 1.0) * ((1.0 - s[:, None] * t) ** -2 @ wt)
 
         def near_integral(b, root, s0, s1):
             return b**alpha * root * (j(s1) - j(s0))
-
-    def integrand(f, v):
-        return phi(np.maximum(f / v, 0.0))
 
     def cells(f0, f1):
         m = f0.shape[1]
@@ -552,7 +542,14 @@ def _ratio_cells(alpha: float | None):
         needed = np.flatnonzero(~(flat | near).all(axis=0))
         if needed.size:
             span = slice(needed[0], needed[-1] + 1)
-            out[:, span] = _gauss_rule(f0[:, span], f1[:, span], integrand, m, span.start)
+            v = (np.arange(span.start, span.stop) + _unit_nodes(0.0)[0][:, None, None]) / m
+
+            def ratio(y):
+                y /= v
+                return phi(np.maximum(y, 0.0, out=y))
+
+            lo = f0[:, span]
+            out[:, span] = _gauss_cells(lo, f1[:, span] - lo, ratio) / m
         out[flat] = phi(slope[flat]) * (v1 - v0)[flat]
         b = slope[near]
         out[near] = near_integral(

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Runs the copdep command line end to end, in a scratch directory it removes
 # afterwards: every verify suite, synth, estimate and measure on a CSV (a
-# quoted, blank-led file included) and on a saved copula file, and invalid
-# calls that must exit 2 (a NaN token, a file nested 200,000 levels deep, an
-# unknown key, a nested mass, a boolean among the masses, and dims, resolutions
-# or mass given twice).
+# quoted, blank-led file included) and on a saved copula file (the entropy
+# kinds among them), and invalid calls that must exit 2 (a NaN token, a file
+# nested 200,000 levels deep, an unknown key, a nested mass, a boolean among
+# the masses, and dims, resolutions or mass given twice, once with the second
+# resolutions spelled with an escape).
 #
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
@@ -37,6 +38,8 @@ copdep measure --input sample.csv --kind tau_quadratic
 copdep measure --input sample.csv --v-cols x0
 copdep measure --input sample.csv --v-cols x1,y --kind group_tau_normalized
 copdep measure --input fit.json --kind tau_quadratic
+copdep measure --input fit.json --kind renyi_limit
+copdep measure --input fit.json --kind renyi_alpha --alpha 0.5
 printf '\n"a","b"\n"1","2"\n"3","5"\n"4","3"\n"2","1"\n' > quoted.csv
 copdep measure --input quoted.csv --resolution 2
 
@@ -67,3 +70,5 @@ printf '{"dims": 1, "resolutions": [2], "resolutions": [2], "mass": [0.5, 0.5]}'
 exits_two measure --input duplicate_resolutions.json
 printf '{"dims": 1, "resolutions": [2], "mass": [0.5, 0.5], "mass": [0.5, 0.5]}' > duplicate_mass.json
 exits_two measure --input duplicate_mass.json
+printf '%s' '{"dims": 1, "resolutions": [2], "resolu\u0074ions": [2], "mass": [0.5, 0.5]}' > escaped_resolutions.json
+exits_two measure --input escaped_resolutions.json

@@ -397,7 +397,11 @@ class TestSerialization:
             ),
             (
                 '{"dims": 1, "d\\u0069ms": 1, "resolutions": [2], "mass": [0.5, 0.5]}',
-                " is not a copula file: a key given more than once",
+                " is not a copula file: key 'dims' given more than once",
+            ),
+            (
+                '{"dims": 1, "resolutions": [2], "resolu\\u0074ions": [2], "mass": [0.5, 0.5]}',
+                " is not a copula file: key 'resolutions' given more than once",
             ),
             (
                 '{"dims": 1, "resolutions": [2], "resolutions": [2], "mass": [0.5, 0.5]}',

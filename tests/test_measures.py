@@ -173,11 +173,28 @@ class TestTauQuadratic:
         with pytest.raises(InvalidArgumentError):
             tau_quadratic(cop, GroupSplit((0,), (1, 2)))
 
-    def test_conditioning_permutation_bit_identical(self, rng):
-        cop = random_copula((4, 4, 4), rng)
+    @pytest.mark.parametrize(
+        "resolutions", [(4, 4, 4), (24, 40, 64), (7, 33, 50)], ids=["4x4x4", "24x40x64", "7x33x50"]
+    )
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            tau_quadratic,
+            lambda c, s: tau_alpha(c, s, 1.0),
+            lambda c, s: tau_alpha(c, s, 3.5),
+            lambda c, s: renyi_alpha(c, s, 0.5),
+            renyi_limit,
+            lambda c, s: generic_measure(c, s, lambda x: x * x * np.abs(x)),
+        ],
+        ids=["tau_quadratic", "tau_alpha_1", "tau_alpha_3.5", "renyi_alpha_0.5", "renyi_limit", "custom_phi"],
+    )
+    def test_conditioning_permutation_bit_identical(self, rng, resolutions, measure):
+        # the larger grids span several walk blocks of _BLOCK_CELLS cells
+        cop = random_copula(resolutions, rng)
         split = GroupSplit((0, 1), (2,))
-        base = tau_quadratic(cop, split).value
-        assert tau_quadratic(cop.permute_axes((1, 0, 2)), split).value == base
+        base = measure(cop, split).value
+        assert measure(cop.permute_axes((1, 0, 2)), split).value == base
+        assert measure(cop, GroupSplit((1, 0), (2,))).value == base
 
     def test_target_reversal_within_tolerance(self, rng):
         data = rng.standard_normal((2000, 3))

@@ -26,6 +26,7 @@ from copdep import (
     make_rng,
     mutual_information,
     pseudo_observations,
+    renyi_alpha,
     renyi_limit,
     tau_alpha,
     tau_quadratic,
@@ -73,8 +74,8 @@ def correlated_1e5x5():
 
 @pytest.mark.parametrize(
     "measure",
-    [tau_quadratic, lambda c, s: tau_alpha(c, s, 1.0), renyi_limit],
-    ids=["tau_quadratic", "tau_alpha_1", "renyi_limit"],
+    [tau_quadratic, lambda c, s: tau_alpha(c, s, 1.0), lambda c, s: renyi_alpha(c, s, 0.5), renyi_limit],
+    ids=["tau_quadratic", "tau_alpha_1", "renyi_alpha_0.5", "renyi_limit"],
 )
 def test_measures_at_32_to_the_5th_hold_no_rows_times_m_array(correlated_1e5x5, measure):
     # 87k occupied conditioning cells times 32 target cells would be 22 MB

@@ -30,7 +30,6 @@ from .generators import (
     assignment_copula,
     generate,
     make_rng,
-    mixture_copula,
     random_copula,
     random_star_pair,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "independence_copula",
     "load_copula",
     "make_rng",
-    "mixture_copula",
     "mutual_information",
     "pseudo_observations",
     "random_copula",

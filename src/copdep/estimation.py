@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, InvalidDataError, _count
-from .grid import CheckerboardCopula, _check_resolutions, _compress, require_valid
+from .grid import CheckerboardCopula, _cell_sums, _check_resolutions, require_valid
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
 MAX_BOX_PARTS = 2**22
@@ -230,18 +230,14 @@ def fit_checkerboard(
     scratch = np.empty((2, n), dtype=np.int64)
     crossing = [_add_axis(first, lo, hi, m, scratch) for (lo, hi), m in zip(pseudo.intervals, res)]
     del scratch
-    if math.prod(res) > 2 * n:
-        cells, mass = np.unique(first, return_counts=True)
-    else:
-        mass = np.bincount(first, minlength=math.prod(res))
-        cells = np.flatnonzero(mass)
-        mass = mass[cells]
+    cells, mass = _cell_sums(first, math.prod(res))
     mass = mass.astype(np.float64)
     if any(rows.size for rows, _, _ in crossing):
         moved, count, parts, shares = _split_boxes(res, n, first, crossing)
         np.subtract.at(mass, np.searchsorted(cells, moved), count)  # they count by their parts
-        cells, at = np.unique(np.concatenate([cells, parts]), return_inverse=True)
-        mass = np.bincount(at, weights=np.concatenate([mass, shares]))
+        cells, mass = _cell_sums(
+            np.concatenate([cells, parts]), math.prod(res), np.concatenate([mass, shares])
+        )
     return require_valid(CheckerboardCopula._from_cells(res, cells, mass / n), "fit_checkerboard")
 
 
@@ -282,13 +278,15 @@ def _split_boxes(res, n: int, first, crossing):
     for j, (rows, _, _) in enumerate(crossing):
         bits[rows] += 1 << j
     rows = np.flatnonzero(bits)
-    firsts, rank = _compress(first[rows], math.prod(res))
-    if firsts.size << d >= 2**63:
-        raise InvalidArgumentError(
-            f"{firsts.size} first cells of split rank boxes on {d} axes overflow an int64 key"
-        )
-    key, count = np.unique((rank << d) + bits[rows], return_counts=True)
-    moved = firsts[key >> d]
+    firsts, numbered = first[rows], None
+    if int(firsts.max()) << d >= 2**63:  # number the first cells in order, so a key fits
+        numbered, firsts = np.unique(firsts, return_inverse=True)
+        if numbered.size << d >= 2**63:
+            raise InvalidArgumentError(
+                f"{numbered.size} first cells of split rank boxes on {d} axes overflow an int64 key"
+            )
+    key, count = _cell_sums((firsts << d) + bits[rows], (int(firsts.max()) + 1) << d)
+    moved = key >> d if numbered is None else numbered[key >> d]
     cell = np.array(np.unravel_index(moved, res))
     out = (key >> np.arange(d)[:, None]) & 1
     start = np.array([np.where(o, s[c], c * n) for (_, s, _), c, o in zip(crossing, cell, out)])
@@ -310,8 +308,7 @@ def _split_boxes(res, n: int, first, crossing):
         overlap = np.minimum(lo + width, (part + 1) * n) - np.maximum(lo, part * n)
         weight = weight[pick] * (overlap / width)
         index = index[pick] * m + part
-    cells, at = np.unique(index, return_inverse=True)
-    return moved, count, cells, np.bincount(at, weights=weight, minlength=cells.size)
+    return moved, count, *_cell_sums(index, math.prod(res), weight)
 
 
 # ----------------------------------------------------------------------

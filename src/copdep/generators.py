@@ -17,8 +17,6 @@ from .grid import (
     CheckerboardCopula,
     _check_resolutions,
     _strides,
-    comonotone_copula,
-    independence_copula,
     require_valid,
 )
 
@@ -141,25 +139,6 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
         return ndtr(z)
     x = rng.uniform(-1.0, 1.0, n_rows)  # square_law, the last tag SynthModel accepts
     return np.column_stack([x, x * x])
-
-
-def mixture_copula(theta: float, resolution: int) -> CheckerboardCopula:
-    """Cellwise blend theta * comonotone + (1 - theta) * independence.
-
-    The quadratic measure of the blend is theta^2 * (1 - 1/m), approaching
-    the continuous-limit value theta^2.
-    """
-    t = _number(theta, "theta")
-    if not 0.0 <= t <= 1.0:
-        raise InvalidArgumentError(f"theta must be in [0, 1], got {t}")
-    diag = comonotone_copula(2, resolution)
-    flat = independence_copula((resolution, resolution))
-    mass = (1.0 - t) * flat.cell_mass  # the independence copula stores every cell
-    mass[diag.cell_index] += t * diag.cell_mass
-    return require_valid(
-        CheckerboardCopula._from_cells(flat.resolutions, flat.cell_index, mass),
-        "mixture_copula",
-    )
 
 
 def random_copula(resolutions, rng: np.random.Generator) -> CheckerboardCopula:

@@ -73,19 +73,26 @@ def _strides(res) -> list[int]:
     return out
 
 
-def _compress(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of ``keys`` (all in [0, bound)) in ascending order, and
-    the position of every key among them.
+def _cell_sums(keys: np.ndarray, bound: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``keys`` (all in [0, bound)) whose sum is not zero, in
+    ascending order, and those sums: per value, its ``weights`` added in
+    array order, or the number of its keys when ``weights`` is None.
 
-    Marks and counts when the key range is at most twice the number of keys,
-    else sorts; both give the same arrays.
+    Adds into ``bound`` dense sums when the key range is at most twice the
+    number of keys, else sorts; both give the same arrays.
     """
-    if bound > 2 * keys.size:
-        return np.unique(keys, return_inverse=True)
-    present = np.zeros(bound, dtype=bool)
-    present[keys] = True
-    rank = np.cumsum(present) - 1
-    return np.flatnonzero(present), rank[keys]
+    if bound <= 2 * keys.size:
+        sums = np.bincount(keys, weights=weights, minlength=bound)
+        keys = np.flatnonzero(sums)
+        return keys, sums[keys]
+    if weights is None:
+        return np.unique(keys, return_counts=True)
+    keys, at = np.unique(keys, return_inverse=True)
+    sums = np.bincount(at, weights=weights)
+    if sums.all():
+        return keys, sums
+    live = np.flatnonzero(sums)
+    return keys[live], sums[live]
 
 
 def _scatter(index: np.ndarray, mass: np.ndarray, size: int) -> np.ndarray:
@@ -215,32 +222,36 @@ class CheckerboardCopula:
     def marginal(self, axes) -> CheckerboardCopula:
         """Marginal copula over ``axes``, kept in the given order.
 
-        Masses over the removed axes are summed per kept cell in the order
+        Masses over the removed axes are summed per kept cell by
+        ``_cell_sums`` in stored order, which within a kept cell is the order
         of the removed axes' own flat index, so the result does not depend
         on where the kept axes sit.
         """
         kept = _check_axes(axes, self.dims)
-        keys, group = _compress(
-            self._key(kept), math.prod(self.resolutions[a] for a in kept)
-        )
-        # bincount adds in stored-cell order, which within a kept cell is
-        # the order of the removed axes' own flat index.
-        sums = np.bincount(group, weights=self.cell_mass, minlength=keys.size)
-        return CheckerboardCopula._from_cells(
-            tuple(self.resolutions[a] for a in kept), keys, sums
-        )
+        res = tuple(self.resolutions[a] for a in kept)
+        keys, sums = _cell_sums(self._key(kept), math.prod(res), self.cell_mass)
+        return CheckerboardCopula._from_cells(res, keys, sums)
 
     def permute_axes(self, permutation) -> CheckerboardCopula:
-        """Relabel axes: new axis ``i`` is old axis ``permutation[i]``."""
+        """Relabel axes: new axis ``i`` is old axis ``permutation[i]``.
+
+        Every stored cell gets its flat index under the new labels.  When
+        every cell is stored each mass is placed at its new index in one
+        pass over the grid; otherwise the stored cells are sorted.
+        """
         perm = _check_axes(permutation, self.dims)
         if len(perm) != self.dims:
             raise InvalidArgumentError(
                 f"{perm} is not a permutation of 0..{self.dims - 1}"
             )
-        index = self._key(perm)
-        order = np.argsort(index)
+        index, size = self._key(perm), math.prod(self.resolutions)
+        if index.size == size:
+            index, mass = np.arange(size), _scatter(index, self.cell_mass, size)
+        else:
+            order = np.argsort(index)
+            index, mass = index[order], self.cell_mass[order]
         return CheckerboardCopula._from_cells(
-            tuple(self.resolutions[a] for a in perm), index[order], self.cell_mass[order]
+            tuple(self.resolutions[a] for a in perm), index, mass
         )
 
     def validate(self) -> ValidationReport:

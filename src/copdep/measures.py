@@ -7,26 +7,28 @@ mass profile along the target axes divided by the cell's weight, so every
 integral over the conditioning block becomes an exact finite sum over cells.
 Only conditioning cells that carry mass enter.
 
-One walk, ``_target_walk``, feeds every split measure: it groups the stored
-cells by conditioning cell, drops zero-weight cells and yields each block's
-weights, stored target cells and cumulative masses.  For one target axis
-the conditional CDF along a conditioning cell is piecewise linear, with at
-most 2k + 1 pieces for k stored cells, constant over the runs of empty
-cells between them; tau_quadratic integrates (F - v)^2 over each piece in
-closed form, so its work scales with the stored cells.  The other kinds
-take the walk in blocks of about ``_BLOCK_CELLS`` dense cells.  The rule
-kinds read CDF rows off it and integrate every target cell with one
-16-point Gauss-Legendre rule, through one helper, ``_gauss_cells``: it
-builds the integrand's argument at the nodes once per block, in one array
-that the kind works on in place (F - v for tau_alpha and single-target
-custom_phi, F / v for the entropy family).
+One walk, ``_target_walk``, feeds every split measure: it relabels a split
+whose axes are out of order once, through ``permute_axes``, groups the
+stored cells by conditioning cell, drops zero-weight cells and yields each
+block's weights, stored target cells and cumulative masses.  For one
+target axis the conditional CDF along a conditioning cell is piecewise
+linear, with at most 2k + 1 pieces for k stored cells, constant over the
+runs of empty cells between them; tau_quadratic integrates (F - v)^2 over
+each piece in closed form, so its work scales with the stored cells, and
+its blocks hold about ``_BLOCK_CELLS`` stored cells.  The other kinds build
+dense rows over all target cells, so their blocks hold about that many
+dense cells.  The rule kinds read CDF rows off the walk and integrate
+every target cell with one 16-point Gauss-Legendre rule, through one
+helper, ``_gauss_cells``: it builds the integrand's argument at the nodes
+once per block, in one array that the kind works on in place (F - v for
+tau_alpha and single-target custom_phi, F / v for the entropy family).
 The entropy family replaces the rule by closed forms where it would not be
 exact to rounding: cells where the integrand is constant, and cells whose
 conditional CDF vanishes within half a cell below them (Gauss-Jacobi in the
 ratio variable for the power kind, a dilogarithm for x log x).
 
-The group kinds scatter the walk's masses into dense rows and work at target
-cell centers.  One helper, ``_at_centers``, gives the mass below every
+The group kinds scatter the walk's masses into their dense rows and work at
+target cell centers.  One helper, ``_at_centers``, gives the mass below every
 center for rows of target-cell masses: the conditional CDF of each
 conditioning row, and the target-marginal CDF, which is the reference for
 the group gap and places the knots of the Kendall distribution behind the
@@ -67,7 +69,6 @@ from .grid import (
     VALIDITY_TOL,
     CheckerboardCopula,
     GroupSplit,
-    _scatter,
     _strides,
 )
 
@@ -177,18 +178,24 @@ def _single_target(copula: CheckerboardCopula, split: GroupSplit) -> int:
     return copula.resolutions[split.v_axes[0]]
 
 
-def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
+def _target_walk(copula: CheckerboardCopula, split: GroupSplit, dense: bool = False):
     """The conditioning cells that carry mass, each walked over its stored
     target cells only, with no array of conditioning cells times m, the
     target cells numbered row-major over the target axes in split order.
-    The split must cover the copula.
+    The split must cover the copula; one whose axes are out of order is
+    relabelled once, through ``permute_axes``, so that every stored cell's
+    flat index is its conditioning key times m plus its target number.
 
     Yields ``(w, cells, edges, t)`` per block of conditioning cells that hold
     the same number k of stored cells, one column per conditioning cell:
     their weights; the masses of their stored cells, shape (k, columns);
     the cumulative masses divided by the weight, shape (k + 1, columns), 0
     first; and the target numbers of those cells in ascending order, shape
-    (k, columns), or (k, 1) when they are the same in every column.
+    (k, columns), or (k, 1) when they are the same in every column.  A block
+    holds about ``_BLOCK_CELLS`` stored cells, or with ``dense`` about that
+    many cells of the columns' dense rows over all m target cells, for the
+    kinds that build those rows: the walk's own work runs on the larger
+    blocks, which are then cut.
 
     For a single target axis ``edges`` is the conditional CDF at the edges
     of the stored cells, and along a column F is piecewise linear with at
@@ -201,23 +208,19 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
     order, so it adds in sequence like the cumulative sum of its dense row.
     A column's weight is its last sum, so F reaches 1 exactly.
     """
-    m = math.prod(copula.resolutions[a] for a in split.v_axes)
-    n_u = math.prod(copula.resolutions[a] for a in split.u_axes)
-    in_order = split.u_axes + split.v_axes == tuple(range(copula.dims))
-    flat = copula._key(split.u_axes + split.v_axes)  # conditioning key * m + t
-    mass = copula.cell_mass
-    if flat.size == n_u * m:
+    order = split.u_axes + split.v_axes
+    if order != tuple(range(copula.dims)):
+        copula = copula.permute_axes(order)
+    m = math.prod(copula.resolutions[len(split.u_axes) :])
+    flat, mass = copula.cell_index, copula.cell_mass
+    if flat.size == math.prod(copula.resolutions):
         # Every cell is stored: in split order the masses are the matrix.
-        if not in_order:
-            mass = _scatter(flat, mass, flat.size)
-        cells, t = mass.reshape(n_u, m).T, np.arange(m)[:, None]
+        cells, t = mass.reshape(-1, m).T, np.arange(m)[:, None]
         step = max(1, _BLOCK_CELLS // m)
-        blocks = ((cells[:, lo : lo + step], t) for lo in range(0, n_u, step))
+        blocks = ((cells[:, lo : lo + step], t) for lo in range(0, cells.shape[1], step))
     else:
-        if not in_order:
-            order = np.argsort(flat)
-            flat, mass = flat[order], mass[order]
         blocks = _blocks_by_length(flat, mass, m)
+    width = max(1, _BLOCK_CELLS // m) if dense else _BLOCK_CELLS
     for block, t in blocks:
         edges = np.zeros((block.shape[0] + 1, block.shape[1]))
         np.cumsum(block, axis=0, out=edges[1:])
@@ -227,7 +230,9 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit):
             t = np.broadcast_to(t, block.shape)[:, live]
             w, block, edges = w[live], block[:, live], edges[:, live]
         edges[1:] /= w
-        yield w, block, edges, t
+        for lo in range(0, w.size, width):
+            cut = slice(lo, lo + width)
+            yield w[cut], block[:, cut], edges[:, cut], t if t.shape[1] == 1 else t[:, cut]
 
 
 def _blocks_by_length(flat: np.ndarray, mass: np.ndarray, m: int):
@@ -248,17 +253,6 @@ def _blocks_by_length(flat: np.ndarray, mass: np.ndarray, m: int):
         for lo in range(first, stop, step):
             at = np.arange(k)[:, None] + starts[lo : min(lo + step, stop)]
             yield mass[at], t[at]
-
-
-def _dense_walk(copula: CheckerboardCopula, split: GroupSplit):
-    """The walk in blocks of at most about ``_BLOCK_CELLS`` / m conditioning
-    cells, so that their dense rows over all m target cells stay small.  An
-    array of one column passes whole: it holds target numbers shared by every
-    column, or the block has one column."""
-    step = max(1, _BLOCK_CELLS // math.prod(copula.resolutions[a] for a in split.v_axes))
-    for block in _target_walk(copula, split):
-        for lo in range(0, block[0].size, step):
-            yield tuple(x if x.shape[-1] == 1 else x[..., lo : lo + step] for x in block)
 
 
 def _row_terms(blocks, per_row) -> np.ndarray:
@@ -284,18 +278,25 @@ def _rule_terms(copula: CheckerboardCopula, split: GroupSplit, cells) -> np.ndar
             f = f.ravel().repeat(spans.T.ravel()).reshape(-1, m + 1)
         return cells(f[:, :-1], f[:, 1:]).sum(axis=1)
 
-    return _row_terms(_dense_walk(copula, split), per_row)
+    return _row_terms(_target_walk(copula, split, dense=True), per_row)
 
 
 @lru_cache(maxsize=16)
 def _unit_nodes(power: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights on [0, 1] for the weight t**power.
 
-    Power 0 is the Gauss-Legendre rule.
+    Power 0, the Gauss-Legendre rule, comes from numpy, so tau_alpha and
+    custom_phi do not import scipy; the Gauss-Jacobi near cells of
+    renyi_alpha take their nodes from scipy.
     """
-    from scipy.special import roots_jacobi
+    if power == 0.0:
+        from numpy.polynomial.legendre import leggauss
 
-    x, wt = roots_jacobi(_GAUSS_ORDER, 0.0, power)
+        x, wt = leggauss(_GAUSS_ORDER)
+    else:
+        from scipy.special import roots_jacobi
+
+        x, wt = roots_jacobi(_GAUSS_ORDER, 0.0, power)
     nodes = (x + 1.0) / 2.0
     weights = wt / 2.0 ** (power + 1.0)
     nodes.setflags(write=False)
@@ -715,7 +716,7 @@ def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, phi) -> tuple:
         rows[np.arange(w.size), t] = masses
         return (phi(_at_centers(rows, v_res) / w[:, None] - reference) * target_w).sum(axis=1)
 
-    return _row_terms(_dense_walk(copula, split), per_row), target_w, reference
+    return _row_terms(_target_walk(copula, split, dense=True), per_row), target_w, reference
 
 
 def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

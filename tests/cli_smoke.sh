@@ -1,11 +1,13 @@
 #!/bin/sh
 # Runs the copdep command line end to end, in a scratch directory it removes
 # afterwards: every verify suite, synth, estimate and measure on a CSV (a
-# quoted, blank-led file included) and on a saved copula file (the entropy
-# kinds among them), and invalid calls that must exit 2 (a NaN token, a file
-# nested 200,000 levels deep, an unknown key, a nested mass, a boolean among
-# the masses, and dims, resolutions or mass given twice, once with the second
-# resolutions spelled with an escape).
+# quoted, blank-led file included, and target columns that precede a
+# conditioning column, so the split is relabelled, for tau_alpha on its
+# Gauss-Legendre nodes and for group_tau) and on a saved copula file (the
+# entropy kinds among them), and invalid calls that must exit 2 (a NaN
+# token, a file nested 200,000 levels deep, an unknown key, a nested mass, a
+# boolean among the masses, and dims, resolutions or mass given twice, once
+# with the second resolutions spelled with an escape).
 #
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
@@ -37,6 +39,8 @@ copdep estimate --input sample.csv --output fit.json
 copdep measure --input sample.csv --kind tau_quadratic
 copdep measure --input sample.csv --v-cols x0
 copdep measure --input sample.csv --v-cols x1,y --kind group_tau_normalized
+copdep measure --input sample.csv --v-cols x0 --kind tau_alpha --alpha 1
+copdep measure --input sample.csv --v-cols x0,y --kind group_tau
 copdep measure --input fit.json --kind tau_quadratic
 copdep measure --input fit.json --kind renyi_limit
 copdep measure --input fit.json --kind renyi_alpha --alpha 0.5

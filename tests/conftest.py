@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from copdep import make_rng
+from copdep import CheckerboardCopula, comonotone_copula, independence_copula, make_rng
+
+
+def blend(theta, m):
+    """The cellwise blend theta * comonotone + (1 - theta) * independence on
+    an m x m grid; its quadratic measure is theta^2 * (1 - 1/m)."""
+    mass = theta * comonotone_copula(2, m).mass + (1.0 - theta) * independence_copula((m, m)).mass
+    return CheckerboardCopula((m, m), mass)
 
 
 def dense_rebalance(resolutions, grid, sweeps=1000, tol=1e-10):

@@ -23,7 +23,6 @@ from copdep import (
     identity_coupling,
     independence_copula,
     make_rng,
-    mixture_copula,
     mutual_information,
     pseudo_observations,
     random_copula,
@@ -33,6 +32,7 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
+from conftest import blend
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -106,7 +106,7 @@ def test_criterion_5_data_processing_inequality():
             worst_eq = max(worst_eq, abs(rep.tau_chain - rep.tau_direct))
     for theta in (0.3, 0.8):
         rep = dpi_report(
-            identity_coupling(1, 8), mixture_copula(theta, 8), 1, MeasureKind("tau_quadratic")
+            identity_coupling(1, 8), blend(theta, 8), 1, MeasureKind("tau_quadratic")
         )
         worst_eq = max(worst_eq, abs(rep.tau_chain - rep.tau_direct))
     ok = ok and worst_eq <= 1e-12

@@ -580,6 +580,10 @@ def test_import_and_tau_measure_leave_scipy_unloaded(tmp_path):
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'measure --kind tau_quadratic loaded scipy'\n"
         "assert 'orjson' not in sys.modules, 'measuring a CSV loaded orjson'\n"
+        f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'tau_alpha',"
+        " '--alpha', '1', '--resolution', '4'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'measure --kind tau_alpha loaded scipy'\n"
         f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'renyi_limit',"
         " '--resolution', '4'])\n"
         "assert code == 0, code\n"

@@ -35,7 +35,6 @@ from copdep import (
     independence_copula,
     load_copula,
     make_rng,
-    mixture_copula,
     pseudo_observations,
     random_star_pair,
     star,
@@ -51,7 +50,7 @@ PUBLIC_NAMES = [
     "choose_resolution", "comonotone_copula", "compute_measure", "conditional_cdf", "dpi_report",
     "equitability_suite", "fit_checkerboard", "generate", "generic_measure", "group_tau",
     "group_tau_normalized", "identity_coupling", "independence_copula", "load_copula", "make_rng",
-    "mixture_copula", "mutual_information", "pseudo_observations", "random_copula",
+    "mutual_information", "pseudo_observations", "random_copula",
     "random_star_pair", "read_csv", "renyi_alpha", "renyi_limit", "require_valid", "save_copula",
     "star", "tau_alpha", "tau_quadratic",
 ]
@@ -67,7 +66,6 @@ COPULA = independence_copula((2, 3, 4))
 SINGLE, GROUP = GroupSplit((0, 1), (2,)), GroupSplit((0,), (1, 2))
 
 NON_NUMBER_ARGUMENTS = {
-    "mixture_copula theta": lambda: mixture_copula("x", 4),
     "ResolutionPolicy fixed_m": lambda: ResolutionPolicy(mode="fixed", fixed_m="x"),
     "ResolutionPolicy max_m": lambda: ResolutionPolicy(max_m="x"),
     "SynthModel theta": lambda: SynthModel(tag="mixture", theta="x"),
@@ -212,10 +210,6 @@ AXIS_ARGUMENTS = {
     "SynthModel negative sigma": (
         lambda: SynthModel(tag="functional", sigma=-0.5),
         lambda: SynthModel(tag="functional", sigma=np.int64(0)),
-    ),
-    "mixture_copula theta above 1": (
-        lambda: mixture_copula(1.5, 4),
-        lambda: mixture_copula(np.int64(1), np.int32(4)),
     ),
     "independence_copula no resolutions": (
         lambda: independence_copula(()),

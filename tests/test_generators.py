@@ -6,12 +6,9 @@ from copdep import (
     InsufficientDataError,
     InvalidArgumentError,
     SynthModel,
-    comonotone_copula,
     fit_checkerboard,
     generate,
-    independence_copula,
     make_rng,
-    mixture_copula,
     pseudo_observations,
     random_copula,
     random_star_pair,
@@ -120,18 +117,6 @@ class TestModels:
         fields = {"theta": 0.5} if tag == "mixture" else {}
         with pytest.raises(InvalidArgumentError, match=f"^{field} does not apply to the {tag} "):
             SynthModel(tag=tag, **fields, **{field: value})
-
-
-class TestMixtureCopula:
-    def test_theta_zero_is_independence(self):
-        assert np.array_equal(mixture_copula(0.0, 8).mass, independence_copula((8, 8)).mass)
-
-    def test_theta_one_is_comonotone(self):
-        assert np.array_equal(mixture_copula(1.0, 8).mass, comonotone_copula(2, 8).mass)
-
-    def test_intermediate_value(self):
-        val = tau_quadratic(mixture_copula(0.5, 64), PAIR).value
-        assert abs(val - 0.25) < 0.01
 
 
 class TestRandomCopulas:

@@ -16,11 +16,13 @@ from copdep import (
     generate,
     independence_copula,
     load_copula,
+    make_rng,
     pseudo_observations,
     random_copula,
     require_valid,
     save_copula,
 )
+from copdep.grid import _cell_sums
 
 
 def brute_force_cdf(copula, points):
@@ -187,6 +189,26 @@ class TestMarginal:
     def test_empty_axes_rejected(self, rng):
         with pytest.raises(InvalidArgumentError):
             random_copula((2, 2), rng).marginal(())
+
+
+@pytest.mark.parametrize("bound", [12, 40, 41, 10**12])
+@pytest.mark.parametrize("weighted", [False, True], ids=["counts", "weights"])
+def test_cell_sums_match_a_loop_on_both_paths(bound, weighted):
+    # 20 keys: a bound up to 40 adds into dense sums, a larger one sorts.
+    # Key 3's two weights cancel, so it is left out of the weighted sums.
+    keys = np.array([3, 7, 3, 0, 11, 7, 5, 5, 9, 1, 11, 11, 0, 6, 2, 8, 10, 4, 7, 6])
+    keys *= bound // 12
+    weights = make_rng(5).standard_normal(keys.size)
+    weights[2] = -weights[0]
+    want = {}
+    for key, weight in zip(keys.tolist(), weights.tolist() if weighted else [1] * keys.size):
+        want[key] = want.get(key, 0) + weight
+    want = {key: total for key, total in sorted(want.items()) if total != 0}
+    got_keys, got_sums = _cell_sums(keys, bound, weights if weighted else None)
+    assert got_keys.tolist() == list(want)
+    assert got_sums.tolist() == list(want.values())
+    assert got_keys.dtype == np.int64
+    assert got_sums.dtype == (np.float64 if weighted else np.int64)
 
 
 class TestAxisOps:

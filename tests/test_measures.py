@@ -23,7 +23,6 @@ from copdep import (
     group_tau_normalized,
     independence_copula,
     make_rng,
-    mixture_copula,
     mutual_information,
     pseudo_observations,
     random_copula,
@@ -32,6 +31,7 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
+from conftest import blend
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -128,13 +128,13 @@ class TestTauQuadratic:
         # the measure is theta^2 times the comonotone value
         for theta in (0.25, 0.5, 0.75):
             for m in (16, 64):
-                val = tau_quadratic(mixture_copula(theta, m), PAIR).value
+                val = tau_quadratic(blend(theta, m), PAIR).value
                 assert val == pytest.approx(theta**2 * (1.0 - 1.0 / m), abs=1e-12)
-        val = tau_quadratic(mixture_copula(0.5, 64), PAIR).value
+        val = tau_quadratic(blend(0.5, 64), PAIR).value
         assert abs(val - 0.25) < 0.01
 
     def test_mixture_matches_riemann_oracle(self):
-        cop = mixture_copula(0.6, 8)
+        cop = blend(0.6, 8)
         assert tau_quadratic(cop, PAIR).value == pytest.approx(
             riemann_tau(cop, PAIR), abs=1e-5
         )
@@ -195,6 +195,39 @@ class TestTauQuadratic:
         base = measure(cop, split).value
         assert measure(cop.permute_axes((1, 0, 2)), split).value == base
         assert measure(cop, GroupSplit((1, 0), (2,))).value == base
+
+    def test_relabeling_a_tied_sparse_fit_bit_identical(self):
+        # A tied fit at m not dividing N stores few of its cells, so the walk
+        # groups them by length; relabeling must still change no bit, for
+        # every target and conditioning order, in the split or in the grid.
+        z = make_rng(28).standard_normal((2000, 4))
+        z[:, 3] += z[:, 0] - z[:, 1]
+        with pytest.warns(RuntimeWarning, match="tied"):
+            cop = fit_checkerboard(pseudo_observations(np.round(z * 100)), (13, 16, 9, 17))
+        assert cop.cell_index.size < math.prod(cop.resolutions) // 10
+        single = [
+            lambda c, s: tau_quadratic(c, s).value,
+            lambda c, s: tau_alpha(c, s, 1.0).value,
+            lambda c, s: tau_alpha(c, s, 3.5).value,
+            lambda c, s: renyi_alpha(c, s, 0.5).value,
+            lambda c, s: renyi_limit(c, s).value,
+            lambda c, s: generic_measure(c, s, lambda x: x * x * np.abs(x)).value,
+        ]
+        groups = [
+            lambda c, s: group_tau(c, s).value,
+            lambda c, s: group_tau(c, s).upper_bound,
+            lambda c, s: averaged_dependence(c, s).value,
+        ]
+        for width, measures in ((1, single), (2, groups)):
+            in_order = GroupSplit(tuple(range(4 - width)), tuple(range(4 - width, 4)))
+            for v_axes in itertools.permutations(range(4), width):
+                u_axes = tuple(a for a in range(4) if a not in v_axes)
+                for measure in measures:
+                    value = measure(cop, GroupSplit(u_axes, v_axes)).hex()
+                    for perm in itertools.permutations(u_axes):
+                        relabeled = cop.permute_axes(perm + v_axes)
+                        assert measure(cop, GroupSplit(perm, v_axes)).hex() == value, (v_axes, perm)
+                        assert measure(relabeled, in_order).hex() == value, (v_axes, perm)
 
     def test_target_reversal_within_tolerance(self, rng):
         data = rng.standard_normal((2000, 3))
@@ -286,8 +319,8 @@ class TestRenyiLimit:
         assert abs(val - 1.0) < 0.05
 
     def test_mixture_strictly_between(self):
-        coarse = renyi_limit(mixture_copula(0.5, 64), PAIR).value
-        fine = renyi_limit(mixture_copula(0.5, 256), PAIR).value
+        coarse = renyi_limit(blend(0.5, 64), PAIR).value
+        fine = renyi_limit(blend(0.5, 256), PAIR).value
         assert 0.05 < fine < 0.95
         assert abs(fine - coarse) < 0.02
 

@@ -13,14 +13,13 @@ from copdep import (
     GroupSplit,
     comonotone_copula,
     group_tau,
-    mixture_copula,
     mutual_information,
     random_copula,
     renyi_alpha,
     renyi_limit,
     tau_alpha,
 )
-from conftest import dense_rebalance
+from conftest import blend, dense_rebalance
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -296,7 +295,7 @@ def entropy_cases(rng):
     for res in ((6, 6), (13, 9), (32, 32)):
         yield f"random {res}", random_copula(res, rng), PAIR
     yield "random (4, 5, 6)", random_copula((4, 5, 6), rng), GroupSplit((1, 0), (2,))
-    yield "mixture 64", mixture_copula(0.5, 64), PAIR
+    yield "mixture 64", blend(0.5, 64), PAIR
     yield "comonotone 64", comonotone_copula(2, 64), PAIR
     yield "empty target runs", _runs_copula(16, rng), PAIR
     yield "3 f0 near f1", _near_boundary_copula(rng), PAIR

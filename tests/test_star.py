@@ -22,6 +22,7 @@ from copdep import (
     tau_quadratic,
     SynthModel,
 )
+from conftest import blend
 
 
 class TestCompatibility:
@@ -77,9 +78,7 @@ class TestStarLaws:
 
     def test_identity_coupling_is_left_identity(self):
         # exact-marginal operand: composing is the identity to 1e-12
-        from copdep import mixture_copula
-
-        b = mixture_copula(0.4, 4)
+        b = blend(0.4, 4)
         out = star(identity_coupling(1, 4), b, 1)
         assert np.abs(out.mass - b.mass).max() < 1e-12
 

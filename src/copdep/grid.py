@@ -95,13 +95,6 @@ def _cell_sums(keys: np.ndarray, bound: int, weights=None) -> tuple[np.ndarray, 
     return keys[live], sums[live]
 
 
-def _scatter(index: np.ndarray, mass: np.ndarray, size: int) -> np.ndarray:
-    """Dense array of ``size`` cells holding ``mass`` at ``index``, zero elsewhere."""
-    out = np.zeros(size)
-    out[index] = mass
-    return out
-
-
 @dataclass(frozen=True, eq=False, repr=False, init=False)
 class CheckerboardCopula:
     """Immutable mass grid over the unit cube, stored as its nonzero cells.
@@ -175,14 +168,16 @@ class CheckerboardCopula:
 
     @property
     def mass(self) -> np.ndarray:
-        """Dense flat mass array, row-major; a new read-only copy on each access."""
+        """Dense flat mass array, row-major, zero at every cell not stored; a
+        new read-only array on each access.  ``star`` and JSON output read it."""
         size = math.prod(self.resolutions)
         try:
-            out = _scatter(self.cell_index, self.cell_mass, size)
+            out = np.zeros(size)
         except MemoryError as exc:
             raise InvalidArgumentError(
                 f"grid {self.resolutions} has {size} cells, too many for a dense mass array"
             ) from exc
+        out[self.cell_index] = self.cell_mass
         out.setflags(write=False)
         return out
 
@@ -235,23 +230,18 @@ class CheckerboardCopula:
     def permute_axes(self, permutation) -> CheckerboardCopula:
         """Relabel axes: new axis ``i`` is old axis ``permutation[i]``.
 
-        Every stored cell gets its flat index under the new labels.  When
-        every cell is stored each mass is placed at its new index in one
-        pass over the grid; otherwise the stored cells are sorted.
+        Every stored cell gets its flat index under the new labels, and the
+        stored cells are sorted by it.
         """
         perm = _check_axes(permutation, self.dims)
         if len(perm) != self.dims:
             raise InvalidArgumentError(
                 f"{perm} is not a permutation of 0..{self.dims - 1}"
             )
-        index, size = self._key(perm), math.prod(self.resolutions)
-        if index.size == size:
-            index, mass = np.arange(size), _scatter(index, self.cell_mass, size)
-        else:
-            order = np.argsort(index)
-            index, mass = index[order], self.cell_mass[order]
+        index = self._key(perm)
+        order = np.argsort(index)
         return CheckerboardCopula._from_cells(
-            tuple(self.resolutions[a] for a in perm), index, mass
+            tuple(self.resolutions[a] for a in perm), index[order], self.cell_mass[order]
         )
 
     def validate(self) -> ValidationReport:

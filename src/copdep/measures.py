@@ -7,25 +7,26 @@ mass profile along the target axes divided by the cell's weight, so every
 integral over the conditioning block becomes an exact finite sum over cells.
 Only conditioning cells that carry mass enter.
 
-One walk, ``_target_walk``, feeds every split measure: it relabels a split
-whose axes are out of order once, through ``permute_axes``, groups the
-stored cells by conditioning cell, drops zero-weight cells and yields each
-block's weights, stored target cells and cumulative masses.  For one
-target axis the conditional CDF along a conditioning cell is piecewise
-linear, with at most 2k + 1 pieces for k stored cells, constant over the
-runs of empty cells between them; tau_quadratic integrates (F - v)^2 over
-each piece in closed form, so its work scales with the stored cells, and
-its blocks hold about ``_BLOCK_CELLS`` stored cells.  The other kinds build
-dense rows over all target cells, so their blocks hold about that many
-dense cells.  The rule kinds read CDF rows off the walk and integrate
-every target cell with one 16-point Gauss-Legendre rule, through one
-helper, ``_gauss_cells``: it builds the integrand's argument at the nodes
-once per block, in one array that the kind works on in place (F - v for
-tau_alpha and single-target custom_phi, F / v for the entropy family).
-The entropy family replaces the rule by closed forms where it would not be
-exact to rounding: cells where the integrand is constant, and cells whose
-conditional CDF vanishes within half a cell below them (Gauss-Jacobi in the
-ratio variable for the power kind, a dilogarithm for x log x).
+One walk, ``_target_walk``, feeds every split measure: it reads a complete
+grid's masses in split order, relabels a sparser grid whose split is out of
+order once, through ``permute_axes``, groups the stored cells by
+conditioning cell, drops zero-weight cells and yields each block's weights,
+stored target cells and cumulative masses.  For one target axis the
+conditional CDF along a conditioning cell is piecewise linear, with at most
+2k + 1 pieces for k stored cells, constant over the runs of empty cells
+between them; tau_quadratic integrates (F - v)^2 over each piece in closed
+form, so its work scales with the stored cells, and its blocks hold about
+``_BLOCK_CELLS`` stored cells.  The other kinds build dense rows over all
+target cells, so their blocks hold about that many dense cells.  The rule
+kinds read CDF rows off the walk and integrate every target cell with one
+16-point Gauss-Legendre rule, through one helper, ``_gauss_cells``: it
+builds the integrand's argument at the nodes once per block, in one array
+that the kind works on in place (F - v for tau_alpha and single-target
+custom_phi, F / v for the entropy family).  The entropy family replaces the
+rule by closed forms where it would not be exact to rounding: cells where
+the integrand is constant, and cells whose conditional CDF vanishes within
+half a cell below them (Gauss-Jacobi in the ratio variable for the power
+kind, a dilogarithm for x log x).
 
 The group kinds scatter the walk's masses into their dense rows and work at
 target cell centers.  One helper, ``_at_centers``, gives the mass below every
@@ -182,9 +183,11 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit, dense: bool = Fa
     """The conditioning cells that carry mass, each walked over its stored
     target cells only, with no array of conditioning cells times m, the
     target cells numbered row-major over the target axes in split order.
-    The split must cover the copula; one whose axes are out of order is
-    relabelled once, through ``permute_axes``, so that every stored cell's
-    flat index is its conditioning key times m plus its target number.
+    The split must cover the copula.  A complete grid, which stores every
+    cell, is read in split order as its masses transposed; a sparser one
+    whose axes are out of order is relabelled once, through
+    ``permute_axes``, so that every stored cell's flat index is its
+    conditioning key times m plus its target number.
 
     Yields ``(w, cells, edges, t)`` per block of conditioning cells that hold
     the same number k of stored cells, one column per conditioning cell:
@@ -209,17 +212,17 @@ def _target_walk(copula: CheckerboardCopula, split: GroupSplit, dense: bool = Fa
     A column's weight is its last sum, so F reaches 1 exactly.
     """
     order = split.u_axes + split.v_axes
-    if order != tuple(range(copula.dims)):
-        copula = copula.permute_axes(order)
-    m = math.prod(copula.resolutions[len(split.u_axes) :])
-    flat, mass = copula.cell_index, copula.cell_mass
-    if flat.size == math.prod(copula.resolutions):
-        # Every cell is stored: in split order the masses are the matrix.
-        cells, t = mass.reshape(-1, m).T, np.arange(m)[:, None]
-        step = max(1, _BLOCK_CELLS // m)
+    m = math.prod(copula.resolutions[a] for a in split.v_axes)
+    if copula.cell_index.size == math.prod(copula.resolutions):
+        # Every cell is stored, so the masses are the dense grid: read in
+        # split order they are the matrix, a view when the axes merge.
+        cells = copula.cell_mass.reshape(copula.resolutions).transpose(order).reshape(-1, m).T
+        t, step = np.arange(m)[:, None], max(1, _BLOCK_CELLS // m)
         blocks = ((cells[:, lo : lo + step], t) for lo in range(0, cells.shape[1], step))
     else:
-        blocks = _blocks_by_length(flat, mass, m)
+        if order != tuple(range(copula.dims)):
+            copula = copula.permute_axes(order)
+        blocks = _blocks_by_length(copula.cell_index, copula.cell_mass, m)
     width = max(1, _BLOCK_CELLS // m) if dense else _BLOCK_CELLS
     for block, t in blocks:
         edges = np.zeros((block.shape[0] + 1, block.shape[1]))

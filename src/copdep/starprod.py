@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IncompatibleOperandsError, InvalidArgumentError, _count
 from .estimation import _sample_matrix, fit_checkerboard, pseudo_observations
-from .grid import CheckerboardCopula, GroupSplit, _check_axes, _scatter, require_valid
+from .grid import CheckerboardCopula, GroupSplit, _check_axes, require_valid
 from .measures import MeasureKind, compute_measure
 
 #: Slack for the data-processing inequality check.
@@ -63,11 +63,8 @@ def star(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> CheckerboardCo
             f"operands disagree on the coupling marginal by up to {discrepancy:.3e};"
             f" star needs less than {COUPLING_TOL:g}"
         )
-    n_u = math.prod(a.resolutions[:n])
-    n_s = math.prod(a.resolutions[n:])
-    n_v = math.prod(b.resolutions[n:])
-    a2 = _scatter(a.cell_index, a.cell_mass, n_u * n_s).reshape(n_u, n_s)
-    b2 = _scatter(b.cell_index, b.cell_mass, n_s * n_v).reshape(n_s, n_v)
+    a2 = a.mass.reshape(math.prod(a.resolutions[:n]), -1)
+    b2 = b.mass.reshape(a2.shape[1], -1)
     weights = b2.sum(axis=1)
     cond_b = np.divide(
         b2,

@@ -3,11 +3,13 @@
 # afterwards: every verify suite, synth, estimate and measure on a CSV (a
 # quoted, blank-led file included, and target columns that precede a
 # conditioning column, so the split is relabelled, for tau_alpha on its
-# Gauss-Legendre nodes and for group_tau) and on a saved copula file (the
-# entropy kinds among them), and invalid calls that must exit 2 (a NaN
-# token, a file nested 200,000 levels deep, an unknown key, a nested mass, a
-# boolean among the masses, and dims, resolutions or mass given twice, once
-# with the second resolutions spelled with an escape).
+# Gauss-Legendre nodes and for group_tau) and on saved copula files (the
+# entropy kinds among them, and a 4^3 fit that stores every cell, measured on
+# splits out of axis order, which the walk reads as a transposed view of its
+# masses), and invalid calls that must exit 2 (a NaN token, a file nested
+# 200,000 levels deep, an unknown key, a nested mass, a boolean among the
+# masses, and dims, resolutions or mass given twice, once with the second
+# resolutions spelled with an escape).
 #
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
@@ -44,6 +46,9 @@ copdep measure --input sample.csv --v-cols x0,y --kind group_tau
 copdep measure --input fit.json --kind tau_quadratic
 copdep measure --input fit.json --kind renyi_limit
 copdep measure --input fit.json --kind renyi_alpha --alpha 0.5
+copdep estimate --input sample.csv --output fit4.json --resolution 4
+copdep measure --input fit4.json --v-cols 1 --kind tau_alpha --alpha 1
+copdep measure --input fit4.json --v-cols 0,1 --kind group_tau
 printf '\n"a","b"\n"1","2"\n"3","5"\n"4","3"\n"2","1"\n' > quoted.csv
 copdep measure --input quoted.csv --resolution 2
 

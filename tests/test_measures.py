@@ -56,6 +56,35 @@ def riemann_tau(copula, split, n_points=10_000):
     return 6.0 * total
 
 
+def assert_relabeling_bit_identical(cop):
+    """Every single-target and group kind on every target of the 4-axis
+    ``cop``, in every conditioning order, in the split and through
+    ``permute_axes``, gives the bits of the split with sorted conditioning axes."""
+    single = [
+        lambda c, s: tau_quadratic(c, s).value,
+        lambda c, s: tau_alpha(c, s, 1.0).value,
+        lambda c, s: tau_alpha(c, s, 3.5).value,
+        lambda c, s: renyi_alpha(c, s, 0.5).value,
+        lambda c, s: renyi_limit(c, s).value,
+        lambda c, s: generic_measure(c, s, lambda x: x * x * np.abs(x)).value,
+    ]
+    groups = [
+        lambda c, s: group_tau(c, s).value,
+        lambda c, s: group_tau(c, s).upper_bound,
+        lambda c, s: averaged_dependence(c, s).value,
+    ]
+    for width, measures in ((1, single), (2, groups)):
+        in_order = GroupSplit(tuple(range(4 - width)), tuple(range(4 - width, 4)))
+        for v_axes in itertools.permutations(range(4), width):
+            u_axes = tuple(a for a in range(4) if a not in v_axes)
+            for measure in measures:
+                value = measure(cop, GroupSplit(u_axes, v_axes)).hex()
+                for perm in itertools.permutations(u_axes):
+                    relabeled = cop.permute_axes(perm + v_axes)
+                    assert measure(cop, GroupSplit(perm, v_axes)).hex() == value, (v_axes, perm)
+                    assert measure(relabeled, in_order).hex() == value, (v_axes, perm)
+
+
 class TestConditionalCdf:
     def test_product_copula_gives_v(self):
         cop = independence_copula((4, 4, 8))
@@ -205,29 +234,14 @@ class TestTauQuadratic:
         with pytest.warns(RuntimeWarning, match="tied"):
             cop = fit_checkerboard(pseudo_observations(np.round(z * 100)), (13, 16, 9, 17))
         assert cop.cell_index.size < math.prod(cop.resolutions) // 10
-        single = [
-            lambda c, s: tau_quadratic(c, s).value,
-            lambda c, s: tau_alpha(c, s, 1.0).value,
-            lambda c, s: tau_alpha(c, s, 3.5).value,
-            lambda c, s: renyi_alpha(c, s, 0.5).value,
-            lambda c, s: renyi_limit(c, s).value,
-            lambda c, s: generic_measure(c, s, lambda x: x * x * np.abs(x)).value,
-        ]
-        groups = [
-            lambda c, s: group_tau(c, s).value,
-            lambda c, s: group_tau(c, s).upper_bound,
-            lambda c, s: averaged_dependence(c, s).value,
-        ]
-        for width, measures in ((1, single), (2, groups)):
-            in_order = GroupSplit(tuple(range(4 - width)), tuple(range(4 - width, 4)))
-            for v_axes in itertools.permutations(range(4), width):
-                u_axes = tuple(a for a in range(4) if a not in v_axes)
-                for measure in measures:
-                    value = measure(cop, GroupSplit(u_axes, v_axes)).hex()
-                    for perm in itertools.permutations(u_axes):
-                        relabeled = cop.permute_axes(perm + v_axes)
-                        assert measure(cop, GroupSplit(perm, v_axes)).hex() == value, (v_axes, perm)
-                        assert measure(relabeled, in_order).hex() == value, (v_axes, perm)
+        assert_relabeling_bit_identical(cop)
+
+    def test_relabeling_a_complete_grid_bit_identical(self, rng):
+        # A grid that stores every cell is read in split order as a view of
+        # its masses; that must agree bit for bit with relabeling the grid.
+        cop = random_copula((3, 5, 4, 6), rng)
+        assert cop.cell_index.size == math.prod(cop.resolutions)
+        assert_relabeling_bit_identical(cop)
 
     def test_target_reversal_within_tolerance(self, rng):
         data = rng.standard_normal((2000, 3))

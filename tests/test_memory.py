@@ -9,7 +9,9 @@ column whatever the ties.  The CLI copies the sample into that buffer and
 drops it before sorting, so it never holds the sample, its ranks and a sort
 order at once: reading and ranking peak at about twice the sample.  A CSV
 that ``np.loadtxt`` refuses is read on row by row into one float buffer,
-never holding the file's rows as strings.
+never holding the file's rows as strings.  A grid that stores every cell
+is measured on a split in any axis order from at most one more copy of its
+masses, never through a relabelled copula.
 """
 
 import tracemalloc
@@ -33,6 +35,7 @@ from copdep import (
 )
 from copdep.cli import main
 from copdep.estimation import read_csv
+from copdep.generators import random_copula
 
 MB = 2**20
 
@@ -106,6 +109,35 @@ def test_group_tau_holds_no_rows_times_target_cells_array(correlated_1e5x5):
 
     assert peak_bytes(work) < 8 * MB
     assert 0.0 < result["report"].value < result["report"].upper_bound
+
+
+@pytest.fixture(scope="module")
+def complete_64_cubed():
+    return random_copula((64, 64, 64), make_rng(29))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [tau_quadratic, lambda c, s: tau_alpha(c, s, 1.0)],
+    ids=["tau_quadratic", "tau_alpha_1"],
+)
+@pytest.mark.parametrize("u_axes, v_axis", [((2, 0), 1), ((1, 2), 0)], ids=["20_1", "12_0"])
+def test_out_of_order_split_of_a_complete_grid_holds_one_copy(
+    complete_64_cubed, measure, u_axes, v_axis
+):
+    # The masses in split order are a transposed view of the grid, copied
+    # once where the axes do not merge; a relabelled copula held ~4 copies.
+    copula = complete_64_cubed
+    split = GroupSplit(u_axes, (v_axis,))
+    # imports and caches fill outside the traced run
+    measure(independence_copula((2, 2, 2)), GroupSplit((2, 0), (1,)))
+    result = {}
+
+    def work():
+        result["value"] = measure(copula, split).value
+
+    assert peak_bytes(work) < copula.cell_mass.nbytes + 1.5 * MB
+    assert 0.0 < result["value"] < 1.0
 
 
 def test_fit_of_heavily_tied_columns_stays_small():

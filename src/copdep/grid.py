@@ -130,13 +130,10 @@ class CheckerboardCopula:
     def _from_cells(cls, resolutions, index, mass) -> CheckerboardCopula:
         """Copula from sorted, distinct flat indices and their masses.
 
-        Cells whose mass is zero are dropped.
+        Every mass must be nonzero: the cells are stored as given, and a
+        stored cell is an occupied one.
         """
         copula = object.__new__(cls)
-        mass = np.asarray(mass, dtype=np.float64)
-        keep = mass != 0.0
-        if not keep.all():
-            index, mass = index[keep], mass[keep]
         copula._freeze(_check_resolutions(resolutions), index, mass)
         return copula
 

@@ -32,9 +32,10 @@ The group kinds scatter the walk's masses into their dense rows and work at
 target cell centers.  One helper, ``_at_centers``, gives the mass below every
 center for rows of target-cell masses: the conditional CDF of each
 conditioning row, and the target-marginal CDF, which is the reference for
-the group gap and places the knots of the Kendall distribution behind the
-group bound.  ``_kendall_steps`` places those knots and ``_kendall_bound``
-reduces them to the bound that ``group_tau`` reports.  A target marginal
+the group gap.  The Kendall distribution behind the group bound puts each
+target cell's mass at that reference value t at its center, so the bound
+that ``group_tau`` reports, ``_kendall_bound``, is the exact sum of
+6 (t - t^2) weighted by the target-marginal masses.  A target marginal
 whose mass is not 1 raises, and a bound below ``MIN_KENDALL_BOUND`` is too
 small to normalize by.  group_tau's value and bound are computed once per
 copula and split and kept in the copula's memo, where
@@ -79,7 +80,7 @@ UNIT_SLACK = 1e-9
 #: Smallest Kendall bound that a group value may be divided by.
 MIN_KENDALL_BOUND = 1e-12
 
-#: How far from 1 a Kendall CDF's last level, the target marginal's mass, may be.
+#: How far from 1 the target marginal's total mass, the Kendall CDF's last level, may be.
 _KENDALL_TOL = 1e-6
 
 #: Points of the Gauss-Legendre rule applied to every target cell.
@@ -498,11 +499,10 @@ def _ratio_cells(alpha: float | None):
         exact to rounding.  That includes B == 0, where the only singularity
         is v = 0, at least three half-widths away.
 
-    The rule runs only on the span of target cells from the first to the
-    last one that some row of the block needs it for; every cell outside
-    that span takes one of the closed forms.  On that span
-    :func:`_gauss_cells` builds F at the nodes, from f0 with slope f1 - f0,
-    and the integrand divides it in place by v = (j + x)/m.
+    The rule runs on every target cell, and the closed forms then overwrite
+    its value on the flat and near cells.  :func:`_gauss_cells` builds F at
+    the nodes, from f0 with slope f1 - f0, and the integrand divides it in
+    place by v = (j + x)/m.
     """
     from scipy.special import spence, xlogy
 
@@ -542,18 +542,13 @@ def _ratio_cells(alpha: float | None):
         intercept = f0 - slope * v0
         flat = intercept == 0.0
         near = (intercept < 0.0) & (3.0 * f0 < f1)
-        out = np.empty(f0.shape)
-        needed = np.flatnonzero(~(flat | near).all(axis=0))
-        if needed.size:
-            span = slice(needed[0], needed[-1] + 1)
-            v = (np.arange(span.start, span.stop) + _unit_nodes(0.0)[0][:, None, None]) / m
+        v = (np.arange(m) + _unit_nodes(0.0)[0][:, None, None]) / m
 
-            def ratio(y):
-                y /= v
-                return phi(np.maximum(y, 0.0, out=y))
+        def ratio(y):
+            y /= v
+            return phi(np.maximum(y, 0.0, out=y))
 
-            lo = f0[:, span]
-            out[:, span] = _gauss_cells(lo, f1[:, span] - lo, ratio) / m
+        out = _gauss_cells(f0, f1 - f0, ratio) / m
         out[flat] = phi(slope[flat]) * (v1 - v0)[flat]
         b = slope[near]
         out[near] = near_integral(
@@ -722,23 +717,14 @@ def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, phi) -> tuple:
     return _row_terms(_target_walk(copula, split, dense=True), per_row), target_w, reference
 
 
-def _kendall_steps(masses: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knots (t, K), t ascending, of the step CDF putting each cell's mass at ``ts``."""
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    cum = np.cumsum(masses[order])  # adds in sequence, one mass at a time
-    if not cum[-1] >= 1.0 - _KENDALL_TOL:
-        raise InvalidArgumentError(f"target marginal has total mass {cum[-1]}, not 1")
-    last = np.r_[ts[1:] != ts[:-1], True]  # one knot per distinct t, at its last mass
-    # Guard every knot against eps drift past 1, so the knots stay nondecreasing.
-    np.minimum(cum, 1.0, out=cum)
-    return ts[last], cum[last]
-
-
-def _kendall_bound(t: np.ndarray, k: np.ndarray) -> float:
-    """6 * integral of (t - t^2) dK(t) for the step CDF with knots (t, K): a
-    Stieltjes sum over the jumps, added exactly."""
-    return _fsum(6.0 * (t - t * t) * np.diff(k, prepend=0.0))
+def _kendall_bound(masses: np.ndarray, ts: np.ndarray) -> float:
+    """6 * integral of (t - t^2) dK(t), where the Kendall distribution K puts
+    each target cell's mass at ``ts``, the target-marginal CDF at its center:
+    the mass-weighted sum of 6 (t - t^2), added exactly."""
+    total = _fsum(masses)
+    if not total >= 1.0 - _KENDALL_TOL:
+        raise InvalidArgumentError(f"target marginal has total mass {total}, not 1")
+    return 6.0 * _fsum((ts - ts * ts) * masses)
 
 
 def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
@@ -756,7 +742,7 @@ def group_tau(copula: CheckerboardCopula, split: GroupSplit) -> MeasureReport:
 
     def compute():
         terms, target_w, reference = _gap_terms(copula, split, np.square)
-        return 6.0 * _fsum(terms), _kendall_bound(*_kendall_steps(target_w, reference))
+        return 6.0 * _fsum(terms), _kendall_bound(target_w, reference)
 
     value, bound = copula._memoized(("group_tau", split), compute)
     _warn_above_unit(value / bound if bound > 0 else value, "group_tau / bound")

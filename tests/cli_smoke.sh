@@ -14,6 +14,7 @@
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
 #   sh tests/cli_smoke.sh python -m copdep.cli   # the module, with copdep importable
+#   PYTHONPATH=src sh tests/cli_smoke.sh python -m copdep.cli   # from the repository root
 set -eu
 
 [ "$#" -gt 0 ] || { echo "usage: sh $0 COMMAND..." >&2; exit 64; }
@@ -26,6 +27,24 @@ exits_two() {
     copdep "$@" || code=$?
     [ "$code" -eq 2 ] || { echo "expected exit code 2, got $code: copdep $*" >&2; exit 1; }
 }
+
+# A relative PYTHONPATH entry names a directory under this one, which the cd
+# below leaves, so each such entry is made absolute first.
+if [ -n "${PYTHONPATH:-}" ]; then
+    absolute=
+    set -f
+    IFS=:
+    for entry in $PYTHONPATH; do
+        case $entry in
+            /*) ;;
+            *) entry=$PWD/$entry ;;
+        esac
+        absolute=${absolute:+$absolute:}$entry
+    done
+    unset IFS
+    set +f
+    export PYTHONPATH="$absolute"
+fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -603,10 +603,14 @@ def _child_env() -> dict:
 
 
 def test_the_console_script_checks_pass_through_the_module():
-    # CI runs the same script with the installed copdep entry point
+    # CI runs the same script with the installed copdep entry point; here
+    # copdep is importable only through a PYTHONPATH relative to the caller's
+    # directory, which the script leaves for a scratch one
     script = Path(__file__).with_name("cli_smoke.sh")
+    src = Path(copdep.__file__).resolve().parents[1]
     proc = subprocess.run(
         ["sh", str(script), sys.executable, "-m", "copdep.cli"],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
+        cwd=src.parent, env=dict(os.environ, PYTHONPATH=src.name),
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -202,30 +202,14 @@ class Dense:
         return w, profiles / w[:, None] - reference[None, :], target_w, reference
 
     @staticmethod
-    def kendall_knots(target_w, ts):
-        """Knots of the Kendall step CDF, accumulated one mass at a time."""
-        knots, cum = [], 0.0
-        for i in np.argsort(ts, kind="stable"):
-            cum += float(target_w[i])
-            if knots and knots[-1][0] == float(ts[i]):
-                knots[-1] = (float(ts[i]), cum)
-            else:
-                knots.append((float(ts[i]), cum))
-        return tuple((t, min(k, 1.0)) for t, k in knots)
-
-    @staticmethod
-    def kendall_bound(knots):
-        """6 * integral of (t - t^2) dK(t), one jump of the step CDF at a time."""
-        prev, terms = 0.0, []
-        for t, k in knots:
-            terms.append(6.0 * (t - t * t) * (k - prev))
-            prev = k
-        return math.fsum(terms)
+    def kendall_bound(target_w, ts):
+        """6 * integral of (t - t^2) dK(t), K putting each target cell's mass at its t."""
+        return 6.0 * math.fsum(((ts - ts * ts) * target_w).tolist())
 
     def group_tau(self, split):
         w, gaps, target_w, ts = self.center_gaps(split)
         value = 6.0 * math.fsum((w * ((gaps * gaps) @ target_w)).tolist())
-        return value, self.kendall_bound(self.kendall_knots(target_w, ts))
+        return value, self.kendall_bound(target_w, ts)
 
     def group_tau_normalized(self, split):
         value, bound = self.group_tau(split)
@@ -303,8 +287,7 @@ def test_every_measure_matches_the_dense_oracle(case):
     ]
     if len(group.v_axes) >= 2:
         _, _, target_w, ts = dense.center_gaps(group)
-        knots = Dense.kendall_knots(target_w, ts)
-        assert group_tau(cop, group).upper_bound == Dense.kendall_bound(knots)
+        assert group_tau(cop, group).upper_bound == Dense.kendall_bound(target_w, ts)
         pairs += [
             (lambda: group_tau(cop, group).value, lambda: dense.group_tau(group)[0]),
             (lambda: group_tau(cop, group).upper_bound, lambda: dense.group_tau(group)[1]),
@@ -329,8 +312,11 @@ def test_every_measure_matches_the_dense_oracle(case):
     assert close(report.total_mass_error, total)
     assert close(report.worst_marginal_error, worst)
     kept = order[:cut]
-    assert np.allclose(cop.marginal(kept).mass, dense.marginal(kept).grid.ravel(), rtol=0, atol=TOL)
-    assert np.array_equal(cop.permute_axes(order).mass, np.transpose(dense.grid, order).ravel())
+    marginal, permuted = cop.marginal(kept), cop.permute_axes(order)
+    for copy in (marginal, permuted):  # every stored cell carries mass
+        assert np.count_nonzero(copy.mass) == copy.cell_index.size
+    assert np.allclose(marginal.mass, dense.marginal(kept).grid.ravel(), rtol=0, atol=TOL)
+    assert np.array_equal(permuted.mass, np.transpose(dense.grid, order).ravel())
 
 
 @st.composite

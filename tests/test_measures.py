@@ -410,8 +410,8 @@ class TestMaxBound:
             assert 0.0 <= val <= 1.5
 
     def test_target_masses_summing_past_one_stay_within_the_bound(self):
-        # this fit's target masses reach 1 + 2**-52 before its last, empty
-        # target cell; every Kendall knot is clamped to 1
+        # this fit's target masses, added in sequence, reach 1 + 2**-52
+        # before its last, empty target cell
         data = np.random.default_rng(213).standard_normal((97, 3))
         cop = fit_checkerboard(pseudo_observations(data), (5, 7, 6))
         report = group_tau(cop, self.GROUP)

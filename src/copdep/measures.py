@@ -35,12 +35,11 @@ conditioning row, and the target-marginal CDF, which is the reference for
 the group gap.  The Kendall distribution behind the group bound puts each
 target cell's mass at that reference value t at its center, so the bound
 that ``group_tau`` reports, ``_kendall_bound``, is the exact sum of
-6 (t - t^2) weighted by the target-marginal masses.  A target marginal
-whose mass is not 1 raises, and a bound below ``MIN_KENDALL_BOUND`` is too
-small to normalize by.  group_tau's value and bound are computed once per
-copula and split and kept in the copula's memo, where
-``group_tau_normalized`` finds them; the warning and the errors still come
-on every call.
+6 (t - t^2) weighted by the target-marginal masses.  A bound below
+``MIN_KENDALL_BOUND`` is too small to normalize by.  group_tau's value and
+bound are computed once per copula and split and kept in the copula's memo,
+where ``group_tau_normalized`` finds them; the warning and the errors still
+come on every call.
 
 Conventions that matter for reproducibility:
   * zero-weight conditioning cells contribute zero to every sum;
@@ -79,9 +78,6 @@ UNIT_SLACK = 1e-9
 
 #: Smallest Kendall bound that a group value may be divided by.
 MIN_KENDALL_BOUND = 1e-12
-
-#: How far from 1 the target marginal's total mass, the Kendall CDF's last level, may be.
-_KENDALL_TOL = 1e-6
 
 #: Points of the Gauss-Legendre rule applied to every target cell.
 _GAUSS_ORDER = 16
@@ -721,9 +717,6 @@ def _kendall_bound(masses: np.ndarray, ts: np.ndarray) -> float:
     """6 * integral of (t - t^2) dK(t), where the Kendall distribution K puts
     each target cell's mass at ``ts``, the target-marginal CDF at its center:
     the mass-weighted sum of 6 (t - t^2), added exactly."""
-    total = _fsum(masses)
-    if not total >= 1.0 - _KENDALL_TOL:
-        raise InvalidArgumentError(f"target marginal has total mass {total}, not 1")
     return 6.0 * _fsum((ts - ts * ts) * masses)
 
 

@@ -73,8 +73,7 @@ def star(a: CheckerboardCopula, b: CheckerboardCopula, n: int) -> CheckerboardCo
         where=weights[:, None] > 0.0,
     )
     mass = np.einsum("us,sv->uv", a2, cond_b)
-    result = CheckerboardCopula(a.resolutions[:n] + b.resolutions[n:], mass)
-    return require_valid(result, "star product")
+    return CheckerboardCopula(a.resolutions[:n] + b.resolutions[n:], mass)
 
 
 def identity_coupling(n: int, m: int) -> CheckerboardCopula:

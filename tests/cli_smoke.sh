@@ -6,10 +6,11 @@
 # Gauss-Legendre nodes and for group_tau) and on saved copula files (the
 # entropy kinds among them, and a 4^3 fit that stores every cell, measured on
 # splits out of axis order, which the walk reads as a transposed view of its
-# masses), and invalid calls that must exit 2 (a NaN token, a file nested
+# masses), invalid calls that must exit 2 (a NaN token, a file nested
 # 200,000 levels deep, an unknown key, a nested mass, a boolean among the
 # masses, and dims, resolutions or mass given twice, once with the second
-# resolutions spelled with an escape).
+# resolutions spelled with an escape), and a copula file whose marginals are
+# not uniform, which must exit 3 with an error naming the file.
 #
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
@@ -100,3 +101,12 @@ printf '{"dims": 1, "resolutions": [2], "mass": [0.5, 0.5], "mass": [0.5, 0.5]}'
 exits_two measure --input duplicate_mass.json
 printf '%s' '{"dims": 1, "resolutions": [2], "resolu\u0074ions": [2], "mass": [0.5, 0.5]}' > escaped_resolutions.json
 exits_two measure --input escaped_resolutions.json
+
+printf '{"dims": 2, "resolutions": [2, 2], "mass": [0.4, 0.2, 0.2, 0.2]}' > skewed.json
+code=0
+copdep measure --input skewed.json 2> skewed.err || code=$?
+[ "$code" -eq 3 ] || { echo "expected exit code 3, got $code: copdep measure --input skewed.json" >&2; exit 1; }
+case $(cat skewed.err) in
+    "error: skewed.json: FAIL"*) ;;
+    *) { echo "expected 'error: skewed.json: FAIL', got:"; cat skewed.err; } >&2; exit 1 ;;
+esac

@@ -11,6 +11,15 @@ def blend(theta, m):
     return CheckerboardCopula((m, m), mass)
 
 
+def unchecked(resolutions, mass):
+    """The grid of a dense ``mass`` array, built without the copula check
+    that ``CheckerboardCopula(...)`` runs, for tests that feed the kernels a
+    grid that is not a copula."""
+    mass = np.asarray(mass, dtype=np.float64).ravel()
+    cells = np.flatnonzero(mass)
+    return CheckerboardCopula._from_cells(tuple(resolutions), cells, mass[cells])
+
+
 def dense_rebalance(resolutions, grid, sweeps=1000, tol=1e-10):
     """Iterative proportional fitting of a dense mass array toward uniform
     marginals: each sweep rescales every axis so that its slabs hold 1/m.

@@ -355,6 +355,14 @@ class TestMeasure:
         assert out == ""
         assert "2**63" in err
 
+    def test_a_copula_file_with_skewed_marginals_exits_three(self, capsys, tmp_path):
+        cop_path = tmp_path / "skewed.json"
+        cop_path.write_text('{"dims": 2, "resolutions": [2, 2], "mass": [0.4, 0.2, 0.2, 0.2]}')
+        code, out, err = run(capsys, "measure", "--input", str(cop_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {cop_path}: FAIL")
+
     def test_mutual_information_on_a_one_axis_copula(self, capsys, tmp_path):
         cop_path = tmp_path / "one.json"
         copdep.save_copula(copdep.independence_copula((4,)), cop_path)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi, spence, xlogy
 
 from copdep import (
-    CheckerboardCopula,
     CopdepError,
     GroupSplit,
     averaged_dependence,
@@ -34,6 +33,7 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
+from conftest import unchecked
 
 TOL = 1e-12
 
@@ -270,7 +270,7 @@ def sparse_grids(draw):
 @given(sparse_grids())
 def test_every_measure_matches_the_dense_oracle(case):
     res, mass, order, cut, rng = case
-    cop = CheckerboardCopula(res, mass)
+    cop = unchecked(res, mass)
     dense = Dense(res, mass)
     assert np.count_nonzero(mass) == cop.cell_index.size
     single = GroupSplit(order[:-1], order[-1:])
@@ -354,7 +354,7 @@ def test_single_target_measures_on_sparse_rows_match_the_dense_oracle(case):
     # tau_quadratic integrates the runs of empty target cells in closed form;
     # the rule kinds hold the conditional CDF constant over them
     res, grid, split = case
-    cop, dense = CheckerboardCopula(res, grid), Dense(res, grid)
+    cop, dense = unchecked(res, grid), Dense(res, grid)
     pairs = [
         (lambda: tau_quadratic(cop, split).value, lambda: dense.tau_quadratic(split)),
         (lambda: tau_alpha(cop, split, 1.0).value, lambda: dense.tau_alpha(split, 1.0)),

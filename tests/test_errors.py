@@ -10,7 +10,7 @@ import pytest
 import copdep
 from copdep import (
     CheckerboardCopula,
-    EvaluationError,
+    CopulaValidationError,
     GroupSplit,
     InvalidArgumentError,
     InvalidDataError,
@@ -39,6 +39,7 @@ from copdep import (
     random_star_pair,
     star,
 )
+from conftest import unchecked
 
 #: The public names README.md lists under "Public API".
 PUBLIC_NAMES = [
@@ -357,51 +358,21 @@ def test_malformed_array_input_raises_a_typed_error(name):
         call()
 
 
-NO_TARGET_MASS = (InvalidArgumentError, "target marginal has total mass 0.0")
-ON_A_GRID_WITHOUT_MASS = [
-    # kind, alpha, split, and the value, or the error and message where the kind raises
-    ("tau_quadratic", None, SINGLE, 0.0),
-    ("tau_alpha", 1.0, SINGLE, 0.0),
-    ("tau_alpha", 3.5, SINGLE, 0.0),
-    ("renyi_alpha", 0.5, SINGLE, (EvaluationError, "nonpositive integral")),
-    ("renyi_limit", None, SINGLE, 0.0),
-    ("mutual_information", None, None, 0.0),
-    ("group_tau", None, GROUP, NO_TARGET_MASS),
-    ("group_tau_normalized", None, GROUP, NO_TARGET_MASS),
-    ("averaged_dependence", None, GROUP, 0.0),
-    ("custom_phi", None, SINGLE, 0.0),
-    ("custom_phi", None, GROUP, 0.0),
-]
-
-
-@pytest.mark.parametrize(
-    "tag, alpha, split, want",
-    ON_A_GRID_WITHOUT_MASS,
-    ids=[f"{t}-{a}-{'group' if s is GROUP else 'single'}" for t, a, s, _ in ON_A_GRID_WITHOUT_MASS],
-)
-def test_every_measure_on_a_grid_without_mass_is_zero_or_a_typed_error(tag, alpha, split, want):
-    copula = CheckerboardCopula((4, 4, 4), np.zeros(64))
-
-    def call():
-        if tag == "custom_phi":
-            return generic_measure(copula, split, np.abs)
-        return compute_measure(copula, split, MeasureKind(tag, alpha))
-
-    if isinstance(want, tuple):
-        with pytest.raises(want[0], match=want[1]):
-            call()
-    else:
-        assert call().value == want
+def test_a_grid_without_mass_is_not_a_copula():
+    # so no measure ever reads one
+    with pytest.raises(CopulaValidationError, match=r"^FAIL: .* total mass error 1\.000e\+00"):
+        CheckerboardCopula((4, 4, 4), np.zeros(64))
 
 
 def _negative_target_cell():
     """A 3x3x3 grid of mass 1/27 per cell with 0.2 moved, in every slab of
     axis 0, from target cell (0, 1) to (0, 2), so the (1, 2) target marginal
-    holds 1/9 - 0.6 at (0, 1)."""
+    holds 1/9 - 0.6 at (0, 1).  Its axis-2 marginal is skewed, so it is not
+    a copula and is built unchecked."""
     mass = np.full((3, 3, 3), 1 / 27)
     mass[:, 0, 1] -= 0.2
     mass[:, 0, 2] += 0.2
-    return CheckerboardCopula((3, 3, 3), mass)
+    return unchecked((3, 3, 3), mass)
 
 
 NEGATIVE_TARGET_CELL = {

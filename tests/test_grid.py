@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copdep import (
     CheckerboardCopula,
@@ -22,7 +24,8 @@ from copdep import (
     require_valid,
     save_copula,
 )
-from copdep.grid import _cell_sums
+from copdep.grid import VALIDITY_TOL, _cell_sums
+from conftest import unchecked
 
 
 def brute_force_cdf(copula, points):
@@ -90,7 +93,7 @@ class TestConstructors:
 
 class TestCellStorage:
     def test_only_nonzero_cells_are_stored(self):
-        cop = CheckerboardCopula((2, 3), [0.0, 0.5, 0.0, -0.25, 0.0, 0.75])
+        cop = unchecked((2, 3), [0.0, 0.5, 0.0, -0.25, 0.0, 0.75])
         assert cop.cell_index.tolist() == [1, 3, 5]
         assert cop.cell_mass.tolist() == [0.5, -0.25, 0.75]
         # the negative cell stays visible to validation
@@ -234,21 +237,104 @@ class TestValidate:
         mass = np.full(4, 0.25)
         mass[2] = -0.1
         mass[3] = 0.6
-        report = CheckerboardCopula((2, 2), mass).validate()
+        with pytest.raises(CopulaValidationError) as exc:
+            CheckerboardCopula((2, 2), mass)
+        report = exc.value.report
         assert not report.passed
         assert report.max_negative_mass == pytest.approx(0.1)
         assert report.negative_cell == (1, 0)
         assert report.summary().startswith("FAIL: max negative mass 1.000e-01 at cell (1, 0), ")
 
     def test_nonuniform_marginal_flagged(self):
-        report = CheckerboardCopula((2, 2), [0.4, 0.2, 0.2, 0.2]).validate()
+        with pytest.raises(CopulaValidationError) as exc:
+            CheckerboardCopula((2, 2), [0.4, 0.2, 0.2, 0.2])
+        report = exc.value.report
         assert not report.passed
         assert report.worst_marginal_error == pytest.approx(0.1)
 
     def test_require_valid_raises(self):
-        bad = CheckerboardCopula((2,), [0.7, 0.3])
+        bad = unchecked((2,), [0.7, 0.3])
         with pytest.raises(CopulaValidationError):
             require_valid(bad)
+
+
+#: The checks of ``validate``, each with the report field that measures it.
+CHECKS = {
+    "negative cell": "max_negative_mass",
+    "total mass": "total_mass_error",
+    "skewed marginal": "worst_marginal_error",
+}
+
+
+@st.composite
+def broken_grids(draw, check):
+    """The dense mass of a random copula changed to fail ``check`` alone."""
+    res = tuple(draw(st.lists(st.integers(2, 5), min_size=2, max_size=3)))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = random_copula(res, rng).mass.reshape(res).copy()
+    cell = tuple(int(rng.integers(m)) for m in res)
+    # the same cell moved one slab along axis 0, and along axes 0 and 1
+    across = ((cell[0] + 1) % res[0],) + cell[1:]
+    diagonal = (across[0], (cell[1] + 1) % res[1]) + cell[2:]
+    if check == "negative cell":
+        # the same amount off one diagonal of a 2x2 square and onto the other
+        # keeps every slab's mass; it takes the first cell below zero
+        x = grid[cell] + draw(st.floats(1e-6, 0.1))
+        side = (cell[0],) + diagonal[1:]
+        grid[cell] -= x
+        grid[diagonal] -= x
+        grid[across] += x
+        grid[side] += x
+    elif check == "total mass":
+        # a total off by 1.5e-9 to 1.9e-9 puts under 1e-9 on each slab (m >= 2)
+        grid *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.5e-9, 1.9e-9))
+    elif check == "skewed marginal":
+        x = grid[cell] * draw(st.floats(0.01, 0.99))
+        grid[cell] -= x
+        grid[across] += x
+    else:
+        grid[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return res, grid
+
+
+@pytest.mark.parametrize("check", [*CHECKS, "non-finite mass"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_grid_that_fails_one_check_is_not_a_copula(check, data):
+    res, grid = data.draw(broken_grids(check))
+    with pytest.raises(CopulaValidationError) as exc:
+        CheckerboardCopula(res, grid)
+    report = exc.value.report
+    assert str(exc.value) == report.summary()
+    failed = [name for name, field in CHECKS.items() if not getattr(report, field) <= VALIDITY_TOL]
+    if check == "non-finite mass":
+        assert "total mass" in failed  # the total is not finite
+    else:
+        assert failed == [check]
+
+
+@st.composite
+def copulas(draw):
+    """A random copula, or the fit of a tied sample at resolutions that do
+    not divide its size."""
+    dims = draw(st.integers(2, 3))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_copula(tuple(draw(st.lists(st.integers(2, 6), min_size=dims, max_size=dims))), rng)
+    n = draw(st.integers(10, 120))
+    res = tuple(draw(st.lists(st.integers(2, 7).filter(lambda m: n % m), min_size=dims, max_size=dims)))
+    levels = draw(st.lists(st.integers(2, n - 1), min_size=dims, max_size=dims))
+    with pytest.warns(RuntimeWarning, match="tied"):
+        pseudo = pseudo_observations(np.column_stack([rng.integers(0, k, n) for k in levels]))
+    return fit_checkerboard(pseudo, res)
+
+
+@settings(max_examples=100, deadline=None)
+@given(copulas())
+def test_a_copula_rebuilt_from_its_mass_keeps_its_cells(cop):
+    again = CheckerboardCopula(cop.resolutions, cop.mass)
+    assert again.cell_index.tobytes() == cop.cell_index.tobytes()
+    assert again.cell_mass.tobytes() == cop.cell_mass.tobytes()
 
 
 class TestGroupSplit:
@@ -328,13 +414,6 @@ class TestSerialization:
         path.write_text(f'{{"dims": 1, "resolutions": [2], "mass": [{token}, 0.5]}}')
         with pytest.raises(InvalidArgumentError, match="not valid JSON"):
             load_copula(path)
-
-    @pytest.mark.parametrize("mass", [np.nan, np.inf])
-    def test_save_refuses_a_non_finite_mass(self, tmp_path, mass):
-        path = tmp_path / "cop.json"
-        with pytest.raises(InvalidArgumentError, match="non-finite"):
-            save_copula(CheckerboardCopula((2,), [mass, 0.5]), path)
-        assert not path.exists()
 
     @staticmethod
     def refusal(path, detail):

@@ -31,7 +31,7 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
-from conftest import blend
+from conftest import blend, unchecked
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -110,7 +110,7 @@ class TestConditionalCdf:
         split = GroupSplit((0, 1), (2,))
         assert conditional_cdf(cop, split, (0, 2), 0.9) == 0.0
         # a grid with no stored cells has no conditioning mass anywhere
-        assert conditional_cdf(CheckerboardCopula((2, 2), [0, 0, 0, 0]), PAIR, (1,), 0.9) == 0.0
+        assert conditional_cdf(unchecked((2, 2), [0, 0, 0, 0]), PAIR, (1,), 0.9) == 0.0
 
     def test_group_form(self):
         cop = independence_copula((3, 4, 4))

@@ -19,7 +19,7 @@ from copdep import (
     renyi_limit,
     tau_alpha,
 )
-from conftest import blend, dense_rebalance
+from conftest import blend, dense_rebalance, unchecked
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -288,7 +288,7 @@ def _near_boundary_copula(rng):
         row[2] = (ratio - 1.0) * (row[0] + row[1])
         rows.append(row)
     raw = np.asarray(rows)
-    return CheckerboardCopula(raw.shape, raw.ravel() / raw.sum())
+    return unchecked(raw.shape, raw.ravel() / raw.sum())
 
 
 def entropy_cases(rng):

@@ -53,11 +53,11 @@ class TestCompatibility:
             star(independence_copula((4, 4)), independence_copula((8, 8)), 1)
 
     def test_incompatible_operands_raise_in_star(self):
-        # the middle marginals differ by 1e-6 in each cell, far above 1e-9
-        a = independence_copula((2, 2))
-        b = CheckerboardCopula((2, 2), [0.25 + 1e-6, 0.25, 0.25 - 1e-6, 0.25])
-        with pytest.raises(IncompatibleOperandsError, match="by up to 1.000e-06; star needs less than 1e-09"):
-            star(a, b, 1)
+        # a's middle pair is independent, b's comonotone: they differ by 1/4
+        a = independence_copula((2,) * 4)
+        b = comonotone_copula(3, 2)
+        with pytest.raises(IncompatibleOperandsError, match="by up to 2.500e-01; star needs less than 1e-09"):
+            star(a, b, 2)
 
 
 class TestStarLaws:

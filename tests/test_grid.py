@@ -313,6 +313,52 @@ def test_a_grid_that_fails_one_check_is_not_a_copula(check, data):
         assert failed == [check]
 
 
+#: Grids on which the measures read plausible numbers while construction
+#: did not check them, each with the checks it fails.
+NOT_COPULAS = {
+    "total mass 2": ((2, 2, 2), np.full(8, 0.25), ["total mass", "skewed marginal"]),
+    "skewed marginals": ((2, 2, 2), [0.3] + [0.1] * 7, ["skewed marginal"]),
+}
+
+
+@pytest.mark.parametrize("res, mass, failed", NOT_COPULAS.values(), ids=list(NOT_COPULAS))
+def test_a_plausible_grid_that_is_not_a_copula_names_its_failed_check(res, mass, failed):
+    with pytest.raises(CopulaValidationError, match="^FAIL: ") as exc:
+        CheckerboardCopula(res, mass)
+    report = exc.value.report
+    assert [name for name, field in CHECKS.items() if not getattr(report, field) <= VALIDITY_TOL] == failed
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_grid_within_the_tolerance_is_a_copula(check, data):
+    # the counterpart of the failing grids: each check is met to 1e-9
+    res = tuple(data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=3)))
+    grid = random_copula(res, make_rng(data.draw(st.integers(0, 2**32 - 1)))).mass.reshape(res).copy()
+    off = data.draw(st.floats(1e-12, 0.5 * VALIDITY_TOL))
+    cell = np.unravel_index(int(grid.argmax()), res)
+    across = ((cell[0] + 1) % res[0],) + cell[1:]
+    if check == "negative cell":
+        # off one diagonal of a 2x2 square and onto the other: the smaller
+        # cell of the first diagonal ends at -off
+        diagonal = (across[0], (cell[1] + 1) % res[1]) + cell[2:]
+        side = (cell[0],) + diagonal[1:]
+        x = min(grid[cell], grid[diagonal]) + off
+        grid[cell] -= x
+        grid[diagonal] -= x
+        grid[across] += x
+        grid[side] += x
+    elif check == "total mass":
+        grid *= 1.0 + data.draw(st.sampled_from([-1.0, 1.0])) * off
+    else:
+        grid[cell] -= off
+        grid[across] += off
+    report = CheckerboardCopula(res, grid).validate()
+    assert report.passed
+    assert 0.0 < getattr(report, CHECKS[check]) <= VALIDITY_TOL
+
+
 @st.composite
 def copulas(draw):
     """A random copula, or the fit of a tied sample at resolutions that do
@@ -414,6 +460,14 @@ class TestSerialization:
         path.write_text(f'{{"dims": 1, "resolutions": [2], "mass": [{token}, 0.5]}}')
         with pytest.raises(InvalidArgumentError, match="not valid JSON"):
             load_copula(path)
+
+    @pytest.mark.parametrize("mass", [np.nan, np.inf])
+    def test_save_refuses_a_non_finite_mass(self, tmp_path, mass):
+        # construction refuses it, so no file is written
+        path = tmp_path / "cop.json"
+        with pytest.raises(CopulaValidationError, match=f"total mass error {mass}"):
+            save_copula(CheckerboardCopula((2,), [mass, 0.5]), path)
+        assert not path.exists()
 
     @staticmethod
     def refusal(path, detail):

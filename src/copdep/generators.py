@@ -54,7 +54,8 @@ class SynthModel:
         + sigma * noise, with the first driver standing in for the second
         when there is only one; complete dependence of the target on the
         drivers when sigma = 0.
-      * gaussian: joint normal with the given correlation matrix.
+      * gaussian: joint normal with the given correlation matrix; the
+        sample is the normal scores themselves, not their uniform images.
       * square_law: X uniform on (-1, 1), Y = X^2.  Y is a function of X but
         not conversely, so the measure is 1 one way and 1/4 the other.
 
@@ -133,10 +134,7 @@ def generate(model: SynthModel, n_rows: int) -> np.ndarray:
         return np.column_stack([x, y])
     if model.tag == "gaussian":
         chol = np.linalg.cholesky(np.asarray(model.correlation, dtype=np.float64))
-        z = rng.standard_normal((n_rows, d)) @ chol.T
-        from scipy.special import ndtr
-
-        return ndtr(z)
+        return rng.standard_normal((n_rows, d)) @ chol.T
     x = rng.uniform(-1.0, 1.0, n_rows)  # square_law, the last tag SynthModel accepts
     return np.column_stack([x, x * x])
 

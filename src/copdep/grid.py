@@ -251,8 +251,13 @@ class CheckerboardCopula:
     def validate(self) -> ValidationReport:
         """Diagnostics for nonnegativity, total mass, and marginal uniformity.
 
-        Never raises; inspect ``passed`` or use :func:`require_valid`.
+        Never raises; inspect ``passed`` or use :func:`require_valid`.  The
+        report depends on the cells alone, so it is computed once per copula
+        and kept in its memo.
         """
+        return self._memoized("validate", self._validation_report)
+
+    def _validation_report(self) -> ValidationReport:
         mass = self.cell_mass
         min_mass = float(mass.min()) if mass.size else 0.0
         max_negative = max(0.0, -min_mass)

@@ -26,7 +26,10 @@ custom_phi, F / v for the entropy family).  The entropy family replaces the
 rule by closed forms where it would not be exact to rounding: cells where
 the integrand is constant, and cells whose conditional CDF vanishes within
 half a cell below them (Gauss-Jacobi in the ratio variable for the power
-kind, a dilogarithm for x log x).
+kind, a dilogarithm for x log x).  One builder, ``_unit_nodes``, gives every
+rule, Gauss-Legendre and Gauss-Jacobi alike, from the eigenvectors of its
+Jacobi matrix, and ``_li2`` sums the dilogarithm's series, so every measure
+needs numpy alone.
 
 The group kinds scatter the walk's masses into their dense rows and work at
 target cell centers.  One helper, ``_at_centers``, gives the mass below every
@@ -285,20 +288,25 @@ def _rule_terms(copula: CheckerboardCopula, split: GroupSplit, cells) -> np.ndar
 def _unit_nodes(power: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights on [0, 1] for the weight t**power.
 
-    Power 0, the Gauss-Legendre rule, comes from numpy, so tau_alpha and
-    custom_phi do not import scipy; the Gauss-Jacobi near cells of
-    renyi_alpha take their nodes from scipy.
+    Golub and Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the weight (1 + x)**power on [-1, 1], mapped to [0, 1], and
+    the weights are the squared first components of its eigenvectors,
+    scaled to sum to 1/(power + 1) as computed, which keeps near-constant
+    integrands (renyi_alpha near independence) at their exact-node values
+    to rounding.  With s = 2k + power the matrix has diagonal
+    power^2/(s(s + 2)), 0 where s = 0, and off-diagonal
+    sqrt(4k^2 (k + power)^2 / (s^2 (s + 1)(s - 1))).  Power 0 is the
+    Gauss-Legendre rule of every rule kind.
     """
-    if power == 0.0:
-        from numpy.polynomial.legendre import leggauss
-
-        x, wt = leggauss(_GAUSS_ORDER)
-    else:
-        from scipy.special import roots_jacobi
-
-        x, wt = roots_jacobi(_GAUSS_ORDER, 0.0, power)
+    k = np.arange(_GAUSS_ORDER, dtype=np.float64)
+    s = 2.0 * k + power
+    diagonal = np.divide(power * power, s * (s + 2.0), out=np.zeros_like(s), where=s > 0.0)
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + power) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
     nodes = (x + 1.0) / 2.0
-    weights = wt / 2.0 ** (power + 1.0)
+    weights = vectors[0] ** 2
+    weights /= weights.sum() * (power + 1.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -472,6 +480,21 @@ def tau_alpha(copula: CheckerboardCopula, split: GroupSplit, alpha: float) -> Me
     )
 
 
+def _li2(s: np.ndarray) -> np.ndarray:
+    """Li2(s) = sum over k >= 1 of s^k / k^2 for 1-D s in [0, 1): 50 terms
+    in x = min(s, 1 - s) <= 1/2, smallest first, from one running product
+    (a Horner loop of 50 passes took three times as long on a block's few
+    near cells), and above 1/2 the reflection
+    Li2(s) = pi^2/6 - log(s) log(1 - s) - Li2(1 - s)."""
+    x = np.minimum(s, 1.0 - s)
+    k = np.arange(50.0, 0.0, -1.0)
+    out = (1.0 / (k * k)) @ np.cumprod(np.broadcast_to(x, (k.size, x.size)), axis=0)[::-1]
+    high = s > 0.5
+    reflected = s[high]
+    out[high] = math.pi**2 / 6.0 - np.log(reflected) * np.log1p(-reflected) - out[high]
+    return out
+
+
 def _ratio_cells(alpha: float | None):
     """``cells`` function for :func:`_rule_terms`: per (row, target cell), the
     integral over the cell of phi(conditional CDF / v).
@@ -500,8 +523,6 @@ def _ratio_cells(alpha: float | None):
     the nodes, from f0 with slope f1 - f0, and the integrand divides it in
     place by v = (j + x)/m.
     """
-    from scipy.special import spence, xlogy
-
     if alpha is None:
         def phi(r):
             out = np.log(r, out=np.zeros_like(r), where=r > 0.0)
@@ -512,8 +533,9 @@ def _ratio_cells(alpha: float | None):
             return s / (1.0 - s) + np.log1p(-s)
 
         def k(s):
+            log_s = np.log(s, out=np.zeros_like(s), where=s > 0.0)
             l1 = np.log1p(-s)
-            return xlogy(s, s) / (1.0 - s) + xlogy(l1, s) + l1 + spence(1.0 - s)
+            return s * log_s / (1.0 - s) + l1 * log_s + l1 + _li2(s)
 
         def near_integral(b, root, s0, s1):
             return b * root * (np.log(b) * (p(s1) - p(s0)) + k(s1) - k(s0))

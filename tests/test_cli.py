@@ -101,6 +101,28 @@ class TestEstimate:
         cop = load_copula(cop_path)
         assert cop.validate().passed
 
+    def test_validates_the_fit_once(self, capsys, tmp_path, monkeypatch):
+        # the fit validates its copula, and the summary and "valid" reuse
+        # that report from the copula's memo
+        from copdep import grid
+
+        built = []
+
+        class Counted(grid.ValidationReport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(grid, "ValidationReport", Counted)
+        csv_path = write_synth(capsys, tmp_path)
+        code, out, err = run(
+            capsys, "estimate", "--input", str(csv_path), "--output", str(tmp_path / "c.json"),
+            "--resolution", "8",
+        )
+        assert code == 0 and json.loads(out)["valid"] is True
+        assert len(built) == 1
+        assert f"validate: {built[0].summary()}" in err
+
     def test_nan_exits_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,nan\n2,3\n4,5\n")
@@ -577,25 +599,52 @@ def test_import_and_tau_measure_leave_scipy_unloaded(tmp_path):
     csv_path = tmp_path / "d.csv"
     rng = np.random.Generator(np.random.Philox(key=9))
     np.savetxt(csv_path, rng.random((200, 3)), delimiter=",", header="a,b,c", comments="")
+    # scipy is blocked, so any import of it fails: every kind, generator and
+    # verify suite must run on numpy alone
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import copdep\n"
-        "assert 'scipy' not in sys.modules, 'import copdep loaded scipy'\n"
         "assert 'orjson' not in sys.modules, 'import copdep loaded orjson'\n"
         "from copdep.cli import main\n"
         f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'tau_quadratic',"
         " '--resolution', '4'])\n"
         "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'measure --kind tau_quadratic loaded scipy'\n"
         "assert 'orjson' not in sys.modules, 'measuring a CSV loaded orjson'\n"
         f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'tau_alpha',"
         " '--alpha', '1', '--resolution', '4'])\n"
         "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'measure --kind tau_alpha loaded scipy'\n"
         f"code = main(['measure', '--input', {str(csv_path)!r}, '--kind', 'renyi_limit',"
         " '--resolution', '4'])\n"
         "assert code == 0, code\n"
-        "assert 'scipy.integrate' not in sys.modules, 'renyi_limit loaded scipy.integrate'\n"
+        "import numpy as np\n"
+        "from copdep import GroupSplit, MeasureKind, SynthModel\n"
+        "from copdep.cli import _SUITES\n"
+        "from copdep.generators import _TAGS\n"
+        "from copdep.measures import _KINDS\n"
+        "sample = copdep.pseudo_observations(np.loadtxt("
+        f"{str(csv_path)!r}, delimiter=',', skiprows=1))\n"
+        "single, group = GroupSplit((0, 1), (2,)), GroupSplit((0,), (1, 2))\n"
+        "for copula in (copdep.fit_checkerboard(sample, (4, 4, 4)),"
+        " copdep.comonotone_copula(3, 4)):\n"
+        "    for tag, spec in _KINDS.items():\n"
+        "        if spec.compute is not None:\n"
+        "            alpha = {'tau_alpha': 1.5, 'renyi_alpha': 0.5}.get(tag)\n"
+        "            split = group if tag.startswith('group') else single\n"
+        "            copdep.compute_measure(copula, split if spec.needs_split else None,"
+        " MeasureKind(tag, alpha))\n"
+        "    for alpha in (0.1, 0.5, 1.5):\n"
+        "        copdep.renyi_alpha(copula, single, alpha)\n"
+        "    for split in (single, group):\n"
+        "        copdep.generic_measure(copula, split, np.abs)\n"
+        "fields = {'mixture': {'theta': 0.5}, 'functional': {'sigma': 0.1},"
+        " 'gaussian': {'correlation': ((1.0, 0.5), (0.5, 1.0))}}\n"
+        "for tag in _TAGS:\n"
+        "    copdep.generate(SynthModel(tag=tag, **fields.get(tag, {})), 50)\n"
+        "for suite in _SUITES:\n"
+        "    assert main(['verify', '--suite', suite, '--trials', '1']) == 0, suite\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "assert loaded == ['scipy'] and sys.modules['scipy'] is None, loaded\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120

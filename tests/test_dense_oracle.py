@@ -11,10 +11,12 @@ time, for the fit to be checked against.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi, spence, xlogy
 
 from copdep import (
@@ -33,6 +35,7 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
+from copdep.measures import _li2, _unit_nodes
 from conftest import unchecked
 
 TOL = 1e-12
@@ -44,6 +47,48 @@ pytestmark = pytest.mark.filterwarnings("ignore:.*exceeds the unit bound")
 def unit_nodes(power):
     x, wt = roots_jacobi(16, 0.0, power)
     return (x + 1.0) / 2.0, wt / 2.0 ** (power + 1.0)
+
+
+POWERS = [0.0, 0.1, 0.5, 0.9, 1.5, 1.9]
+
+
+@pytest.mark.parametrize("power", POWERS)
+def test_golub_welsch_nodes_match_scipy(power):
+    nodes, weights = _unit_nodes(power)
+    want = [unit_nodes(power)]
+    if power == 0.0:
+        x, wt = leggauss(16)
+        want.append(((x + 1.0) / 2.0, wt / 2.0))
+    for want_nodes, want_weights in want:
+        assert np.abs(nodes - want_nodes).max() <= 1e-15
+        assert np.abs(weights / want_weights - 1.0).max() <= 2e-13
+
+
+@pytest.mark.parametrize("power", POWERS)
+def test_golub_welsch_nodes_integrate_monomials_exactly(power):
+    # 16 nodes integrate every polynomial of degree <= 31 against t**power;
+    # the weights add up to the total to rounding, which near-constant
+    # integrands such as renyi_alpha's near independence depend on
+    nodes, weights = _unit_nodes(power)
+    k = np.arange(32)
+    moments = nodes[None, :] ** k[:, None] @ weights
+    assert np.abs(moments * (power + k + 1.0) - 1.0).max() <= 1e-14
+    assert abs(weights.sum() * (power + 1.0) - 1.0) <= 2.3e-16
+
+
+def test_dilogarithm_matches_mpmath():
+    # _li2 is only ever called on [0, 3/4]; both sides of the reflection at
+    # 1/2 and arguments down to 1e-300 are covered
+    s = np.concatenate([
+        [0.0, 1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 0.5, 0.75],
+        np.nextafter(0.5, [0.0, 1.0]),
+        np.linspace(0.0, 0.75, 601),
+    ])
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.polylog(2, mpmath.mpf(x))) for x in s])
+    got = _li2(s)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 class Dense:

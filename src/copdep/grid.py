@@ -89,8 +89,6 @@ def _cell_sums(keys: np.ndarray, bound: int, weights=None) -> tuple[np.ndarray, 
         return np.unique(keys, return_counts=True)
     keys, at = np.unique(keys, return_inverse=True)
     sums = np.bincount(at, weights=weights)
-    if sums.all():
-        return keys, sums
     live = np.flatnonzero(sums)
     return keys[live], sums[live]
 
@@ -187,24 +185,23 @@ class CheckerboardCopula:
 
     def _key(self, axes) -> np.ndarray:
         """Row-major flat index of every stored cell over ``axes`` alone, in
-        the given order; for one axis, the cell's coordinate along it."""
-        axes = tuple(axes)
-        first, last = axes[0], axes[-1]
-        if axes != tuple(range(first, last + 1)):
-            key = np.zeros_like(self.cell_index)
-            for a in axes:
-                key *= self.resolutions[a]
-                key += self._key((a,))
-            return key
-        # Consecutive axes in order are one digit range of the flat index:
-        # index // stride mod size, written with floor division only, which
-        # numpy runs several times faster than % for a scalar divisor.
-        stride = _strides(self.resolutions)[last]
-        key = self.cell_index // stride if stride > 1 else self.cell_index
-        if first == 0:
-            return key
-        size = math.prod(self.resolutions[first : last + 1])
-        return key - (key // size) * size
+        the given order; for one axis, the cell's coordinate along it.  Each
+        maximal run of consecutive axes in ascending order is one digit range
+        of the flat index, index // stride mod size, in floor divisions only
+        (numpy runs them several times faster than % by a scalar), and the
+        runs are folded row-major."""
+        axes, res = tuple(axes), self.resolutions
+        key, start = None, 0
+        for end in [i for i in range(1, len(axes)) if axes[i] != axes[i - 1] + 1] + [len(axes)]:
+            first, last = axes[start], axes[end - 1]
+            stride = math.prod(res[last + 1 :])
+            digits = self.cell_index // stride if stride > 1 else self.cell_index
+            size = math.prod(res[first : last + 1])
+            if first:
+                digits = digits - (digits // size) * size
+            key = digits if key is None else key * size + digits
+            start = end
+        return key
 
     def _block_sums(self, axes) -> tuple[np.ndarray, np.ndarray]:
         """Mass of every cell of the grid over ``axes`` alone (row-major, in

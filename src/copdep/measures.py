@@ -31,18 +31,17 @@ rule, Gauss-Legendre and Gauss-Jacobi alike, from the eigenvectors of its
 Jacobi matrix, and ``_li2`` sums the dilogarithm's series, so every measure
 needs numpy alone.
 
-The group kinds scatter the walk's masses into their dense rows and work at
-target cell centers.  One helper, ``_at_centers``, gives the mass below every
-center for rows of target-cell masses: the conditional CDF of each
-conditioning row, and the target-marginal CDF, which is the reference for
-the group gap.  The Kendall distribution behind the group bound puts each
-target cell's mass at that reference value t at its center, so the bound
-that ``group_tau`` reports, ``_kendall_bound``, is the exact sum of
-6 (t - t^2) weighted by the target-marginal masses.  A bound below
-``MIN_KENDALL_BOUND`` is too small to normalize by.  group_tau's value and
-bound are computed once per copula and split and kept in the copula's memo,
-where ``group_tau_normalized`` finds them; the warning and the errors still
-come on every call.
+The mass below points of the target block is one helper, ``_mass_below``,
+which ``conditional_cdf`` runs at its one point.  The group kinds run it at
+every target cell center, on the walk's masses scattered into dense rows and
+on the target-marginal masses, whose CDF is the group gap's reference.  The
+Kendall distribution behind the group bound puts each target cell's mass at
+that reference value t at its center, so the bound that ``group_tau``
+reports, ``_kendall_bound``, is the exact sum of 6 (t - t^2) weighted by the
+target-marginal masses.  A bound below ``MIN_KENDALL_BOUND`` is too small to
+normalize by.  group_tau's value and bound are computed once per copula and
+split and kept in the copula's memo, where ``group_tau_normalized`` finds
+them; the warning and the errors still come on every call.
 
 Conventions that matter for reproducibility:
   * zero-weight conditioning cells contribute zero to every sum;
@@ -260,9 +259,19 @@ def _blocks_by_length(flat: np.ndarray, mass: np.ndarray, m: int):
 
 def _row_terms(blocks, per_row) -> np.ndarray:
     """Weight times ``per_row(w, cells, edges, t)`` of every conditioning
-    cell in walk ``blocks``; empty when none carries mass."""
-    terms = [block[0] * per_row(*block) for block in blocks]
-    return np.concatenate(terms) if terms else np.zeros(0)
+    cell in walk ``blocks``."""
+    return np.concatenate([block[0] * per_row(*block) for block in blocks])
+
+
+def _run_widths(t: np.ndarray, m: int) -> np.ndarray:
+    """Per column of a walk block, the number of empty target cells before
+    each stored cell, at ascending target numbers ``t`` of shape
+    (k, columns), and after the last one, up to m: shape (k + 1, columns)."""
+    width = np.empty((t.shape[0] + 1, t.shape[1]), dtype=t.dtype)
+    width[:-1] = t
+    width[-1] = m
+    width[1:] -= t + 1
+    return width
 
 
 def _rule_terms(copula: CheckerboardCopula, split: GroupSplit, cells) -> np.ndarray:
@@ -274,10 +283,7 @@ def _rule_terms(copula: CheckerboardCopula, split: GroupSplit, cells) -> np.ndar
     def per_row(w, masses, edges, t):
         f = np.ascontiguousarray(edges.T)
         if masses.shape[0] < m:  # hold F over the runs of empty cells
-            spans = np.empty(edges.shape, dtype=t.dtype)  # cell edges at each value
-            spans[0] = t[0] + 1
-            np.subtract(t[1:], t[:-1], out=spans[1:-1])
-            spans[-1] = m - t[-1]
+            spans = _run_widths(t, m) + 1  # cell edges at each value
             f = f.ravel().repeat(spans.T.ravel()).reshape(-1, m + 1)
         return cells(f[:, :-1], f[:, 1:]).sum(axis=1)
 
@@ -386,14 +392,11 @@ def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) ->
     wanted = wanted.ravel()
     pos = np.minimum(np.searchsorted(index, wanted), index.size - 1)
     acc = np.where(index[pos] == wanted, copula.cell_mass[pos], 0.0)
-    acc = acc.reshape([res[a] for a in split.v_axes])
     weight = float(acc.sum())
     if weight <= 0.0:
         return 0.0
-    for coord, m in zip(vs, acc.shape):
-        ramp = np.clip(coord * m - np.arange(m), 0.0, 1.0)
-        acc = np.tensordot(acc, ramp, axes=([0], [0]))
-    return float(acc) / weight
+    ramps = [_ramp(res[a], [x * res[a]]) for x, a in zip(vs, split.v_axes)]
+    return float(_mass_below(acc[None, :], ramps)[0, 0]) / weight
 
 
 # ----------------------------------------------------------------------
@@ -426,11 +429,7 @@ def tau_quadratic(copula: CheckerboardCopula, split: GroupSplit) -> MeasureRepor
             run_start[1:] = right
             run_end = np.zeros((k + 1, n))  # F = v = 1 where the last run ends
             run_end[:-1] = left
-            width = np.empty((k + 1, n), dtype=t.dtype)
-            width[:-1] = t
-            width[-1] = m
-            width[1:] -= t + 1
-            sums += (squares(run_start, run_end) * width).sum(axis=0)
+            sums += (squares(run_start, run_end) * _run_widths(t, m)).sum(axis=0)
         return sums
 
     value = 6.0 * _fsum(_row_terms(_target_walk(copula, split), per_row) / (3.0 * m))
@@ -538,7 +537,8 @@ def _ratio_cells(alpha: float | None):
             return s * log_s / (1.0 - s) + l1 * log_s + l1 + _li2(s)
 
         def near_integral(b, root, s0, s1):
-            return b * root * (np.log(b) * (p(s1) - p(s0)) + k(s1) - k(s0))
+            k0, k1 = np.split(k(np.concatenate([s0, s1])), 2)  # one _li2 call
+            return b * root * (np.log(b) * (p(s1) - p(s0)) + k1 - k0)
     else:
         t, wt = _unit_nodes(alpha)
 
@@ -698,21 +698,22 @@ def _target_marginal_masses(copula: CheckerboardCopula, v_axes) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _center_ramp(m: int) -> np.ndarray:
-    """Overlap of cell i below the center of cell j: 0 under, 1/2 on, 1 over."""
-    ramp = np.clip((np.arange(m)[None, :] + 0.5) - np.arange(m)[:, None], 0.0, 1.0)
-    ramp.setflags(write=False)
-    return ramp
+def _ramp(m: int, points) -> np.ndarray:
+    """Share of each of m unit cells below each of ``points``, in units of
+    one cell, shape (m, points): 0 under the point, 1 over it, the overlap
+    for the cell that holds it."""
+    return np.clip(np.asarray(points, dtype=np.float64)[None, :] - np.arange(m)[:, None], 0.0, 1.0)
 
 
-def _at_centers(rows: np.ndarray, v_res: tuple[int, ...]) -> np.ndarray:
-    """Per row of target-cell masses, the mass below every target cell center
-    (half of a cell's own mass is below its center): each target axis in
-    turn, leading first, is contracted with its center ramp and moved last."""
+def _mass_below(rows: np.ndarray, ramps) -> np.ndarray:
+    """Per row of target-cell masses, row-major over the target axes, the
+    mass below every point of the grid of points those axes' ``_ramp``
+    matrices hold, row-major too: each target axis in turn, leading first,
+    is contracted with its ramp and moved last."""
     out = rows
-    for m in v_res:
-        out = out.reshape(rows.shape[0], m, -1).transpose(0, 2, 1).reshape(-1, m) @ _center_ramp(m)
+    for ramp in ramps:
+        m = ramp.shape[0]
+        out = out.reshape(rows.shape[0], m, -1).transpose(0, 2, 1).reshape(-1, m) @ ramp
     return out.reshape(rows.shape[0], -1)
 
 
@@ -723,14 +724,15 @@ def _gap_terms(copula: CheckerboardCopula, split: GroupSplit, phi) -> tuple:
     masses, and the target-marginal CDF at every target cell center, which
     ``gaps`` subtracts from each conditional CDF there."""
     split.check_covers(copula.dims)
-    v_res = tuple(copula.resolutions[a] for a in split.v_axes)
+    # Half of a cell's own mass is below its center.
+    ramps = [_ramp(m, np.arange(m) + 0.5) for m in (copula.resolutions[a] for a in split.v_axes)]
     target_w = _target_marginal_masses(copula, split.v_axes)
-    reference = _at_centers(target_w[None, :], v_res)[0]
+    reference = _mass_below(target_w[None, :], ramps)[0]
 
     def per_row(w, masses, edges, t):
         rows = np.zeros((w.size, target_w.size))
         rows[np.arange(w.size), t] = masses
-        return (phi(_at_centers(rows, v_res) / w[:, None] - reference) * target_w).sum(axis=1)
+        return (phi(_mass_below(rows, ramps) / w[:, None] - reference) * target_w).sum(axis=1)
 
     return _row_terms(_target_walk(copula, split, dense=True), per_row), target_w, reference
 

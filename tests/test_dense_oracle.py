@@ -443,9 +443,9 @@ def rank_box_grid(data, res):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_rebalancing_matches_the_dense_oracle(seed):
-    # The fit needs no rebalancing: tied rows and resolutions that do not
-    # divide N still give exact slabs, matching the brute-force boxes.
+def test_a_tied_fit_with_m_not_dividing_n_matches_the_rank_box_oracle(seed):
+    # Tied rows and resolutions that do not divide N still give exact slabs,
+    # matching the brute-force boxes.
     rng = np.random.default_rng(seed)
     res = (3, 5, 4)
     data = rng.standard_normal((97, 3))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 
@@ -212,6 +213,23 @@ def test_cell_sums_match_a_loop_on_both_paths(bound, weighted):
     assert got_sums.tolist() == list(want.values())
     assert got_keys.dtype == np.int64
     assert got_sums.dtype == (np.float64 if weighted else np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(resolutions=st.lists(st.integers(1, 5), min_size=1, max_size=5), data=st.data())
+def test_key_is_numpys_flat_index_over_the_axes(resolutions, data):
+    # Any axes in any order, so the runs of consecutive axes vary, on a grid
+    # with about half its cells stored.
+    res = tuple(resolutions)
+    axes = data.draw(st.permutations(range(len(res))))[: data.draw(st.integers(1, len(res)))]
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random(math.prod(res)) * (rng.random(math.prod(res)) < 0.5)
+    c = unchecked(res, mass)
+    coords = np.unravel_index(c.cell_index, res)
+    want = np.ravel_multi_index(tuple(coords[a] for a in axes), [res[a] for a in axes])
+    got = c._key(axes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 class TestAxisOps:

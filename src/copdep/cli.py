@@ -25,14 +25,13 @@ from .errors import (
     _count,
 )
 from .estimation import (
-    _column_slots,
+    _csv_slots,
     _rank_slots,
     _select_columns,
     PseudoObservations,
     ResolutionPolicy,
     choose_resolution,
     fit_checkerboard,
-    read_csv,
 )
 from .generators import (
     _TAGS as _MODELS,
@@ -112,13 +111,11 @@ def _fit_csv(args) -> tuple[CheckerboardCopula, PseudoObservations, list[str]]:
     columns = _parse_columns(args.columns)
     if columns is not None and len(columns) < 2:
         raise InvalidArgumentError(f"--columns must name at least 2 columns, got {columns}")
-    data, names = read_csv(args.input, columns)
+    # The columns are parsed straight into the interval buffer, which ranking
+    # then fills in place, so no parsed matrix is held beside it.
+    slots, names = _csv_slots(args.input, columns)
     if len(names) < 2:  # a one-column file read without --columns
         raise InvalidArgumentError(f"{args.input} has 1 column; a copula needs at least 2")
-    # pseudo_observations(data) in two steps, so the parsed matrix goes as
-    # soon as it is copied into the interval buffer and no sort runs beside it.
-    slots = _column_slots(data)
-    del data
     pseudo = _rank_slots(slots)
     if m is None:
         policy = ResolutionPolicy(mode="automatic")

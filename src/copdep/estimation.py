@@ -11,9 +11,11 @@ yields the identical copula, and hence identical downstream measures.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
+import re
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -26,6 +28,8 @@ from .grid import CheckerboardCopula, _cell_sums, _check_resolutions, require_va
 
 #: Most (box, cell) parts, about 60 bytes each, that a fit may split boxes into.
 MAX_BOX_PARTS = 2**22
+#: Rows per block of a fit's axis step.
+_FIT_BLOCK = 2**16
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -132,26 +136,36 @@ def _sample_matrix(data) -> np.ndarray:
 
 def _column_slots(data) -> np.ndarray:
     """The first step of ranking: the (d, 2, N) int32 interval buffer of an
-    (N, d) sample, with column j copied into slot j as N float64s (two int32
-    ends take 8 bytes, like one float64).  The buffer holds all that ranking
-    reads, so a caller may drop the sample before ``_rank_slots``."""
+    (N, d) sample, with column j copied into slot j as N float64s.  The
+    buffer holds all that ranking reads, so a caller may drop the sample
+    before ``_rank_slots``."""
     arr = _sample_matrix(data)
     if arr.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-D sample matrix, got shape {arr.shape}")
-    n, d = arr.shape
+    _check_rows(arr.shape[0])
+    matrix = _slot_matrix(*arr.shape)
+    matrix[:] = arr
+    return matrix.base
+
+
+def _slot_matrix(n: int, d: int) -> np.ndarray:
+    """A new (d, 2, n) int32 interval buffer, seen as the (n, d) float64
+    matrix whose column j is slot j (two int32 ends take 8 bytes, like one
+    float64); the buffer is the matrix's ``base``."""
+    return np.empty((d, 2, n), dtype=np.int32).reshape(-1).view(np.float64).reshape(d, n).T
+
+
+def _check_rows(n: int) -> None:
     if n < 2:
         raise InsufficientDataError(f"need at least 2 rows, got {n}")
     if n >= 2**31:
         raise InvalidArgumentError(f"{n} rows; int32 rank intervals need fewer than 2**31")
-    out = np.empty((d, 2, n), dtype=np.int32)
-    for j, ends in enumerate(out):
-        ends.reshape(-1).view(np.float64)[:] = arr[:, j]
-    return out
 
 
 def _rank_slots(out: np.ndarray) -> PseudoObservations:
     """The second step of ranking: replaces each slot of ``_column_slots``
     by its column's rank intervals and warns if any rows are tied."""
+    _check_rows(out.shape[2])
     n = out.shape[2]
     new = np.empty(n, dtype=bool)  # whether each sorted value starts a tie group
     new[0] = True
@@ -227,9 +241,7 @@ def fit_checkerboard(
         raise InvalidArgumentError(f"resolution {max(res)} exceeds the maximum {max_resolution}")
     n = pseudo.n_rows
     first = np.zeros(n, dtype=np.int64)
-    scratch = np.empty((2, n), dtype=np.int64)
-    crossing = [_add_axis(first, lo, hi, m, scratch) for (lo, hi), m in zip(pseudo.intervals, res)]
-    del scratch
+    crossing = [_add_axis(first, lo, hi, m) for (lo, hi), m in zip(pseudo.intervals, res)]
     cells, mass = _cell_sums(first, math.prod(res))
     mass = mass.astype(np.float64)
     if any(rows.size for rows, _, _ in crossing):
@@ -241,29 +253,38 @@ def fit_checkerboard(
     return require_valid(CheckerboardCopula._from_cells(res, cells, mass / n), "fit_checkerboard")
 
 
-def _add_axis(first, lo, hi, m: int, scratch):
+def _add_axis(first, lo, hi, m: int):
     """Append an axis of ``m`` cells to each row's first-cell flat index, given
     the rows' int32 rank intervals [lo, hi) in units of 1/N.  In units of
     1/(N m), where cell c is [c N, (c + 1) N) and an interval is [lo m, hi m),
     returns the rows whose interval crosses a cell edge and, per cell, the
-    start and length of the one that does.
+    start and length of the one that does.  Rows go in blocks of
+    ``_FIT_BLOCK``, so the int64 scratch is two blocks, not two columns.
     """
     n = lo.size
-    start, cell = scratch
-    # int64 arithmetic throughout: lo m and hi m overflow int32 for large N m.
-    np.multiply(hi, m, out=start, dtype=np.int64)
-    start -= 1
-    np.floor_divide(start, n, out=cell)
-    cell *= n  # where the interval's last cell begins
-    np.multiply(lo, m, out=start, dtype=np.int64)
-    rows = np.flatnonzero(cell > start)  # it crosses an edge if that is after its start
-    np.floor_divide(start, n, out=cell)
-    first *= m
-    first += cell
     out_start, out_length = np.zeros((2, m), dtype=np.int64)
-    out_start[cell[rows]] = start[rows]
-    out_length[cell[rows]] = np.multiply(hi[rows] - lo[rows], m, dtype=np.int64)
-    return rows, out_start, out_length
+    scratch = np.empty((2, min(n, _FIT_BLOCK)), dtype=np.int64)
+    rows = []
+    for b in range(0, n, _FIT_BLOCK):
+        block_lo, block_hi = lo[b : b + _FIT_BLOCK], hi[b : b + _FIT_BLOCK]
+        start, cell = scratch[:, : block_lo.size]
+        # int64 arithmetic throughout: lo m and hi m overflow int32 for large N m.
+        np.multiply(block_hi, m, out=start, dtype=np.int64)
+        start -= 1
+        np.floor_divide(start, n, out=cell)
+        cell *= n  # where the interval's last cell begins
+        np.multiply(block_lo, m, out=start, dtype=np.int64)
+        crossed = np.flatnonzero(cell > start)  # it crosses an edge if that is after its start
+        np.floor_divide(start, n, out=cell)
+        block_first = first[b : b + block_lo.size]
+        block_first *= m
+        block_first += cell
+        out_start[cell[crossed]] = start[crossed]
+        out_length[cell[crossed]] = np.multiply(
+            block_hi[crossed] - block_lo[crossed], m, dtype=np.int64
+        )
+        rows.append(crossed + b)
+    return np.concatenate(rows), out_start, out_length
 
 
 def _split_boxes(res, n: int, first, crossing):
@@ -367,71 +388,203 @@ def _column_names(header, width: int, sel: list[int]) -> list[str]:
     return [header[j] for j in sel]
 
 
+#: Bytes per binary read of a CSV's data rows.  A block of rows ends at the
+#: last line end of a read that is outside quotes.
+_CSV_BLOCK = 2**18
+#: The bytes of a JSON number, and the whitespace JSON allows around one.
+_NUMBER_BYTES = b"0123456789+-.eE \t\r"
+#: An integer -0, which orjson reads as 0 where ``float`` reads -0.0.
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+#: Rows the row reader holds before it copies them into the destination.
+_STAGED_ROWS = 2**12
+
+
 def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     """Read a numeric CSV, optionally selecting columns by name or 0-based index.
 
     The first non-blank row is treated as a header when any of its tokens is
-    not a number.  Returns the selected matrix and the resolved column names;
-    when every column is selected in order, the matrix is the parsed array
-    itself.
+    not a number.  Returns the selected columns as a new C-ordered float64
+    matrix, and the resolved column names.
 
-    ``csv.reader`` reads the header and the first data row, and ``np.loadtxt``
-    parses the data rows, quoted fields and blank lines included.  When it
-    refuses the file (tokens only ``float`` accepts, ragged or non-numeric
-    rows, invalid UTF-8), the same reader reads on from the first data row,
-    keeping only the selected cells, and either accepts the file or raises the
-    typed error naming the row and column.
+    ``csv.reader`` reads the header and the first data row.  A first binary
+    pass counts the line ends, so the matrix is allocated once, and a second
+    reads the data rows in blocks of about 256 KB, each parsed straight into
+    the matrix.  A block whose every line is as many JSON numbers as the
+    first data row has fields is read by orjson, to the same float64 values
+    as ``float``; any other block (quoted fields, blank lines, tokens such
+    as ``+1``, ``.5``, ``nan`` or ``1e400``) is read by ``np.loadtxt``.
+    When loadtxt refuses a block (tokens only ``float`` accepts, ragged or
+    non-numeric rows, invalid UTF-8), the same ``csv.reader`` reads on from
+    the first data row into the matrix, and either accepts the file or
+    raises the typed error naming the row and column.
     """
+    data, rows, names = _read_csv(path, columns, lambda n, k: np.empty((n, k)))
+    data.resize((rows, data.shape[1]), refcheck=False)  # blank lines were counted
+    return data, names
+
+
+def _csv_slots(path, columns) -> tuple[np.ndarray, list[str]]:
+    """``_column_slots`` of the selected columns of a CSV, parsed straight
+    into the interval buffer, and their names; see ``read_csv``."""
+    data, n, names = _read_csv(path, columns, _slot_matrix)
+    out = data.base
+    del data
+    d, _, size = out.shape
+    if n < size:  # blank lines were counted: each slot moves down to its first n entries
+        flat = out.reshape(-1).view(np.float64)
+        for j in range(1, d):
+            flat[j * n : (j + 1) * n] = flat[j * size : j * size + n]
+        del flat
+        out.resize((d, 2, n), refcheck=False)
+    return out, names
+
+
+def _read_csv(path, columns, allocate) -> tuple[np.ndarray, int, list[str]]:
+    """The selected columns of a CSV in ``allocate(n, k)``, an (n, k) float64
+    matrix with n no less than the data rows; how many rows it filled; and
+    the columns' names."""
     path = Path(path)
+    consumed = [0]  # bytes of the lines that csv.reader has taken
+
+    def lines(fh):
+        for line in fh:
+            consumed[0] += len(line.encode("utf-8"))
+            yield line
+
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with path.open(newline="", encoding="utf-8") as fh, path.open("rb") as raw:
+            reader = csv.reader(lines(fh))
             rows = filter(None, reader)  # a blank line is an empty row
             first = next(rows, None)
             if first is None:
                 raise InsufficientDataError(f"{path} is empty")
             header = _header(first)
-            skip = 0
+            start = 0
             if header is not None:
-                skip = reader.line_num  # loadtxt skips the blank lines after it
+                start = consumed[0]  # the data rows start after the header's lines
                 first = next(rows, None)
                 if first is None:
                     raise InsufficientDataError(f"{path} has a header but no data rows")
             width = len(first)
             sel = _select_columns(columns, header, width)
+            raw.seek(start)
+            out = allocate(_line_count(raw), len(sel))
+            raw.seek(start)
             try:
-                data = np.loadtxt(
-                    path,
-                    delimiter=",",
-                    skiprows=skip,
-                    quotechar='"',
-                    comments=None,
-                    ndmin=2,
-                    encoding="utf-8",
-                )
+                n = _parse_blocks(_blocks(raw), width, sel, out)
             except ValueError:  # also UnicodeDecodeError, which reading on meets again
-                data = _float_rows(itertools.chain([first], rows), width, sel, header)
-            else:
-                if sel != list(range(width)):
-                    data = data.take(sel, axis=1)
+                n = _float_rows(itertools.chain([first], rows), width, sel, header, out)
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path} is not UTF-8 text: {exc}") from exc
-    return data, _column_names(header, width, sel)
+    return out, n, _column_names(header, width, sel)
 
 
-def _float_rows(rows, width: int, sel: list[int], header) -> np.ndarray:
-    """The selected cells of one or more data rows as floats; a ragged row or
-    a cell ``float`` refuses is an InvalidDataError naming its row (and column)."""
-    values = array("d")
+def _line_count(raw) -> int:
+    """Lines from ``raw``'s position to its end: each line end (\\n, \\r\\n
+    or a lone \\r) counts one, and so does a last line without one."""
+    lines, last = 0, b"\n"
+    while chunk := raw.read(_CSV_BLOCK):
+        ends = np.frombuffer(chunk, dtype=np.uint8)
+        lines += int(np.count_nonzero(ends == 10))
+        if b"\r" in chunk:
+            lines += int(np.count_nonzero(ends == 13)) - chunk.count(b"\r\n")
+            lines -= last == b"\r" and chunk[:1] == b"\n"  # a \r\n split across reads
+        last = chunk[-1:]
+    return lines + (last not in (b"\n", b"\r"))
+
+
+def _blocks(raw):
+    """The bytes from ``raw``'s position to its end, in blocks that each end
+    with a line end outside quotes; the last gets a \\n if it has none.  A
+    read without a \\n is cut at its last \\r, so a file whose lines end
+    in \\r alone is not read whole."""
+    head, odd = [], 0  # the block under way, and the parity of its quotes
+    while chunk := raw.read(_CSV_BLOCK):
+        cut = (chunk.rfind(b"\n") + 1) or (chunk.rfind(b"\r") + 1)
+        before = after = 0
+        if b'"' in chunk:
+            before, after = chunk.count(b'"', 0, cut) & 1, chunk.count(b'"', cut) & 1
+        if cut and not odd ^ before:
+            yield b"".join([*head, chunk[:cut]])
+            head, odd = [chunk[cut:]], after
+        else:
+            head.append(chunk)
+            odd ^= before ^ after
+    block = b"".join(head)
+    if block:
+        yield block if block.endswith(b"\n") else block + b"\n"
+
+
+def _parse_blocks(blocks, width: int, sel: list[int], out) -> int:
+    """Parses blocks of data rows into the rows of ``out`` and returns how
+    many it read; ValueError where loadtxt refuses a block."""
+    n = 0
+    for block in blocks:
+        rows = _json_rows(block, width)
+        if rows is None:
+            rows = _loadtxt_rows(block, width)
+        out[n : n + len(rows)] = rows[:, sel]
+        n += len(rows)
+    return n
+
+
+def _json_rows(block: bytes, width: int) -> np.ndarray | None:
+    """The (r, width) float64 rows of a block whose every line is ``width``
+    JSON numbers split by commas, read by orjson; None for any other block."""
+    import orjson  # here, so importing the package does not load it (~7 ms, ~0.6 MB)
+
+    seps = block.translate(None, _NUMBER_BYTES)  # the commas, the line ends and any other byte
+    if seps != (b"," * (width - 1) + b"\n") * (len(seps) // width):
+        return None  # a quote, a letter, a blank line, a line of another width, ...
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        return None  # a lone \r ends a line
+    try:
+        values = orjson.loads(b"[%s]" % block[:-1].replace(b"\n", b","))
+    except orjson.JSONDecodeError:
+        return None  # an empty field, or a token JSON refuses: +1, .5, 5., 00, 1e400
+    if len(values) != len(seps):
+        return None  # lines of whitespace, which JSON reads as no value at all
+    rows = np.fromiter(values, dtype=np.float64, count=len(values)).reshape(-1, width)
+    if not rows.all() and _INTEGER_MINUS_ZERO.search(block):
+        return None  # orjson reads the integer -0 as +0.0
+    return rows
+
+
+def _loadtxt_rows(block: bytes, width: int) -> np.ndarray:
+    """The (r, width) float64 rows of a block read by ``np.loadtxt``, r = 0
+    for blank lines; ValueError where it refuses them or finds another width."""
+    if not block.strip(b"\r\n"):
+        return np.empty((0, width))  # loadtxt would warn that it read no data
+    rows = np.loadtxt(
+        io.StringIO(block.decode("utf-8"), newline=None),
+        delimiter=",",
+        quotechar='"',
+        comments=None,
+        ndmin=2,
+    )
+    if rows.shape[1] != width:
+        raise ValueError(f"rows of {rows.shape[1]} fields, where the first has {width}")
+    return rows
+
+
+def _float_rows(rows, width: int, sel: list[int], header, out) -> int:
+    """Reads the selected cells of one or more data rows into the rows of
+    ``out`` and returns how many; a ragged row or a cell ``float`` refuses
+    is an InvalidDataError naming its row (and column)."""
+    staged, start = array("d"), 0
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InvalidDataError(f"row {i} has {len(row)} fields, expected {width}")
         for j in sel:
             try:
-                values.append(float(row[j]))
+                staged.append(float(row[j]))
             except ValueError as exc:
                 name = header[j] if header is not None and j < len(header) else str(j)
                 raise InvalidDataError(
                     f"non-numeric value {row[j]!r} at row {i}, column {name}", column=name
                 ) from exc
-    return np.frombuffer(values).reshape(i + 1, len(sel))
+        if i + 1 - start == _STAGED_ROWS:
+            out[start : i + 1] = np.frombuffer(staged).reshape(i + 1 - start, len(sel))
+            staged, start = array("d"), i + 1
+    out[start : i + 1] = np.frombuffer(staged).reshape(i + 1 - start, len(sel))
+    return i + 1

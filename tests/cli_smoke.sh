@@ -1,7 +1,8 @@
 #!/bin/sh
 # Runs the copdep command line end to end, in a scratch directory it removes
 # afterwards: every verify suite, synth, estimate and measure on a CSV (a
-# quoted, blank-led file included, and target columns that precede a
+# quoted, blank-led file included, one sample written so that each CSV parser
+# reads it and must measure the same, and target columns that precede a
 # conditioning column, so the split is relabelled, for tau_alpha on its
 # Gauss-Legendre nodes and for group_tau) and on saved copula files (the
 # entropy kinds among them, and a 4^3 fit that stores every cell, measured on
@@ -71,6 +72,18 @@ copdep measure --input fit4.json --v-cols 1 --kind tau_alpha --alpha 1
 copdep measure --input fit4.json --v-cols 0,1 --kind group_tau
 printf '\n"a","b"\n"1","2"\n"3","5"\n"4","3"\n"2","1"\n' > quoted.csv
 copdep measure --input quoted.csv --resolution 2
+# One sample written four ways, each read by another parser: orjson for the
+# plain file, np.loadtxt for quoted fields with a blank line and for a
+# +-signed token, and the row reader for a number with an underscore.
+printf 'a,b\n1,2\n3,5\n4,3\n2,10\n5,4\n' > plain.csv
+printf '"a","b"\n1,"2"\n\n"3",5\n4,3\n2,10\n5,4\n' > quoted_blank.csv
+printf 'a,b\n+1,2\n3,5\n4,3\n2,10\n5,4\n' > signed.csv
+printf 'a,b\n1,2\n3,5\n4,3\n2,1_0\n5,4\n' > underscore.csv
+plain=$(copdep measure --input plain.csv --resolution 2)
+for variant in quoted_blank signed underscore; do
+    [ "$(copdep measure --input "$variant.csv" --resolution 2)" = "$plain" ] ||
+        { echo "$variant.csv measured unlike plain.csv" >&2; exit 1; }
+done
 
 exits_two measure --input sample.csv --u-cols x0
 exits_two measure --input sample.csv --columns y

@@ -1,6 +1,7 @@
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ class TestFitCheckerboard:
         with pytest.raises(InvalidArgumentError, match="lower resolution"):
             fit_checkerboard(obs, (128,) * 8)
         assert fit_checkerboard(obs, (2,) * 8).validate().passed
+
+    @pytest.mark.filterwarnings("ignore:.*tied value")
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_fit_in_blocks_of_rows_is_bit_identical(self, monkeypatch, tied):
+        # 1,000 rows in blocks of 7, m = 30 not dividing N: the crossing rows
+        # and the crossing intervals' cells come from several blocks
+        data = make_rng(12).random((1_000, 3))
+        if tied:
+            data[:, 0] = np.round(data[:, 0] * 4)
+            data[:, 2] = np.round(data[:, 2] * 40)
+        obs = pseudo_observations(data)
+        whole = fit_checkerboard(obs, (30, 7, 30))
+        monkeypatch.setattr(estimation, "_FIT_BLOCK", 7)
+        blocks = fit_checkerboard(obs, (30, 7, 30))
+        assert blocks.cell_index.tobytes() == whole.cell_index.tobytes()
+        assert blocks.cell_mass.tobytes() == whole.cell_mass.tobytes()
 
     def test_tie_free_fit_beyond_int32_cell_arithmetic(self):
         # lo m reaches 1e5 * 42950 > 2**32: int32 products would wrap
@@ -557,19 +574,28 @@ DIFFERENTIAL_INPUTS = {
     "quoted field holding a comma": ('a,b\n"1,5",2\n3,4\n', None),
     "numeric first row after blank lines": ("\n\n1,2\n3,4\n", None),
     "quoted first data row over two lines": ('a,b\n"1\n",2\n3,4\n', None),
+    "CR inside a row": ("a,b\n1,\r2\n3,4\n", None),
     "underscore digits, selected": ("a,b,c\n1,2,3\n4,1_000,6\n", ["b", "a"]),
     "underscore digits, unselected": ("a,b,c\n1,2,3\n4,1_000,6\n", ["c", "a"]),
 }
 
 
+# Blocks of a few bytes split rows, \r\n pairs and quoted fields across reads.
+SMALL_BLOCKS = [1, 3, 7]
+BLOCKS = [estimation._CSV_BLOCK, *SMALL_BLOCKS]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
-def test_read_csv_matches_row_by_row_reference(tmp_path, name):
+def test_read_csv_matches_row_by_row_reference(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(estimation, "_CSV_BLOCK", block)
     text, columns = DIFFERENTIAL_INPUTS[name]
     path = tmp_path / "d.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert_same_as_reference(path, columns)
 
 
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize(
     "text",
     [
@@ -578,14 +604,23 @@ def test_read_csv_matches_row_by_row_reference(tmp_path, name):
         "\na,b\n1,2\n3,4\n",
         '\n\n"a","b"\n\n1,2\n3,"4"\n',
         "\n\n1,2\n3,4\n",
+        'a,b\n"1\n",2\n"3\r\n",4\r\n',
     ],
-    ids=["quoted", "quoted headerless", "blank-led", "blank-led quoted", "blank-led headerless"],
+    ids=[
+        "quoted",
+        "quoted headerless",
+        "blank-led",
+        "blank-led quoted",
+        "blank-led headerless",
+        "quoted line breaks",
+    ],
 )
-def test_quoted_and_blank_led_files_never_reach_the_row_loop(tmp_path, monkeypatch, text):
+def test_quoted_and_blank_led_files_never_reach_the_row_loop(tmp_path, monkeypatch, text, block):
     def refuse(*args):
         raise AssertionError("np.loadtxt should have read this file")
 
     monkeypatch.setattr(estimation, "_float_rows", refuse)
+    monkeypatch.setattr(estimation, "_CSV_BLOCK", block)
     path = tmp_path / "d.csv"
     path.write_text(text)
     data, _ = read_csv(path)
@@ -622,10 +657,145 @@ def _csv_text(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=_csv_text())
-def test_read_csv_fuzz_matches_row_by_row_reference(text):
-    with tempfile.TemporaryDirectory() as tmp:
+@settings(max_examples=600, deadline=None)
+@given(text=_csv_text(), block=st.sampled_from(BLOCKS))
+def test_read_csv_fuzz_matches_row_by_row_reference(text, block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(estimation, "_CSV_BLOCK", block):
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         assert_same_as_reference(path)
+
+
+def _many_blocks_csv(path, mixed):
+    """A 200,000-row, 3-column CSV of about 9 MB that ends without a line
+    end, and its parse by np.loadtxt.  ``mixed`` puts a quoted field, a
+    ``+``-signed token, a blank line and an integer -0 in a few blocks, which
+    np.loadtxt reads instead of orjson."""
+    rng = make_rng(41)
+    sample = rng.standard_normal((200_000, 3))
+    sample[::997, 1] = rng.integers(-3, 4, sample[::997, 1].size)  # integer tokens
+    sample[5, 2] = 2.0**-1070  # a subnormal
+    lines = [
+        ",".join(str(int(v)) if v.is_integer() else repr(v) for v in row)
+        for row in sample.tolist()
+    ]
+    if mixed:
+        for i in range(1_000, 200_000, 40_000):
+            lines[i] = '"' + lines[i].replace(",", '",', 1)
+            lines[i + 1] = "+" + lines[i + 1].lstrip("-")
+            lines[i + 2] = "-0," + lines[i + 2].split(",", 1)[1] + "\n"
+    path.write_text("a,b,c\n" + "\n".join(lines))
+    return np.loadtxt(path, delimiter=",", skiprows=1, quotechar='"')
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["orjson", "orjson and loadtxt"])
+def test_a_file_of_many_blocks_reads_as_loadtxt_does(tmp_path, monkeypatch, mixed):
+    path = tmp_path / "d.csv"
+    expected = _many_blocks_csv(path, mixed)
+    assert path.stat().st_size > 30 * estimation._CSV_BLOCK
+    assert not path.read_bytes().endswith(b"\n")
+    minus_zero = (expected[:, 0] == 0) & np.signbit(expected[:, 0])
+    assert minus_zero.any() == mixed  # orjson would read -0 as +0.0
+    loadtxt_blocks = []
+
+    def loadtxt_rows(block, width):
+        loadtxt_blocks.append(block)
+        return real_loadtxt_rows(block, width)
+
+    real_loadtxt_rows = estimation._loadtxt_rows
+    monkeypatch.setattr(estimation, "_loadtxt_rows", loadtxt_rows)
+    for columns, cols in [(None, [0, 1, 2]), (["c", "a"], [2, 0])]:
+        want = np.ascontiguousarray(expected[:, cols])
+        data, names = read_csv(path, columns)
+        assert names == [["a", "b", "c"][j] for j in cols]
+        assert data.shape == want.shape and data.flags.c_contiguous
+        assert data.tobytes() == want.tobytes()
+        slots, names = estimation._csv_slots(path, columns)
+        assert slots.tobytes() == estimation._column_slots(want).tobytes()
+    # 4 reads of ~35 blocks; each of the 5 edits meets one block, or two at an edge
+    assert 20 <= len(loadtxt_blocks) <= 40 if mixed else not loadtxt_blocks
+
+
+def _fast_read(token):
+    """The bits the fast path reads ``token`` as, twice in a two-line block,
+    or None where it refuses the block."""
+    rows = estimation._json_rows(f"1,{token}\n{token},-0.5\n".encode(), 2)
+    return None if rows is None else rows.tobytes()
+
+
+def _float_bits(token):
+    return np.array([[1.0, float(token)], [float(token), -0.5]]).tobytes()
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+
+
+@st.composite
+def _json_number(draw):
+    """A token of JSON's number grammar, up to 40 digits before and after the point."""
+    lead = draw(st.sampled_from("0123456789"))
+    integer = lead + ("" if lead == "0" else draw(st.text("0123456789", max_size=39)))
+    fraction = draw(st.just("") | _DIGITS.map(".{}".format))
+    exponent = draw(
+        st.just("")
+        | st.builds(
+            "{}{}{}".format,
+            st.sampled_from("eE"),
+            st.sampled_from(["", "+", "-"]),
+            st.integers(0, 400).map(str) | st.text("0123456789", min_size=1, max_size=5),
+        )
+    )
+    return draw(st.sampled_from(["", "-"])) + integer + fraction + exponent
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    token=_json_number()
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-(2**70), 2**70).map(str)
+)
+def test_every_token_the_fast_path_accepts_reads_as_float_does(token):
+    bits = _fast_read(token)
+    assume(bits is not None)
+    assert bits == _float_bits(token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "-0e0",
+        "-0.0",
+        "4.9e-324",  # the least subnormal
+        "2.2250738585072009e-308",  # the greatest subnormal
+        "1e-400",  # below every subnormal: 0
+        "9007199254740993",  # 2**53 + 1, not a float64
+        "-9223372036854775809",  # one below the least int64
+        "9223372036854775808",  # 2**63
+        "18446744073709551615",  # 2**64 - 1
+        "18446744073709551616",  # 2**64
+        "123456789012345678901234567890123456789",
+        "0.30000000000000004",  # 17 digits
+        "1.0000000000000001110223024625156540423631668090820312500000001",  # just past a tie
+        "1.0000000000000001110223024625156540423631668090820312500000000",  # on the tie: even
+        "2.4703282292062327208828439643411068618252990130716238221279284e-324",
+    ],
+)
+def test_tokens_the_fast_path_reads_as_float_does(token):
+    assert _fast_read(token) == _float_bits(token)
+
+
+def test_an_integer_minus_zero_keeps_its_sign(tmp_path):
+    # orjson reads the integer -0 as +0.0, so its block goes to np.loadtxt
+    assert _fast_read("-0") in (None, _float_bits("-0"))
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,-0\n-0,2\n")
+    data, _ = read_csv(path)
+    assert np.signbit(data).tolist() == [[False, True], [True, False]]
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "+1", ".5", "5.", "00", "nan", "1_0", "0x10"])
+def test_tokens_the_fast_path_refuses_read_as_before(tmp_path, token):
+    assert _fast_read(token) is None
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b\n1,{token}\n{token},2\n3,4\n")
+    assert_same_as_reference(path)

@@ -156,6 +156,7 @@ def _slot_matrix(n: int, d: int) -> np.ndarray:
 
 
 def _check_rows(n: int) -> None:
+    """Raises unless a sample of ``n`` rows can be ranked: at least 2, below 2**31."""
     if n < 2:
         raise InsufficientDataError(f"need at least 2 rows, got {n}")
     if n >= 2**31:

@@ -667,8 +667,8 @@ def test_read_csv_fuzz_matches_row_by_row_reference(text, block):
 
 
 def _many_blocks_csv(path, mixed):
-    """A 200,000-row, 3-column CSV of about 9 MB that ends without a line
-    end, and its parse by np.loadtxt.  ``mixed`` puts a quoted field, a
+    """A 200,000-row, 3-column CSV of over 30 blocks that ends without a
+    line end, and its parse by np.loadtxt.  ``mixed`` puts a quoted field, a
     ``+``-signed token, a blank line and an integer -0 in a few blocks, which
     np.loadtxt reads instead of orjson."""
     rng = make_rng(41)

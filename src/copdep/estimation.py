@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import operator
 import re
@@ -393,11 +392,9 @@ def _column_names(header, width: int, sel: list[int]) -> list[str]:
 #: last line end of a read that is outside quotes.
 _CSV_BLOCK = 2**18
 #: The bytes of a JSON number, and the whitespace JSON allows around one.
-_NUMBER_BYTES = b"0123456789+-.eE \t\r"
+_NUMBER_BYTES = b"0123456789+-.eE \t"
 #: An integer -0, which orjson reads as 0 where ``float`` reads -0.0.
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
-#: Rows the row reader holds before it copies them into the destination.
-_STAGED_ROWS = 2**12
 
 
 def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
@@ -412,12 +409,10 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     reads the data rows in blocks of about 256 KB, each parsed straight into
     the matrix.  A block whose every line is as many JSON numbers as the
     first data row has fields is read by orjson, to the same float64 values
-    as ``float``; any other block (quoted fields, blank lines, tokens such
-    as ``+1``, ``.5``, ``nan`` or ``1e400``) is read by ``np.loadtxt``.
-    When loadtxt refuses a block (tokens only ``float`` accepts, ragged or
-    non-numeric rows, invalid UTF-8), the same ``csv.reader`` reads on from
-    the first data row into the matrix, and either accepts the file or
-    raises the typed error naming the row and column.
+    as ``float``.  Any other block (quoted fields, blank lines, tokens such
+    as ``+1``, ``.5``, ``nan`` or ``1_000``, ragged or non-numeric rows) is
+    read by ``csv.reader`` and ``float``, which accept it or raise the typed
+    error naming the row and column.
     """
     data, rows, names = _read_csv(path, columns, lambda n, k: np.empty((n, k)))
     data.resize((rows, data.shape[1]), refcheck=False)  # blank lines were counted
@@ -472,9 +467,13 @@ def _read_csv(path, columns, allocate) -> tuple[np.ndarray, int, list[str]]:
             out = allocate(_line_count(raw), len(sel))
             raw.seek(start)
             try:
-                n = _parse_blocks(_blocks(raw), width, sel, out)
-            except ValueError:  # also UnicodeDecodeError, which reading on meets again
-                n = _float_rows(itertools.chain([first], rows), width, sel, header, out)
+                n = _parse_blocks(_blocks(raw), width, sel, header, out)
+            except (ValueError, csv.Error):
+                # reading the whole file row by row meets any bytes that are
+                # not UTF-8, or that csv.reader refuses, before a bad cell
+                for _ in rows:
+                    pass
+                raise
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path} is not UTF-8 text: {exc}") from exc
     return out, n, _column_names(header, width, sel)
@@ -496,9 +495,9 @@ def _line_count(raw) -> int:
 
 def _blocks(raw):
     """The bytes from ``raw``'s position to its end, in blocks that each end
-    with a line end outside quotes; the last gets a \\n if it has none.  A
-    read without a \\n is cut at its last \\r, so a file whose lines end
-    in \\r alone is not read whole."""
+    with a line end outside quotes, but for the last.  A read without a \\n
+    is cut at its last \\r, so a file whose lines end in \\r alone is not
+    read whole."""
     head, odd = [], 0  # the block under way, and the parity of its quotes
     while chunk := raw.read(_CSV_BLOCK):
         cut = (chunk.rfind(b"\n") + 1) or (chunk.rfind(b"\r") + 1)
@@ -511,20 +510,31 @@ def _blocks(raw):
         else:
             head.append(chunk)
             odd ^= before ^ after
-    block = b"".join(head)
-    if block:
-        yield block if block.endswith(b"\n") else block + b"\n"
+    if block := b"".join(head):
+        yield block
 
 
-def _parse_blocks(blocks, width: int, sel: list[int], out) -> int:
+def _parse_blocks(blocks, width: int, sel: list[int], header, out) -> int:
     """Parses blocks of data rows into the rows of ``out`` and returns how
-    many it read; ValueError where loadtxt refuses a block."""
-    n = 0
+    many it read.  orjson reads a block of JSON numbers, and ``csv.reader``
+    any other; a quote that is not at the start of a field can make a block
+    end inside a quoted field, which then goes on into the next block."""
+    n, text = 0, ""  # the blocks under way whose last quoted field is open
     for block in blocks:
-        rows = _json_rows(block, width)
-        if rows is None:
-            rows = _loadtxt_rows(block, width)
-        out[n : n + len(rows)] = rows[:, sel]
+        rows = None if text else _json_rows(block, width)
+        if rows is not None:
+            rows = rows[:, sel]
+        else:
+            text += block.decode("utf-8")
+            rows = _float_rows(text, width, sel, header, n)
+            if rows is None:
+                continue
+            text = ""
+        out[n : n + len(rows)] = rows
+        n += len(rows)
+    if text:  # the file ends inside a quoted field, which csv.reader closes
+        rows = _float_rows(text + '"\n', width, sel, header, n)
+        out[n : n + len(rows)] = rows
         n += len(rows)
     return n
 
@@ -534,13 +544,14 @@ def _json_rows(block: bytes, width: int) -> np.ndarray | None:
     JSON numbers split by commas, read by orjson; None for any other block."""
     import orjson  # here, so importing the package does not load it (~7 ms, ~0.6 MB)
 
-    seps = block.translate(None, _NUMBER_BYTES)  # the commas, the line ends and any other byte
+    if b"\r" in block:  # csv.reader ends a line at \r\n, \n or a lone \r
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    block = block.removesuffix(b"\n")
+    seps = block.translate(None, _NUMBER_BYTES) + b"\n"  # commas, line ends, any other byte
     if seps != (b"," * (width - 1) + b"\n") * (len(seps) // width):
         return None  # a quote, a letter, a blank line, a line of another width, ...
-    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-        return None  # a lone \r ends a line
     try:
-        values = orjson.loads(b"[%s]" % block[:-1].replace(b"\n", b","))
+        values = orjson.loads(b"[%s]" % block.replace(b"\n", b","))
     except orjson.JSONDecodeError:
         return None  # an empty field, or a token JSON refuses: +1, .5, 5., 00, 1e400
     if len(values) != len(seps):
@@ -551,29 +562,17 @@ def _json_rows(block: bytes, width: int) -> np.ndarray | None:
     return rows
 
 
-def _loadtxt_rows(block: bytes, width: int) -> np.ndarray:
-    """The (r, width) float64 rows of a block read by ``np.loadtxt``, r = 0
-    for blank lines; ValueError where it refuses them or finds another width."""
-    if not block.strip(b"\r\n"):
-        return np.empty((0, width))  # loadtxt would warn that it read no data
-    rows = np.loadtxt(
-        io.StringIO(block.decode("utf-8"), newline=None),
-        delimiter=",",
-        quotechar='"',
-        comments=None,
-        ndmin=2,
-    )
-    if rows.shape[1] != width:
-        raise ValueError(f"rows of {rows.shape[1]} fields, where the first has {width}")
-    return rows
-
-
-def _float_rows(rows, width: int, sel: list[int], header, out) -> int:
-    """Reads the selected cells of one or more data rows into the rows of
-    ``out`` and returns how many; a ragged row or a cell ``float`` refuses
-    is an InvalidDataError naming its row (and column)."""
-    staged, start = array("d"), 0
-    for i, row in enumerate(rows):
+def _float_rows(text: str, width: int, sel: list[int], header, n: int) -> np.ndarray | None:
+    """The selected cells of the data rows in ``text``, read by ``csv.reader``
+    and ``float``, as an (r, len(sel)) float64 array; None when ``text``
+    ends inside a quoted field.  A ragged row or a cell ``float`` refuses is
+    an InvalidDataError naming its row, where the first row of ``text`` is
+    row ``n`` of the file (and its column)."""
+    # after a line end, a quote opens a last row [""] unless a quoted field is
+    # open; ``row`` runs one behind, so that last row is never converted
+    rows = filter(None, csv.reader(io.StringIO(text + '\n"', newline="")))
+    row, staged = next(rows), array("d")
+    for i, following in enumerate(rows, n):
         if len(row) != width:
             raise InvalidDataError(f"row {i} has {len(row)} fields, expected {width}")
         for j in sel:
@@ -584,8 +583,7 @@ def _float_rows(rows, width: int, sel: list[int], header, out) -> int:
                 raise InvalidDataError(
                     f"non-numeric value {row[j]!r} at row {i}, column {name}", column=name
                 ) from exc
-        if i + 1 - start == _STAGED_ROWS:
-            out[start : i + 1] = np.frombuffer(staged).reshape(i + 1 - start, len(sel))
-            staged, start = array("d"), i + 1
-    out[start : i + 1] = np.frombuffer(staged).reshape(i + 1 - start, len(sel))
-    return i + 1
+        row = following
+    if row != [""]:
+        return None
+    return np.frombuffer(staged).reshape(-1, len(sel))

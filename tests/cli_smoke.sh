@@ -72,15 +72,17 @@ copdep measure --input fit4.json --v-cols 1 --kind tau_alpha --alpha 1
 copdep measure --input fit4.json --v-cols 0,1 --kind group_tau
 printf '\n"a","b"\n"1","2"\n"3","5"\n"4","3"\n"2","1"\n' > quoted.csv
 copdep measure --input quoted.csv --resolution 2
-# One sample written four ways, each read by another parser: orjson for the
-# plain file, np.loadtxt for quoted fields with a blank line and for a
-# +-signed token, and the row reader for a number with an underscore.
+# One sample written five ways, read by the two parsers: orjson for the
+# plain file and the one whose lines end in \r alone, and the row reader
+# (csv.reader and float) for quoted fields with a blank line, a +-signed
+# token and a number with an underscore.
 printf 'a,b\n1,2\n3,5\n4,3\n2,10\n5,4\n' > plain.csv
 printf '"a","b"\n1,"2"\n\n"3",5\n4,3\n2,10\n5,4\n' > quoted_blank.csv
 printf 'a,b\n+1,2\n3,5\n4,3\n2,10\n5,4\n' > signed.csv
 printf 'a,b\n1,2\n3,5\n4,3\n2,1_0\n5,4\n' > underscore.csv
+printf 'a,b\r1,2\r3,5\r4,3\r2,10\r5,4\r' > cr_only.csv
 plain=$(copdep measure --input plain.csv --resolution 2)
-for variant in quoted_blank signed underscore; do
+for variant in quoted_blank signed underscore cr_only; do
     [ "$(copdep measure --input "$variant.csv" --resolution 2)" = "$plain" ] ||
         { echo "$variant.csv measured unlike plain.csv" >&2; exit 1; }
 done

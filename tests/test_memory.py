@@ -9,8 +9,8 @@ column whatever the ties.  The CLI parses a CSV's columns straight into
 that buffer, one block of about 256 KB at a time, so it never holds a parsed
 matrix beside its ranks: reading, ranking and fitting peak below 1.8 times
 the sample.  ``read_csv`` parses into a matrix of the selected columns only,
-and a CSV that ``np.loadtxt`` refuses is read on row by row into that
-matrix, never holding the file's rows as strings.  A grid that stores every cell
+and a block that orjson refuses is read row by row into that matrix, so the
+file's rows are never all held as strings.  A grid that stores every cell
 is measured on a split in any axis order from at most one more copy of its
 masses, never through a relabelled copula.
 """
@@ -231,7 +231,7 @@ def test_read_csv_of_two_columns_peaks_near_two_columns(tmp_path):
 
 
 def test_csv_that_loadtxt_refuses_is_read_without_holding_its_rows(tmp_path):
-    # 1_0 is a number to float but not to np.loadtxt, which gives up on the last row
+    # 1_0 is a number to float but not to orjson, which gives up on the last block
     n = 200_000
     path = tmp_path / "sample.csv"
     sample = make_rng(3).standard_normal((n, 3))
@@ -251,7 +251,7 @@ def test_csv_that_loadtxt_refuses_is_read_without_holding_its_rows(tmp_path):
 
 def test_csv_whose_lines_end_in_cr_alone_is_read_in_blocks(tmp_path):
     # without a \n to cut at, each read is cut at its last \r: held whole,
-    # the file's bytes, its text and loadtxt's parse peaked at 71 columns
+    # the file's bytes, its text and np.loadtxt's parse peaked at 71 columns
     n = 200_000
     path = tmp_path / "sample.csv"
     sample = make_rng(3).standard_normal((n, 3))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 import re
@@ -389,7 +390,7 @@ def _column_names(header, width: int, sel: list[int]) -> list[str]:
 
 
 #: Bytes per binary read of a CSV's data rows.  A block of rows ends at the
-#: last line end of a read that is outside quotes.
+#: last line end of a read.
 _CSV_BLOCK = 2**18
 #: The bytes of a JSON number, and the whitespace JSON allows around one.
 _NUMBER_BYTES = b"0123456789+-.eE \t"
@@ -404,7 +405,8 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     not a number.  Returns the selected columns as a new C-ordered float64
     matrix, and the resolved column names.
 
-    ``csv.reader`` reads the header and the first data row.  A first binary
+    ``csv.reader`` reads the header and the first data row, and the columns
+    are checked against them before any other row is read.  A first binary
     pass counts the line ends, so the matrix is allocated once, and a second
     reads the data rows in blocks of about 256 KB, each parsed straight into
     the matrix.  A block whose every line is as many JSON numbers as the
@@ -412,7 +414,8 @@ def read_csv(path, columns=None) -> tuple[np.ndarray, list[str]]:
     as ``float``.  Any other block (quoted fields, blank lines, tokens such
     as ``+1``, ``.5``, ``nan`` or ``1_000``, ragged or non-numeric rows) is
     read by ``csv.reader`` and ``float``, which accept it or raise the typed
-    error naming the row and column.
+    error naming the row and column.  A field longer than ``csv``'s limit of
+    131,072 characters is an InvalidDataError naming the file.
     """
     data, rows, names = _read_csv(path, columns, lambda n, k: np.empty((n, k)))
     data.resize((rows, data.shape[1]), refcheck=False)  # blank lines were counted
@@ -476,6 +479,8 @@ def _read_csv(path, columns, allocate) -> tuple[np.ndarray, int, list[str]]:
                 raise
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # a field over csv's limit of 131,072 characters
+        raise InvalidDataError(f"{path} is not valid CSV: {exc}") from exc
     return out, n, _column_names(header, width, sel)
 
 
@@ -495,21 +500,16 @@ def _line_count(raw) -> int:
 
 def _blocks(raw):
     """The bytes from ``raw``'s position to its end, in blocks that each end
-    with a line end outside quotes, but for the last.  A read without a \\n
+    at the last line end of a read, but for the last.  A read without a \\n
     is cut at its last \\r, so a file whose lines end in \\r alone is not
-    read whole."""
-    head, odd = [], 0  # the block under way, and the parity of its quotes
+    read whole; a read without either goes on into the next."""
+    head = []  # the bytes read since the last line end
     while chunk := raw.read(_CSV_BLOCK):
         cut = (chunk.rfind(b"\n") + 1) or (chunk.rfind(b"\r") + 1)
-        before = after = 0
-        if b'"' in chunk:
-            before, after = chunk.count(b'"', 0, cut) & 1, chunk.count(b'"', cut) & 1
-        if cut and not odd ^ before:
+        if cut:
             yield b"".join([*head, chunk[:cut]])
-            head, odd = [chunk[cut:]], after
-        else:
-            head.append(chunk)
-            odd ^= before ^ after
+            head = []
+        head.append(chunk[cut:])
     if block := b"".join(head):
         yield block
 
@@ -517,23 +517,19 @@ def _blocks(raw):
 def _parse_blocks(blocks, width: int, sel: list[int], header, out) -> int:
     """Parses blocks of data rows into the rows of ``out`` and returns how
     many it read.  orjson reads a block of JSON numbers, and ``csv.reader``
-    any other; a quote that is not at the start of a field can make a block
-    end inside a quoted field, which then goes on into the next block."""
-    n, text = 0, ""  # the blocks under way whose last quoted field is open
+    any other.  A block can end inside a quoted field; the row that holds
+    it is carried into the next block, and is the only text carried."""
+    n, text = 0, ""  # the row left open at the end of the block before
     for block in blocks:
         rows = None if text else _json_rows(block, width)
         if rows is not None:
             rows = rows[:, sel]
         else:
-            text += block.decode("utf-8")
-            rows = _float_rows(text, width, sel, header, n)
-            if rows is None:
-                continue
-            text = ""
+            rows, text = _float_rows(text + block.decode("utf-8"), width, sel, header, n)
         out[n : n + len(rows)] = rows
         n += len(rows)
     if text:  # the file ends inside a quoted field, which csv.reader closes
-        rows = _float_rows(text + '"\n', width, sel, header, n)
+        rows, _ = _float_rows(text + '"\n', width, sel, header, n)
         out[n : n + len(rows)] = rows
         n += len(rows)
     return n
@@ -562,16 +558,19 @@ def _json_rows(block: bytes, width: int) -> np.ndarray | None:
     return rows
 
 
-def _float_rows(text: str, width: int, sel: list[int], header, n: int) -> np.ndarray | None:
+def _float_rows(text: str, width: int, sel: list[int], header, n: int) -> tuple[np.ndarray, str]:
     """The selected cells of the data rows in ``text``, read by ``csv.reader``
-    and ``float``, as an (r, len(sel)) float64 array; None when ``text``
-    ends inside a quoted field.  A ragged row or a cell ``float`` refuses is
-    an InvalidDataError naming its row, where the first row of ``text`` is
-    row ``n`` of the file (and its column)."""
+    and ``float``, as an (r, len(sel)) float64 array, and the text of the
+    row left open at its end by a quoted field that ``text`` does not close
+    ("" when none is).  A ragged row or a cell ``float`` refuses is an
+    InvalidDataError naming its row, where the first row of ``text`` is row
+    ``n`` of the file (and its column)."""
     # after a line end, a quote opens a last row [""] unless a quoted field is
-    # open; ``row`` runs one behind, so that last row is never converted
-    rows = filter(None, csv.reader(io.StringIO(text + '\n"', newline="")))
-    row, staged = next(rows), array("d")
+    # open; ``row`` runs one behind, so that last row is never converted, and
+    # ``start`` counts the lines before it
+    reader = csv.reader(io.StringIO(text + '\n"', newline=""))
+    rows = filter(None, reader)  # a blank line is an empty row
+    row, staged, start, end = next(rows), array("d"), 0, reader.line_num
     for i, following in enumerate(rows, n):
         if len(row) != width:
             raise InvalidDataError(f"row {i} has {len(row)} fields, expected {width}")
@@ -583,7 +582,8 @@ def _float_rows(text: str, width: int, sel: list[int], header, n: int) -> np.nda
                 raise InvalidDataError(
                     f"non-numeric value {row[j]!r} at row {i}, column {name}", column=name
                 ) from exc
-        row = following
-    if row != [""]:
-        return None
-    return np.frombuffer(staged).reshape(-1, len(sel))
+        row, start, end = following, end, reader.line_num
+    parsed = np.frombuffer(staged).reshape(-1, len(sel))
+    if row == [""]:
+        return parsed, ""
+    return parsed, "".join(itertools.islice(io.StringIO(text, newline=""), start, None))

@@ -381,8 +381,6 @@ def conditional_cdf(copula: CheckerboardCopula, split: GroupSplit, u_cell, v) ->
         )
 
     index = copula.cell_index
-    if not index.size:
-        return 0.0
     # Flat indices of the conditioning cell's target cells, row-major over
     # the target axes in split order, looked up among the stored cells.
     res, strides = copula.resolutions, _strides(copula.resolutions)

@@ -7,11 +7,12 @@
 # Gauss-Legendre nodes and for group_tau) and on saved copula files (the
 # entropy kinds among them, and a 4^3 fit that stores every cell, measured on
 # splits out of axis order, which the walk reads as a transposed view of its
-# masses), invalid calls that must exit 2 (a NaN token, a file nested
-# 200,000 levels deep, an unknown key, a nested mass, a boolean among the
-# masses, and dims, resolutions or mass given twice, once with the second
-# resolutions spelled with an escape), and a copula file whose marginals are
-# not uniform, which must exit 3 with an error naming the file.
+# masses), invalid calls that must exit 2 (a CSV field longer than csv's
+# limit of 131,072 characters, a NaN token, a file nested 200,000 levels
+# deep, an unknown key, a nested mass, a boolean among the masses, and dims,
+# resolutions or mass given twice, once with the second resolutions spelled
+# with an escape), and a copula file whose marginals are not uniform, which
+# must exit 3 with an error naming the file.
 #
 # Usage: sh tests/cli_smoke.sh COMMAND...
 #   sh tests/cli_smoke.sh copdep                 # the installed entry point
@@ -92,6 +93,13 @@ exits_two measure --input sample.csv --columns y
 exits_two measure --input fit.json --resolution 8
 exits_two synth --model independent --theta 0.3 --output ind.csv
 exits_two synth --model mixture --theta 0.5 --sigma 1 --output mix.csv
+
+{
+    printf 'a,b\n1,2\n3,4\n1,'
+    head -c 131073 /dev/zero | tr '\0' '1'
+    printf '\n5,6\n'
+} > long_field.csv
+exits_two measure --input long_field.csv
 
 printf '{"dims": 1, "resolutions": [2], "mass": [NaN, 0.5]}' > nan.json
 exits_two measure --input nan.json

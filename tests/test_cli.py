@@ -197,6 +197,7 @@ UNREADABLE_INPUTS = {
     "huge_resolution.json": b'{"dims": 2, "resolutions": [2, 18446744073709551616], "mass": [1.0]}',
     "latin1_header.csv": b"a\xe9,b\n1,2\n3,4\n",
     "latin1_row.csv": b"a,b\n1,2\n3\xe9,4\n",
+    "long_field.csv": b"a,b\n1,2\n3,4\n1," + b"1" * (2**17 + 1) + b"\n5,6\n",  # over csv's limit
     "a_directory": None,
 }
 

@@ -31,7 +31,7 @@ from copdep import (
     tau_alpha,
     tau_quadratic,
 )
-from conftest import blend, unchecked
+from conftest import blend
 
 PAIR = GroupSplit((0,), (1,))
 
@@ -109,8 +109,6 @@ class TestConditionalCdf:
         cop = comonotone_copula(3, 4)
         split = GroupSplit((0, 1), (2,))
         assert conditional_cdf(cop, split, (0, 2), 0.9) == 0.0
-        # a grid with no stored cells has no conditioning mass anywhere
-        assert conditional_cdf(unchecked((2, 2), [0, 0, 0, 0]), PAIR, (1,), 0.9) == 0.0
 
     def test_group_form(self):
         cop = independence_copula((3, 4, 4))

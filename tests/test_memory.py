@@ -264,3 +264,22 @@ def test_csv_whose_lines_end_in_cr_alone_is_read_in_blocks(tmp_path):
 
     assert peak_bytes(work) <= 5 * n * 8
     assert result["data"].tobytes() == sample.tobytes()
+
+
+def test_csv_with_a_stray_quote_is_read_in_blocks(tmp_path):
+    # csv.reader reads x" as text; counted as a quote that opens a field, it
+    # joined every later read into one block and peaked at 64 columns
+    n = 200_000
+    path = tmp_path / "sample.csv"
+    sample = make_rng(3).standard_normal((n, 3))
+    lines = [",".join(map(repr, row)) + ",0" for row in sample.tolist()]
+    lines[2] = lines[2].removesuffix("0") + 'x"'
+    path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n")
+    read_csv(path, ["a", "b", "c"])  # imports and caches fill outside the traced run
+    result = {}
+
+    def work():
+        result["data"], _ = read_csv(path, ["a", "b", "c"])
+
+    assert peak_bytes(work) <= 5 * n * 8
+    assert result["data"].tobytes() == sample.tobytes()

@@ -646,9 +646,10 @@ def _csv_text(draw):
     fmt = draw(st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, "{:f}".format]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     quoting = draw(st.booleans())
+    forms = ["plain", "quoted", "line break", "stray quote"] if quoting else ["plain"]
 
     def cell(token):
-        form = draw(st.sampled_from(["plain", "quoted", "line break", "stray quote"])) if quoting else "plain"
+        form = draw(st.sampled_from(forms))
         if form == "line break":  # inside the quotes, so the row keeps its fields
             token = draw(_SPACES) + token + draw(_SPACES)
             end = draw(st.sampled_from(["\n", "\r\n", "\r"]))

@@ -30,6 +30,8 @@ from .grid import CheckerboardCopula, _cell_sums, _check_resolutions, require_va
 MAX_BOX_PARTS = 2**22
 #: Rows per block of a fit's axis step.
 _FIT_BLOCK = 2**16
+#: Rows per block of ranking's key, tie and scatter passes.
+_RANK_BLOCK = 2**13
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -116,9 +118,10 @@ def pseudo_observations(data) -> PseudoObservations:
     """Column-wise rank intervals; tied rows share one.
 
     Each column is copied into its own slot of the interval buffer and
-    ranked there, so beside the input and the output it holds a column of
-    sort order, one half column of interval ends and a boolean column,
-    whatever the ties.  The caller's array is not changed.
+    ranked there by one in-place sort of packed (value, row) keys, so beside
+    the input and the output it holds an int64 column of keys and a boolean
+    column, and for a tied column also an int32 half column of interval
+    ends.  The caller's array is not changed.
     Raises InsufficientDataError for fewer than two rows, InvalidArgumentError
     for 2**31 rows or more, and InvalidDataError for non-numeric entries and,
     with the offending column, for non-finite ones.
@@ -173,16 +176,25 @@ def _rank_slots(out: np.ndarray) -> PseudoObservations:
     ties = []
     for j, ends in enumerate(out):
         row = ends.reshape(-1).view(np.float64)
-        order = np.argsort(row)
-        row.sort()  # in place: np.take over its own input would buffer a copy
-        if not (np.isfinite(row[0]) and np.isfinite(row[-1])):  # NaN sorts last
+        if not (np.isfinite(row.min()) and np.isfinite(row.max())):  # a NaN reaches both
             raise InvalidDataError(f"non-finite value in column {j}", column=j)
-        np.not_equal(row[1:], row[:-1], out=new[1:])
+        order = _packed_order(row, new)
+        if order is None:
+            order = np.argsort(row)
+            row.sort()  # in place: np.take over its own input would buffer a copy
+            np.not_equal(row[1:], row[:-1], out=new[1:])
         ties.append(n - int(np.count_nonzero(new)))
-        # Sorted position k lies in its tie group's interval [lo, hi): lo is the
-        # last group start at or before k, and n - hi the same in reversed order.
         # Once ``new`` holds the groups the slot is free for the ends; each is
         # scattered before the next is made.
+        if not ties[-1]:  # sorted position k is the interval [k, k + 1)
+            for a in range(0, n, _RANK_BLOCK):
+                part = order[a : a + _RANK_BLOCK]
+                ends[0, part] = np.arange(a, a + part.size, dtype=np.int32)
+            np.add(ends[0], 1, out=ends[1])
+            del order, part
+            continue
+        # Sorted position k lies in its tie group's interval [lo, hi): lo is the
+        # last group start at or before k, and n - hi the same in reversed order.
         lo = np.arange(n, dtype=np.int32)
         lo *= new
         np.maximum.accumulate(lo, out=lo)
@@ -202,6 +214,69 @@ def _rank_slots(out: np.ndarray) -> PseudoObservations:
             stacklevel=3,
         )
     return PseudoObservations._from_intervals(out, ties)
+
+
+def _packed_order(row: np.ndarray, new: np.ndarray) -> np.ndarray | None:
+    """The int64 sort order of the finite ``row``, with ``new[1:]`` set to
+    whether each sorted value starts a tie group; None when more than 1/16
+    of the rows would need the repair below.
+
+    Each row's uint64 key holds the top bits of its value's image under
+    ``_float_keys``, less the column minimum's, above its row index in the
+    low b = bit_length(n - 1) bits, so one in-place sort of the keys orders
+    the rows.  Rows come out of value order only within a run of equal
+    prefixes: each run that holds a descent is sorted again by value.
+    """
+    n = row.size
+    b = np.uint64((n - 1).bit_length())
+    index = (np.uint64(1) << b) - np.uint64(1)
+    low, high = _float_keys(np.array([row.min(), row.max()]))
+    # the prefixes keep every bit of the column's own range that fits
+    shift = np.uint64(max(0, int(high - low).bit_length() + int(b) - 64))
+    key = np.empty(n, dtype=np.uint64)
+    for a in range(0, n, _RANK_BLOCK):
+        block = _float_keys(row[a : a + _RANK_BLOCK]) - low
+        rows = np.arange(a, a + block.size, dtype=np.uint64)
+        key[a : a + block.size] = block >> shift << b | rows
+    key.sort()
+    drops, limit = [], n // 16
+    for a in range(1, n, _RANK_BLOCK):  # the blocks overlap by one sorted position
+        values = row[(key[a - 1 : a + _RANK_BLOCK] & index).view(np.int64)]
+        np.not_equal(values[1:], values[:-1], out=new[a : a + _RANK_BLOCK])
+        drops.append(np.flatnonzero(values[1:] < values[:-1]) + a)
+        limit -= drops[-1].size
+        if limit < 0:
+            return None
+    drops = np.concatenate(drops)
+    if drops.size:
+        # the runs are in value order among themselves, so one argsort of
+        # all their values sorts each of them
+        prefix = np.unique(key[drops] >> b) << b
+        start = np.searchsorted(key, prefix)
+        size = np.searchsorted(key, prefix | index, side="right") - start
+        total = int(size.sum())
+        if total > n // 16:
+            return None
+        at = np.arange(total) + np.repeat(start - np.cumsum(size) + size, size)
+        rows = key[at] & index
+        values = row[rows.view(np.int64)]
+        by_value = np.argsort(values)
+        key[at] = rows[by_value]
+        values = values[by_value]
+        new[at[1:]] = values[1:] != values[:-1]  # a run's first value starts a group
+    key &= index
+    return key.view(np.int64)
+
+
+def _float_keys(values: np.ndarray) -> np.ndarray:
+    """The uint64 images of float64 ``values``, in the same order, with -0.0
+    mapped as +0.0."""
+    signed = (values + 0.0).view(np.int64)
+    # below zero a larger magnitude is a smaller value: flip the magnitude bits
+    signed ^= (signed >> np.int64(63)) & np.int64(2**63 - 1)
+    keys = signed.view(np.uint64)
+    keys ^= np.uint64(2**63)
+    return keys
 
 
 def _mid_ranks(intervals: np.ndarray) -> np.ndarray:
@@ -356,7 +431,7 @@ def _header(row: list[str]) -> list[str] | None:
 def _select_columns(columns, header, width: int) -> list[int]:
     """0-based indices of the requested columns (all of them when None).  A
     column is a name, an integer (whatever ``operator.index`` accepts) or a
-    string of digits."""
+    string of digits, and at least one is requested."""
     if columns is None:
         return list(range(width))
     if isinstance(columns, str) or not hasattr(columns, "__iter__"):
@@ -375,6 +450,8 @@ def _select_columns(columns, header, width: int) -> list[int]:
         if not 0 <= j < width:
             raise InvalidArgumentError(f"column index {j} out of range 0..{width - 1}")
         sel.append(j)
+    if not sel:
+        raise InvalidArgumentError("expected at least one column, got none")
     return sel
 
 

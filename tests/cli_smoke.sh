@@ -4,7 +4,9 @@
 # quoted, blank-led file included, one sample written so that each CSV parser
 # reads it and must measure the same, and target columns that precede a
 # conditioning column, so the split is relabelled, for tau_alpha on its
-# Gauss-Legendre nodes and for group_tau) and on saved copula files (the
+# Gauss-Legendre nodes and for group_tau, and a sample of signed zeros and
+# ulp neighbours beside +-1e300 whose ties estimate must count and whose
+# rows, reversed, must measure the same) and on saved copula files (the
 # entropy kinds among them, and a 4^3 fit that stores every cell, measured on
 # splits out of axis order, which the walk reads as a transposed view of its
 # masses), invalid calls that must exit 2 (a CSV field longer than csv's
@@ -87,6 +89,36 @@ for variant in quoted_blank signed underscore cr_only; do
     [ "$(copdep measure --input "$variant.csv" --resolution 2)" = "$plain" ] ||
         { echo "$variant.csv measured unlike plain.csv" >&2; exit 1; }
 done
+
+# A sample of 48 rows: column z holds -0, 0.0 and +-5e-324, and column u
+# holds +-1e300 beside 1 + 2 eps, 1 + eps and 1 + 2 eps in rows 3, 10 and
+# 30, whose rank keys share a prefix out of value order, so ranking sorts
+# them again. estimate must count the ties, and the rows read in reverse
+# must measure the same at rank resolution, where every rank shows.
+{
+    echo z,u
+    i=0
+    while [ "$i" -lt 48 ]; do
+        case $((i % 4)) in 0) z=-0 ;; 1) z=0.0 ;; 2) z=5e-324 ;; *) z=-5e-324 ;; esac
+        case $i in
+            0) u=1e300 ;;
+            1) u=-1e300 ;;
+            3 | 30) u=1.0000000000000004 ;;
+            10) u=1.0000000000000002 ;;
+            *) u=$i.5 ;;
+        esac
+        echo "$z,$u"
+        i=$((i + 1))
+    done
+} > keys.csv
+{ head -n 1 keys.csv; sed 1d keys.csv | sed '1!G;h;$!d'; } > keys_reversed.csv
+case $(copdep estimate --input keys.csv --output keys.json) in
+    *'"ties": [45, 1]'*) ;;
+    *) echo "keys.csv: expected ties [45, 1]" >&2; exit 1 ;;
+esac
+[ "$(copdep measure --input keys_reversed.csv --resolution 48)" = \
+  "$(copdep measure --input keys.csv --resolution 48)" ] ||
+    { echo "keys_reversed.csv measured unlike keys.csv" >&2; exit 1; }
 
 exits_two measure --input sample.csv --u-cols x0
 exits_two measure --input sample.csv --columns y

@@ -37,6 +37,7 @@ from copdep import (
     make_rng,
     pseudo_observations,
     random_star_pair,
+    read_csv,
     star,
 )
 from conftest import unchecked
@@ -104,6 +105,14 @@ def _load(payload):
         path = Path(work) / "cop.json"
         path.write_text(json.dumps(payload))
         return load_copula(path)
+
+
+def _read_csv(text, columns):
+    """read_csv of ``columns`` from a file holding ``text``."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "sample.csv"
+        path.write_text(text)
+        return read_csv(path, columns)
 
 
 def _uniform(dims, resolutions):
@@ -219,6 +228,14 @@ AXIS_ARGUMENTS = {
     "permute_axes too few axes": (
         lambda: COPULA.permute_axes((0, 1)),
         lambda: COPULA.permute_axes((np.int64(0), 2, 1)),
+    ),
+    "read_csv no columns, row reader": (
+        lambda: _read_csv('a,b\n"1",2\n3,4\n', []),
+        lambda: _read_csv('a,b\n"1",2\n3,4\n', [np.int64(1)]),
+    ),
+    "read_csv no columns, orjson": (
+        lambda: _read_csv("a,b\n1,2\n3,4\n", iter([])),
+        lambda: _read_csv("a,b\n1,2\n3,4\n", ["b", np.int32(0)]),
     ),
     "load_copula dims unequal to the resolution count": (
         lambda: _load(_uniform(3, [2, 2])),

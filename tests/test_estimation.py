@@ -322,24 +322,47 @@ def reference_pseudo_observations(data):
     return out, tuple(ties)
 
 
+EPS = np.finfo(np.float64).eps
+DBL_MAX = np.finfo(np.float64).max
+RANK_KINDS = [
+    "distinct", "rounded", "valued", "constant", "zeros", "ulps", "ulps_outliers",
+    "ulp_patch", "subnormals", "extremes", "signed_ulps",
+]
+
+
 @st.composite
 def rank_samples(draw, non_finite=True):
-    """Up to 300 rows and 4 columns, each without ties, rounded, of 5 values,
-    constant or of signed zeros, with up to two non-finite cells if asked."""
-    n = draw(st.integers(2, 300))
+    """Up to 1,500 rows and 4 columns, each of a kind in ``RANK_KINDS``, with
+    up to two non-finite cells if asked.  Past 1,024 rows the rank keys
+    spend 11 bits on the row; ulp-close values share a key prefix."""
+    n = draw(st.integers(2, 1500))
     dims = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.standard_normal((n, dims))
     for j in range(dims):
-        kind = draw(st.sampled_from(["distinct", "rounded", "valued", "constant", "zeros"]))
+        kind = draw(st.sampled_from(RANK_KINDS))
+        col = data[:, j]
         if kind == "rounded":
-            data[:, j] = np.round(data[:, j] * 2.0)
+            col[:] = np.round(col * 2.0)
         elif kind == "valued":
-            data[:, j] = rng.integers(0, 5, size=n)
+            col[:] = rng.integers(0, 5, size=n)
         elif kind == "constant":
-            data[:, j] = 1.5
+            col[:] = 1.5
         elif kind == "zeros":
-            data[:, j] = rng.choice([0.0, -0.0, 1.0], size=n)
+            col[:] = rng.choice([0.0, -0.0, 1.0], size=n)
+        elif kind.startswith("ulps"):  # 1 + k eps, ties among them
+            col[:] = 1.0 + rng.integers(0, n, size=n) * EPS
+            if kind == "ulps_outliers":
+                col[rng.integers(0, n, size=3)] = [1e300, -1e300, 0.0]
+        elif kind == "ulp_patch":  # a few spread rows ulps apart, in random order
+            rows = rng.integers(0, n, size=n // 40 + 1)
+            col[rows] = 0.5 + rng.integers(0, 300, size=rows.size) * EPS / 2
+        elif kind == "subnormals":
+            col[:] = rng.integers(-n, n, size=n) * 5e-324
+        elif kind == "extremes":
+            col[rng.integers(0, n, size=4)] = [DBL_MAX, -DBL_MAX, DBL_MAX, -DBL_MAX]
+        elif kind == "signed_ulps":
+            col[:] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323], size=n)
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, dims - 1))
     bad = st.tuples(cells, st.sampled_from([np.nan, np.inf, -np.inf]))
     for (i, j), value in draw(st.lists(bad, max_size=2 if non_finite else 0)):
@@ -376,6 +399,41 @@ def test_ranking_the_mid_ranks_again_round_trips(data):
     assert again.tie_counts == obs.tie_counts
     assert again.values.tobytes() == obs.values.tobytes()
     assert obs.values is not obs.values and not obs.values.flags.writeable
+
+
+def _ranked_with_argsort_sizes(column):
+    """The ranking of one column, checked against the reference, and the
+    length of each array that np.argsort sorted on the way."""
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        obs = pseudo_observations(column[:, None])
+    expected, ties = reference_pseudo_observations(column[:, None])
+    assert obs.values.tobytes() == expected.tobytes()
+    assert obs.tie_counts == ties
+    return [call.args[0].size for call in argsort.call_args_list]
+
+
+def test_a_spread_column_is_ranked_by_its_keys_alone():
+    assert _ranked_with_argsort_sizes(np.random.default_rng(38).standard_normal(200_000)) == []
+
+
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_ulp_neighbours_among_spread_values_are_sorted_again_in_their_runs():
+    # A key prefix spans 2**18 ulps here, so the 2,000 rows within 500 ulps
+    # of 0.5, tied and in random order, share one or two prefixes.
+    n = 200_000
+    rng = np.random.default_rng(38)
+    column = rng.standard_normal(n)
+    column[rng.choice(n, 2000, replace=False)] = 0.5 + rng.integers(0, 500, 2000) * EPS / 2
+    assert _ranked_with_argsort_sizes(column) == [2000]
+
+
+def test_a_cluster_beside_far_outliers_falls_back_to_argsort():
+    # With +-1e300 in the column, 1 + k eps in random order shares a few
+    # prefixes, out of order in every run: past n / 16 the column takes argsort.
+    n = 200_000
+    column = 1.0 + np.random.default_rng(38).permutation(n) * EPS
+    column[:3] = [1e300, -1e300, 0.0]
+    assert _ranked_with_argsort_sizes(column) == [n]
 
 
 class TestReadCsv:

@@ -2,13 +2,14 @@
 
 A copula stores only its occupied cells, so no step may allocate an array
 with one entry per grid cell.  At d=5, m=32 the grid has 33.5M cells
-(256 MiB as float64); at 512^3 it has 134M (1 GiB).  Ranking sorts each
-column inside its slot of the output, so beside the input and the output it
-holds a column of sort order, a half column of interval ends and a boolean
-column whatever the ties.  The CLI parses a CSV's columns straight into
-that buffer, one block of about 256 KB at a time, so it never holds a parsed
-matrix beside its ranks: reading, ranking and fitting peak below 1.8 times
-the sample.  ``read_csv`` parses into a matrix of the selected columns only,
+(256 MiB as float64); at 512^3 it has 134M (1 GiB).  Ranking sorts one
+column of packed (value, row) keys at a time in place and writes the
+column's intervals into its slot of the output, so beside the input and the
+output it holds an int64 column of keys and a boolean column, and for a
+tied column a half column of interval ends.  The CLI parses a CSV's columns
+straight into that buffer, one block of about 256 KB at a time, so it never
+holds a parsed matrix beside its ranks: reading, ranking and fitting peak
+below 1.8 times the sample.  ``read_csv`` parses into a matrix of the selected columns only,
 and a block that orjson refuses is read row by row into that matrix, so the
 file's rows are never all held as strings.  A grid that stores every cell
 is measured on a split in any axis order from at most one more copy of its
@@ -179,23 +180,46 @@ def test_measures_on_comonotone_512_cubed_stay_small():
     assert values["renyi_limit"] > 0.0
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.filterwarnings("ignore:.*tied value")
-def test_ranking_holds_its_output_a_sort_order_and_a_half_column(tied):
-    # The tied sample has a 5-valued column and one rounded to ~1.5e5 distinct values.
+def ranking_sample(kind, n=200_000):
+    """A 3-column sample: tie-free; tied, with a 5-valued column and one
+    rounded to ~1.5e5 distinct values; or with a column of 1 + k eps in
+    random order beside +-1e300, which ranking sorts with np.argsort."""
     rng = make_rng(11)
-    n = 200_000
     data = rng.standard_normal((n, 3))
-    if tied:
+    if kind == "tied":
         data[:, 0] = rng.integers(0, 5, n)
         data[:, 1] = np.round(data[:, 1], 5)
+    elif kind == "outliers":
+        data[:, 0] = 1.0 + rng.permutation(n) * np.finfo(np.float64).eps
+        data[:3, 0] = [1e300, -1e300, 0.0]
+    return data
+
+
+def ranking_peak_bytes(data):
+    """Peak bytes of ranking ``data``, beyond the input and the output."""
     result = {}
 
     def work():
         result["pseudo"] = pseudo_observations(data)
 
-    assert peak_bytes(work) < data.nbytes + 1.75 * n * 8
-    assert tied == any(result["pseudo"].tie_counts)
+    return peak_bytes(work) - data.nbytes, result["pseudo"]
+
+
+@pytest.mark.parametrize("kind", ["tie-free", "tied", "outliers"])
+@pytest.mark.filterwarnings("ignore:.*tied value")
+def test_ranking_holds_its_output_a_sort_order_and_a_half_column(kind):
+    data = ranking_sample(kind)
+    extra, pseudo = ranking_peak_bytes(data)
+    assert extra < 1.75 * data.shape[0] * 8
+    assert (kind == "tied") == any(pseudo.tie_counts)
+
+
+def test_tie_free_ranking_holds_one_column_of_keys_and_a_boolean_column():
+    # the keys are 8 bytes a row and the tie flags 1; the rest are blocks
+    data = ranking_sample("tie-free")
+    extra, pseudo = ranking_peak_bytes(data)
+    assert extra < 1.4 * data.shape[0] * 8
+    assert not any(pseudo.tie_counts)
 
 
 def test_cli_measure_on_a_csv_peaks_below_1_8_times_the_sample(tmp_path):
@@ -209,8 +233,8 @@ def test_cli_measure_on_a_csv_peaks_below_1_8_times_the_sample(tmp_path):
     def work():
         assert main(argv) == 0
 
-    # the interval buffer is the sample's size; ranking adds a sort order, a
-    # half column and a boolean column, and parsing one block's ~1.4 MB
+    # the interval buffer is the sample's size; ranking adds a column of keys
+    # and a boolean column, and parsing one block's ~1.4 MB
     assert peak_bytes(work) < 1.8 * sample.nbytes
 
 

@@ -30,7 +30,8 @@ from .grid import CheckerboardCopula, _cell_sums, _check_resolutions, require_va
 MAX_BOX_PARTS = 2**22
 #: Rows per block of a fit's axis step.
 _FIT_BLOCK = 2**16
-#: Rows per block of ranking's key, tie and scatter passes.
+#: Rows per block of ranking's key, tie and scatter passes: 64 KB a temporary,
+#: small beside a column of keys.
 _RANK_BLOCK = 2**13
 
 

@@ -9,11 +9,11 @@ output it holds an int64 column of keys and a boolean column, and for a
 tied column a half column of interval ends.  The CLI parses a CSV's columns
 straight into that buffer, one block of about 256 KB at a time, so it never
 holds a parsed matrix beside its ranks: reading, ranking and fitting peak
-below 1.8 times the sample.  ``read_csv`` parses into a matrix of the selected columns only,
-and a block that orjson refuses is read row by row into that matrix, so the
-file's rows are never all held as strings.  A grid that stores every cell
-is measured on a split in any axis order from at most one more copy of its
-masses, never through a relabelled copula.
+below 1.8 times the sample.  ``read_csv`` parses into a matrix of the
+selected columns only, and a block that orjson refuses is read row by row
+into that matrix, so the file's rows are never all held as strings.  A grid
+that stores every cell is measured on a split in any axis order from at
+most one more copy of its masses, never through a relabelled copula.
 """
 
 import tracemalloc
@@ -180,11 +180,12 @@ def test_measures_on_comonotone_512_cubed_stay_small():
     assert values["renyi_limit"] > 0.0
 
 
-def ranking_sample(kind, n=200_000):
-    """A 3-column sample: tie-free; tied, with a 5-valued column and one
+def ranking_sample(kind):
+    """A 200,000×3 sample: tie-free; tied, with a 5-valued column and one
     rounded to ~1.5e5 distinct values; or with a column of 1 + k eps in
     random order beside +-1e300, which ranking sorts with np.argsort."""
     rng = make_rng(11)
+    n = 200_000
     data = rng.standard_normal((n, 3))
     if kind == "tied":
         data[:, 0] = rng.integers(0, 5, n)
